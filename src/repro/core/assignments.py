@@ -1,93 +1,89 @@
-"""Enumeration of candidate variable assignments for the decision procedures.
+"""Ground-once enumeration of witness groundings for the decision procedures.
 
-The procedures for immediate and long-term relevance (Propositions 4.1 and
-4.5) guess mappings of the query variables into the active domain of the
-configuration extended with a bounded number of fresh constants.  This module
-centralises that enumeration:
+The procedures for immediate relevance, long-term relevance, and containment
+(Propositions 4.1, 4.5, 5.7 and Section 5) guess mappings of the query
+variables into the active domain of the configuration extended with a
+bounded number of fresh constants, then classify every ground subgoal.
+:func:`iter_witness_assignments` is the one enumerator behind all of them:
 
-* a variable of an *infinite* domain ranges over the active-domain values of
-  its domain plus a pool of fresh values (one shared pool per domain, as many
-  values as requested);
+* a variable of an *infinite* domain ranges over the *useful* active-domain
+  values of its domain plus a pool of fresh values (one shared pool per
+  domain, as many values as requested);
 * a variable of an *enumerated* domain ranges over the full enumeration (any
-  value may appear in an instance consistent with the configuration).
+  value may appear in an instance consistent with the configuration);
+* every subgoal is grounded once, at the depth where its last variable is
+  bound, and the enumerator yields those ground tuples.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.data import Configuration
+from repro.data import Configuration, Fact
 from repro.chase.fresh import FreshConstants
 from repro.queries.terms import Variable, is_variable
 from repro.schema import AbstractDomain
 
-__all__ = ["candidate_values", "iter_assignments", "iter_witness_assignments"]
+__all__ = [
+    "Grounding",
+    "iter_witness_assignments",
+    "split_grounding",
+    "witnessable_atom_checker",
+]
+
+#: The ground tuple of every subgoal, in subgoal order.
+Grounding = Tuple[Tuple[object, ...], ...]
 
 
-def candidate_values(
-    domain: AbstractDomain,
-    configuration: Configuration,
-    fresh_values: Sequence[object] = (),
-) -> Tuple[object, ...]:
-    """Candidate values a variable of ``domain`` may take in a witness."""
-    if domain.is_enumerated:
-        return tuple(sorted(domain.values or (), key=repr))
-    adom_values = sorted(
-        {value for value, dom in configuration.active_domain() if dom == domain},
-        key=repr,
-    )
-    return tuple(adom_values) + tuple(fresh_values)
+def witnessable_atom_checker(atoms, configuration, schema, access):
+    """Per-atom feasibility for the witness enumeration of the LTR searches.
 
-
-def iter_assignments(
-    variables: Sequence[Variable],
-    variable_domains: Mapping[Variable, AbstractDomain],
-    configuration: Configuration,
-    *,
-    fresh_per_domain: int = 1,
-    max_assignments: Optional[int] = None,
-) -> Iterator[Dict[Variable, object]]:
-    """Enumerate assignments of ``variables`` into active-domain and fresh values.
-
-    ``fresh_per_domain`` controls how many distinct fresh values per abstract
-    domain are made available; one suffices for immediate relevance (the
-    identification argument of Proposition 4.1), while long-term relevance
-    uses as many as there are variables of the domain so that distinct
-    variables can take distinct fresh values.
+    A ground subgoal can participate in a witness when it is already in the
+    configuration, can be part of the probed access's response, or lies in a
+    relation that later accesses can produce.  Atoms over relations with an
+    access method are always witnessable, so the check short-circuits to the
+    interesting cases.
     """
-    fresh = FreshConstants(
-        {value for value, _ in configuration.active_domain()}
-    )
-    fresh_pools: Dict[str, Tuple[object, ...]] = {}
-    pools: List[Tuple[object, ...]] = []
-    for variable in variables:
-        domain = variable_domains[variable]
-        if domain.name not in fresh_pools and not domain.is_enumerated:
-            fresh_pools[domain.name] = fresh.several(domain, fresh_per_domain)
-        pool = candidate_values(
-            domain, configuration, fresh_pools.get(domain.name, ())
-        )
-        if not pool:
-            return
-        pools.append(pool)
+    atoms = tuple(atoms)
+    always = [schema.has_access(atom.relation.name) for atom in atoms]
+    access_relation = access.relation.name if access is not None else None
 
-    produced = 0
-    for combination in itertools.product(*pools):
-        yield dict(zip(variables, combination))
-        produced += 1
-        if max_assignments is not None and produced >= max_assignments:
-            return
+    def feasible(atom_index: int, values) -> bool:
+        if always[atom_index]:
+            return True
+        atom = atoms[atom_index]
+        if configuration.contains(atom.relation.name, values):
+            return True
+        if access is not None and atom.relation.name == access_relation:
+            return access.matches(values)
+        return False
+
+    return feasible
+
+
+def split_grounding(
+    atoms, grounding: Grounding, configuration: Configuration, access=None
+) -> Tuple[List[Fact], List[Fact]]:
+    """Split a grounding's missing subgoals into first-access and later facts.
+
+    Subgoals already in the configuration need no access.  A missing subgoal
+    that matches the binding of ``access`` goes to the first access's
+    response; every other one must be produced by later accesses, which the
+    per-atom checks of the enumeration (:func:`witnessable_atom_checker`, or
+    containment's) guarantee is possible.  By monotonicity of positive
+    queries this priority order loses no witness.
+    """
+    first: List[Fact] = []
+    later: List[Fact] = []
+    for atom, values in zip(atoms, grounding):
+        name = atom.relation.name
+        if configuration.contains(name, values):
+            continue
+        if access is not None and name == access.relation.name and access.matches(values):
+            first.append(Fact(name, values))
+        else:
+            later.append(Fact(name, values))
+    return first, later
 
 
 def iter_witness_assignments(
@@ -102,8 +98,11 @@ def iter_witness_assignments(
     prefer_fresh: bool = False,
     preferred_values: Sequence[object] = (),
     atom_feasible: Optional[Callable[[int, Tuple[object, ...]], bool]] = None,
-) -> Iterator[Dict[Variable, object]]:
-    """Enumerate assignments restricted to *useful* active-domain values.
+) -> Iterator[Grounding]:
+    """Enumerate witness groundings of ``atoms`` over *useful* values.
+
+    Each item is a :data:`Grounding`: the ground tuple of every atom, in the
+    order of ``atoms``, under one assignment of the atoms' variables.
 
     A witness (for immediate relevance, long-term relevance, or
     non-containment) only benefits from mapping a variable ``x`` to an
@@ -121,7 +120,7 @@ def iter_witness_assignments(
     active-domain value of its abstract domain: binding a dependent input to
     an already-known constant is how a witness avoids support chains.
 
-    Two further reductions keep the enumeration small without losing any
+    Three further reductions keep the enumeration small without losing any
     witness the flat cartesian product would find:
 
     * **canonical fresh values** — distinct fresh constants of one abstract
@@ -133,10 +132,31 @@ def iter_witness_assignments(
       exactly one canonical representative, so verdicts are unchanged while
       the fresh branching drops from ``k^n`` to the number of set partitions;
     * **per-atom pruning** — when ``atom_feasible`` is supplied, every atom is
-      grounded as soon as the last of its variables is assigned and the
-      callback decides whether the branch can still contribute a witness
-      (``atom_feasible(atom_index, ground_values)``); infeasible branches are
-      cut before the remaining variables are expanded.
+      checked as soon as it is ground (``atom_feasible(atom_index,
+      ground_values)``); infeasible branches are cut before the remaining
+      variables are expanded, so every yielded grounding passes the check;
+    * **first-fact liveness** — when ``access`` is given, only groundings in
+      which some subgoal is a response fact of ``access`` missing from the
+      configuration are yielded.  The enumeration tracks which subgoals can
+      still be such a fact: a subgoal dies when a variable at one of its
+      input places takes a value other than the binding, or when its ground
+      image is already in the configuration, and a branch is cut as soon as
+      none is left.  When no subgoal qualifies from the start, nothing is
+      enumerated.
+
+    Precondition of the first-fact pruning: the query does not already hold
+    on ``configuration``.  Then every witness has a missing subgoal that only
+    the probed access can supply: by shape for the long-term relevance
+    searches, and for immediate relevance because a witnessed subgoal outside
+    the configuration can only be a response fact.  Searches without a probed
+    access (containment, the generic-response shape) pass ``access=None``.
+
+    The pruning only drops groundings the callers discard, and the survivors
+    keep their enumeration order.  ``max_assignments`` caps the number of
+    *yielded* groundings; when it trips with an ``access`` the search has
+    covered a superset of the useful prefix an unpruned enumeration would
+    cover under the same cap, so a verdict can only gain a witness, and both
+    are sound.
 
     This restriction keeps the guessing step polynomial in the configuration
     for a fixed query (the data-complexity claims of Propositions 4.1, 4.5,
@@ -149,9 +169,72 @@ def iter_witness_assignments(
         for variable in atom.variables:
             if variable not in variables:
                 variables.append(variable)
+    total = len(variables)
+
+    # Compile each atom into slot descriptors so grounding a branch costs a
+    # list walk instead of per-term hash lookups, and record at which depth
+    # (index of its last variable in ``variables``) each atom becomes ground.
+    variable_index = {variable: index for index, variable in enumerate(variables)}
+    compiled: List[Tuple[Tuple[Tuple[int, object], ...], int]] = []
+    for atom in atoms:
+        slots = tuple(
+            (variable_index[term], None) if is_variable(term) else (-1, term)
+            for term in atom.terms
+        )
+        last_depth = max(
+            (variable_index[term] for term in atom.terms if is_variable(term)),
+            default=-1,
+        )
+        compiled.append((slots, last_depth))
+
+    def ground(slots: Tuple[Tuple[int, object], ...], chosen: List[object]):
+        return tuple(
+            chosen[index] if index >= 0 else constant for index, constant in slots
+        )
+
+    grounded: List[Tuple[object, ...]] = [()] * len(atoms)
+    atoms_at_depth: List[List[int]] = [[] for _ in range(total)]
+    for atom_index, (slots, last_depth) in enumerate(compiled):
+        if last_depth >= 0:
+            atoms_at_depth[last_depth].append(atom_index)
+            continue
+        grounded[atom_index] = ground(slots, [])
+        if atom_feasible is not None and not atom_feasible(
+            atom_index, grounded[atom_index]
+        ):
+            return
+
+    # First-fact liveness: a bit per subgoal that can still be a response
+    # fact of ``access`` missing from the configuration.  ``binding_checks``
+    # kills a subgoal when the variable at one of its input places leaves
+    # the binding; ``membership_checks`` kills it when its ground image is
+    # already a configuration fact.
+    binding_by_place = access.binding_by_place if access is not None else {}
+    live = 0
+    binding_checks: List[List[Tuple[int, object]]] = [[] for _ in range(total)]
+    membership_checks: List[List[int]] = [[] for _ in range(total)]
+    prune = access is not None
+    if prune:
+        for atom_index, atom in enumerate(atoms):
+            slots, last_depth = compiled[atom_index]
+            if atom.relation.name != access.relation.name or any(
+                slots[place][0] < 0 and slots[place][1] != value
+                for place, value in binding_by_place.items()
+            ):
+                continue
+            if last_depth < 0:
+                if configuration.contains(atom.relation.name, grounded[atom_index]):
+                    continue
+            else:
+                membership_checks[last_depth].append(atom_index)
+            for place, value in binding_by_place.items():
+                if slots[place][0] >= 0:
+                    binding_checks[slots[place][0]].append((1 << atom_index, value))
+            live |= 1 << atom_index
+        if not live:
+            return
 
     useful: Dict[Variable, set] = {variable: set() for variable in variables}
-    binding_by_place = access.binding_by_place if access is not None else {}
     seed_constants = getattr(configuration, "seed_constants", frozenset())
     for atom in atoms:
         rows = configuration.tuples(atom.relation.name)
@@ -223,48 +306,17 @@ def iter_witness_assignments(
                     known = tuple(v for v in known if v not in preferred_front)
             known_pools.append((preferred_front, known))
 
-    # Compile each atom into slot descriptors so grounding a branch costs a
-    # list walk instead of per-term hash lookups, and record at which depth
-    # (index of its last variable in ``variables``) each atom becomes ground.
-    variable_index = {variable: index for index, variable in enumerate(variables)}
     enumerated_flags = [variable_domains[v].is_enumerated for v in variables]
     domain_names = [variable_domains[v].name for v in variables]
-    compiled: List[Tuple[Tuple[Tuple[int, object], ...], int]] = []
-    for atom in atoms:
-        slots = tuple(
-            (variable_index[term], None) if is_variable(term) else (-1, term)
-            for term in atom.terms
-        )
-        last_depth = max(
-            (variable_index[term] for term in atom.terms if is_variable(term)),
-            default=-1,
-        )
-        compiled.append((slots, last_depth))
-
-    def ground(slots: Tuple[Tuple[int, object], ...], chosen: List[object]):
-        return tuple(
-            chosen[index] if index >= 0 else constant for index, constant in slots
-        )
-
-    if atom_feasible is not None:
-        for atom_index, (slots, last_depth) in enumerate(compiled):
-            if last_depth == -1 and not atom_feasible(atom_index, ground(slots, [])):
-                return
-    atoms_at_depth: Dict[int, List[int]] = {}
-    if atom_feasible is not None:
-        for atom_index, (_slots, last_depth) in enumerate(compiled):
-            if last_depth >= 0:
-                atoms_at_depth.setdefault(last_depth, []).append(atom_index)
-
-    total = len(variables)
+    relation_names = [atom.relation.name for atom in atoms]
     chosen: List[object] = [None] * total
     used_fresh: Dict[str, int] = {name: 0 for name in fresh_pools}
     produced = 0
 
-    def expand(depth: int) -> Iterator[Dict[Variable, object]]:
+    def expand(depth: int, live: int) -> Iterator[Grounding]:
         nonlocal produced
         if depth == total:
-            yield dict(zip(variables, chosen))
+            yield tuple(grounded)
             produced += 1
             return
         preferred_front, known = known_pools[depth]
@@ -294,25 +346,40 @@ def iter_witness_assignments(
                 choices = front_choices + fresh_choices + known_choices
             else:
                 choices = front_choices + known_choices + fresh_choices
-        if not choices:
-            return
-        completed = atoms_at_depth.get(depth) if atom_feasible is not None else None
+        completed = atoms_at_depth[depth]
+        kills = binding_checks[depth]
+        members = membership_checks[depth]
         for value, is_new_fresh in choices:
             if max_assignments is not None and produced >= max_assignments:
                 return
             chosen[depth] = value
+            branch_live = live
+            for bit, bound in kills:
+                if value != bound:
+                    branch_live &= ~bit
+            if prune and not branch_live:
+                continue
+            feasible = True
+            for atom_index in completed:
+                values = ground(compiled[atom_index][0], chosen)
+                grounded[atom_index] = values
+                if atom_feasible is not None and not atom_feasible(atom_index, values):
+                    feasible = False
+                    break
+            if not feasible:
+                continue
+            for atom_index in members:
+                bit = 1 << atom_index
+                if branch_live & bit and configuration.contains(
+                    relation_names[atom_index], grounded[atom_index]
+                ):
+                    branch_live &= ~bit
+            if prune and not branch_live:
+                continue
             if is_new_fresh:
                 used_fresh[domain_names[depth]] += 1
-            feasible = True
-            if completed:
-                for atom_index in completed:
-                    slots, _last = compiled[atom_index]
-                    if not atom_feasible(atom_index, ground(slots, chosen)):
-                        feasible = False
-                        break
-            if feasible:
-                yield from expand(depth + 1)
+            yield from expand(depth + 1, branch_live)
             if is_new_fresh:
                 used_fresh[domain_names[depth]] -= 1
 
-    yield from expand(0)
+    yield from expand(0, live)

@@ -41,7 +41,7 @@ from repro.queries import (
 )
 from repro.queries.terms import Variable
 from repro.chase import iter_production_plans
-from repro.core.assignments import iter_witness_assignments
+from repro.core.assignments import iter_witness_assignments, split_grounding
 from repro.schema import Schema
 
 __all__ = [
@@ -169,10 +169,12 @@ def find_non_containment_witness(
         query1.constants_with_domains() | query2.constants_with_domains()
     )
 
+    # Monotone exit: configurations only grow and ``query2`` is positive, so
+    # once it holds initially it holds on every reachable configuration.
+    if evaluate_boolean(query2, configuration):
+        return None
     # The empty path: the initial configuration is reachable.
-    if evaluate_boolean(query1, configuration) and not evaluate_boolean(
-        query2, configuration
-    ):
+    if evaluate_boolean(query1, configuration):
         return ContainmentWitness(configuration.copy(), ())
 
     for disjunct in _disjuncts(query1, options):
@@ -191,7 +193,7 @@ def find_non_containment_witness(
                 atom.relation.name, values
             ) or schema.has_access(atom.relation.name)
 
-        for assignment in iter_witness_assignments(
+        for grounding in iter_witness_assignments(
             disjunct.atoms,
             variable_domains,
             configuration,
@@ -203,18 +205,9 @@ def find_non_containment_witness(
         ):
             if deadline is not None:
                 deadline.check()
-            target_facts = []
-            feasible = True
-            for atom in disjunct.atoms:
-                values = atom.ground_values(assignment)
-                if configuration.contains(atom.relation.name, values):
-                    continue
-                if not schema.has_access(atom.relation.name):
-                    feasible = False
-                    break
-                target_facts.append(Fact(atom.relation.name, values))
-            if not feasible:
-                continue
+            _first, target_facts = split_grounding(
+                disjunct.atoms, grounding, configuration
+            )
             if not target_facts:
                 # The disjunct holds already; only relevant if query2 fails,
                 # which the empty-path check above already covered.

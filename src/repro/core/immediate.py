@@ -20,14 +20,13 @@ because only a single access is considered.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional, Tuple
 
 from repro.data import Configuration
 from repro.exceptions import QueryError
 from repro.queries import ConjunctiveQuery, PositiveQuery, is_certain
 from repro.queries.atoms import Atom
 from repro.queries.pq import AndNode, AtomNode, OrNode, PQNode
-from repro.queries.terms import Variable
 from repro.core.assignments import iter_witness_assignments
 from repro.schema import Access
 
@@ -36,12 +35,11 @@ __all__ = ["is_immediately_relevant"]
 
 def _atom_witnessed(
     atom: Atom,
-    assignment: Dict[Variable, object],
+    values: Tuple[object, ...],
     configuration: Configuration,
     access: Access,
 ) -> bool:
-    """Whether the ground image of ``atom`` under ``assignment`` is witnessed."""
-    values = atom.ground_values(assignment)
+    """Whether the ground image ``values`` of ``atom`` is witnessed."""
     if configuration.contains(atom.relation.name, values):
         return True
     if atom.relation.name != access.relation.name:
@@ -89,7 +87,9 @@ def is_immediately_relevant(
     assume_not_certain:
         Skip the (coNP) certainty pre-check; useful when the caller already
         knows the query is not certain (this turns the problem NP-complete,
-        as noted in Proposition 4.1).
+        as noted in Proposition 4.1).  The enumeration only guesses mappings
+        in which the access supplies a missing subgoal, which loses no
+        witness exactly when the query is not certain.
     max_assignments:
         Optional cap on the number of guessed assignments (for benchmarks).
     """
@@ -111,14 +111,9 @@ def is_immediately_relevant(
         atoms = query.atoms
 
         def atom_feasible(atom_index: int, values) -> bool:
-            atom = atoms[atom_index]
-            if configuration.contains(atom.relation.name, values):
-                return True
-            if atom.relation.name != access.relation.name:
-                return False
-            return access.matches(values)
+            return _atom_witnessed(atoms[atom_index], values, configuration, access)
 
-    for assignment in iter_witness_assignments(
+    for grounding in iter_witness_assignments(
         query.atoms,
         variable_domains,
         configuration,
@@ -127,8 +122,11 @@ def is_immediately_relevant(
         max_assignments=max_assignments,
         atom_feasible=atom_feasible,
     ):
+        # Equal atoms ground equally, so the image is keyed by the atom.
+        image = dict(zip(query.atoms, grounding))
+
         def witnessed(atom: Atom) -> bool:
-            return _atom_witnessed(atom, assignment, configuration, access)
+            return _atom_witnessed(atom, image[atom], configuration, access)
 
         if _structure_holds(query, witnessed):
             return True

@@ -44,7 +44,11 @@ from repro.queries import (
 )
 from repro.queries.terms import is_variable
 from repro.chase import iter_production_plans
-from repro.core.assignments import iter_witness_assignments
+from repro.core.assignments import (
+    iter_witness_assignments,
+    split_grounding,
+    witnessable_atom_checker,
+)
 from repro.core.containment import ContainmentOptions, SearchDeadline, decide_containment
 from repro.core.reductions import ltr_to_containment
 from repro.schema import Access, Schema
@@ -65,32 +69,6 @@ def _disjuncts(query) -> Sequence[ConjunctiveQuery]:
     if isinstance(query, PositiveQuery):
         return query.to_ucq()
     raise QueryError(f"unsupported query type {type(query)!r}")
-
-
-def _witnessable_atom_checker(disjunct, configuration, schema, access):
-    """Per-atom feasibility for the witness-assignment enumeration.
-
-    A ground subgoal can participate in a witness when it is already in the
-    configuration, can be part of the probed access's response, or lies in a
-    relation that later accesses can produce.  Atoms over relations with an
-    access method are always witnessable, so the check short-circuits to the
-    interesting cases.
-    """
-    atoms = disjunct.atoms
-    always = [schema.has_access(atom.relation.name) for atom in atoms]
-    access_relation = access.relation.name if access is not None else None
-
-    def feasible(atom_index: int, values) -> bool:
-        if always[atom_index]:
-            return True
-        atom = atoms[atom_index]
-        if configuration.contains(atom.relation.name, values):
-            return True
-        if access is not None and atom.relation.name == access_relation:
-            return access.matches(values)
-        return False
-
-    return feasible
 
 
 def find_ltr_witness_steps(
@@ -141,7 +119,7 @@ def find_ltr_witness_steps(
         variables = disjunct.variables
         variable_domains = disjunct.variable_domains()
         fresh_count = max(1, len(variables))
-        for assignment in iter_witness_assignments(
+        for grounding in iter_witness_assignments(
             disjunct.atoms,
             variable_domains,
             configuration,
@@ -149,27 +127,13 @@ def find_ltr_witness_steps(
             schema=schema,
             fresh_per_domain=fresh_count,
             max_assignments=max_assignments,
-            atom_feasible=_witnessable_atom_checker(
-                disjunct, configuration, schema, access
+            atom_feasible=witnessable_atom_checker(
+                disjunct.atoms, configuration, schema, access
             ),
         ):
-            first_facts: List[Fact] = []
-            later_facts: List[Fact] = []
-            feasible = True
-            for atom in disjunct.atoms:
-                values = atom.ground_values(assignment)
-                if configuration.contains(atom.relation.name, values):
-                    continue
-                if atom.relation.name == access.relation.name and access.matches(values):
-                    first_facts.append(Fact(atom.relation.name, values))
-                    continue
-                if schema.has_access(atom.relation.name):
-                    later_facts.append(Fact(atom.relation.name, values))
-                    continue
-                feasible = False
-                break
-            if not feasible or not first_facts:
-                continue
+            first_facts, later_facts = split_grounding(
+                disjunct.atoms, grounding, configuration, access
+            )
             # Distinct assignments frequently ground to the same fact sets
             # (they differ only on variables absorbed by the configuration);
             # one production-plan search per fact-set suffices.
@@ -284,7 +248,7 @@ def _ltr_via_generic_response(
     for disjunct in _disjuncts(query):
         variable_domains = disjunct.variable_domains()
         fresh_count = max(1, len(disjunct.variables))
-        for assignment in iter_witness_assignments(
+        for grounding in iter_witness_assignments(
             disjunct.atoms,
             variable_domains,
             after_first,
@@ -294,22 +258,14 @@ def _ltr_via_generic_response(
             max_assignments=max_assignments,
             prefer_fresh=True,
             preferred_values=fresh_outputs,
-            atom_feasible=_witnessable_atom_checker(
-                disjunct, after_first, schema, None
+            atom_feasible=witnessable_atom_checker(
+                disjunct.atoms, after_first, schema, None
             ),
         ):
-            later_facts: List[Fact] = []
-            feasible = True
-            for atom in disjunct.atoms:
-                atom_values = atom.ground_values(assignment)
-                if after_first.contains(atom.relation.name, atom_values):
-                    continue
-                if schema.has_access(atom.relation.name):
-                    later_facts.append(Fact(atom.relation.name, atom_values))
-                    continue
-                feasible = False
-                break
-            if not feasible or not later_facts:
+            _first, later_facts = split_grounding(
+                disjunct.atoms, grounding, after_first
+            )
+            if not later_facts:
                 continue
             search_key = frozenset(later_facts)
             if search_key in searched:

@@ -16,9 +16,9 @@ of the query.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
-from repro.data import Configuration, Fact
+from repro.data import Configuration
 from repro.exceptions import QueryError
 from repro.queries import (
     ConjunctiveQuery,
@@ -29,7 +29,11 @@ from repro.queries import (
 )
 from repro.queries.atoms import Atom
 from repro.queries.terms import Variable, is_variable
-from repro.core.assignments import iter_witness_assignments
+from repro.core.assignments import (
+    iter_witness_assignments,
+    split_grounding,
+    witnessable_atom_checker,
+)
 from repro.schema import Access, Schema
 
 __all__ = ["is_ltr_single_occurrence", "is_ltr_independent"]
@@ -157,41 +161,23 @@ def is_ltr_independent(
     if not assume_not_certain and is_certain(query, configuration):
         return False
 
-    from repro.core.longterm_dependent import _witnessable_atom_checker
-
     for disjunct in _disjuncts(query):
-        variables = disjunct.variables
-        variable_domains = disjunct.variable_domains()
-        fresh_count = max(1, len(variables))
-        for assignment in iter_witness_assignments(
+        fresh_count = max(1, len(disjunct.variables))
+        for grounding in iter_witness_assignments(
             disjunct.atoms,
-            variable_domains,
+            disjunct.variable_domains(),
             configuration,
             access,
             schema=schema,
             fresh_per_domain=fresh_count,
             max_assignments=max_assignments,
-            atom_feasible=_witnessable_atom_checker(
-                disjunct, configuration, schema, access
+            atom_feasible=witnessable_atom_checker(
+                disjunct.atoms, configuration, schema, access
             ),
         ):
-            first_access_facts: List[Fact] = []
-            later_facts: List[Fact] = []
-            witnessed = True
-            for atom in disjunct.atoms:
-                values = atom.ground_values(assignment)
-                if configuration.contains(atom.relation.name, values):
-                    continue
-                if atom.relation.name == access.relation.name and access.matches(values):
-                    first_access_facts.append(Fact(atom.relation.name, values))
-                    continue
-                if schema.has_access(atom.relation.name):
-                    later_facts.append(Fact(atom.relation.name, values))
-                    continue
-                witnessed = False
-                break
-            if not witnessed or not first_access_facts:
-                continue
+            _first, later_facts = split_grounding(
+                disjunct.atoms, grounding, configuration, access
+            )
             truncated = configuration.extended_with(later_facts)
             if not evaluate_boolean(query, truncated):
                 return True

@@ -516,9 +516,10 @@ def bank_multi_query_scenario(
     drawn deterministically from ``seed``.  The variants share every
     navigation step (employee → office, employee → manager), so the server
     performs the shared accesses once, while the per-query witness searches
-    are the CPU-bound part: on the bank shape a fresh LTR search costs tens
-    of milliseconds (management-chain support plans), which is exactly the
-    regime where process-pool search workers pay.
+    are the CPU-bound part.  A fresh LTR search costs about a millisecond
+    here, once the probes that witness no subgoal (``EmpManAcc``) enumerate
+    nothing in the first-fact shape; that is less than a round trip to a
+    process-pool search worker, so the pool does not pay on this batch.
 
     Only the ``State`` and ``Offering`` constants vary.  The employee title
     is deliberately fixed: every extra ``Text``-domain constant in the shared

@@ -14,8 +14,9 @@ from repro import (
     parse_cq,
     parse_pq,
 )
+from repro.core import containment
 from repro.exceptions import QueryError
-from repro.workloads import containment_example_scenario
+from repro.workloads import chain_schema, containment_example_scenario
 
 
 class TestExample32:
@@ -164,3 +165,46 @@ class TestBudgets:
         assert decide_containment(
             query_r, query_s, dependent_schema, options=options
         )
+
+
+class TestMonotoneExit:
+    """Configurations only grow, so a containing query that holds on the
+    initial configuration holds on every reachable one."""
+
+    @staticmethod
+    def _chain(size: int, with_l2: bool):
+        schema = chain_schema(2)
+        configuration = Configuration.empty(schema)
+        for index in range(size):
+            configuration.add("L1", (f"a{index}", f"b{index}"))
+            if with_l2:
+                configuration.add("L2", (f"b{index}", f"c{index}"))
+        return schema, configuration, parse_cq(schema, "L1(x, y), L2(y, z)")
+
+    @staticmethod
+    def _count_groundings(monkeypatch):
+        groundings = []
+        enumerate_groundings = containment.iter_witness_assignments
+
+        def counting(*args, **kwargs):
+            for grounding in enumerate_groundings(*args, **kwargs):
+                groundings.append(grounding)
+                yield grounding
+
+        monkeypatch.setattr(containment, "iter_witness_assignments", counting)
+        return groundings
+
+    @pytest.mark.parametrize("size", [1, 5, 10])
+    def test_old_bench_family_keeps_its_verdict_without_search(self, size, monkeypatch):
+        schema, configuration, query = self._chain(size, with_l2=True)
+        link = parse_cq(schema, "L1(x, y)")
+        groundings = self._count_groundings(monkeypatch)
+        assert decide_containment(query, link, schema, configuration)
+        assert groundings == []
+
+    def test_false_containing_query_is_still_searched(self, monkeypatch):
+        schema, configuration, query = self._chain(5, with_l2=False)
+        target = parse_cq(schema, "L2(y, z)")
+        groundings = self._count_groundings(monkeypatch)
+        assert decide_containment(query, target, schema, configuration)
+        assert groundings

@@ -14,21 +14,52 @@ identical* to the naive reference implementations they replaced:
 * the incremental relevance engine (fingerprint memoization, delta
   inheritance, witness revalidation, screening adoption) serves exactly the
   verdict a fresh, cache-free ``is_long_term_relevant`` run computes on the
-  same configuration, across arbitrary growth sequences.
+  same configuration, across arbitrary growth sequences;
+* the ground-once witness kernel with first-fact pruning yields exactly the
+  groundings of the dict-yielding reference enumerator it replaced, in
+  order, and every decision procedure built on it keeps its verdicts and
+  witness steps.
 """
 
 from __future__ import annotations
 
+import contextlib
+import random
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from unittest import mock
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Access, Configuration, Instance, SchemaBuilder
-from repro.core import is_long_term_relevant
+from repro.chase.fresh import FreshConstants
+from repro.core import (
+    containment,
+    decide_containment,
+    immediate,
+    is_immediately_relevant,
+    is_long_term_relevant,
+    is_ltr_independent,
+    longterm_dependent,
+    longterm_independent,
+)
+from repro.core.assignments import iter_witness_assignments, witnessable_atom_checker
+from repro.core.longterm_dependent import containment_cq_memo, find_ltr_witness_steps
 from repro.datalog import accessible_program
 from repro.datalog.engine import evaluate_program, evaluate_program_naive
 from repro.queries import find_homomorphisms
-from repro.runtime import RelevanceOracle, RuntimeMetrics
-from repro.workloads import fanout_scenario, random_cq
+from repro.queries.terms import Variable, is_variable
+from repro.runtime import QueryServer, RelevanceOracle, RuntimeMetrics
+from repro.workloads import (
+    bank_multi_query_scenario,
+    fanout_scenario,
+    random_configuration,
+    random_cq,
+    random_instance,
+    random_pq,
+    random_schema,
+)
 
 
 def _schema():
@@ -230,3 +261,369 @@ def test_fingerprint_is_content_based(facts, extra):
         assert changed.fingerprint() != one.fingerprint()
         changed.remove("R", extra)
         assert changed.fingerprint() == one.fingerprint()
+
+
+# --------------------------------------------------------------------------- #
+# The ground-once witness kernel against the dict-yielding reference
+# --------------------------------------------------------------------------- #
+def reference_witness_assignments(
+    atoms,
+    variable_domains,
+    configuration,
+    access=None,
+    *,
+    schema=None,
+    fresh_per_domain: int = 1,
+    max_assignments: Optional[int] = None,
+    prefer_fresh: bool = False,
+    preferred_values: Sequence[object] = (),
+    atom_feasible: Optional[Callable[[int, Tuple[object, ...]], bool]] = None,
+):
+    """The enumerator the ground-once kernel replaced, kept as the reference.
+
+    It yields one ``{Variable: value}`` dict per assignment over the same
+    useful values, canonical fresh choices and per-atom pruning, and has no
+    first-fact pruning: callers grounded every atom of every assignment, and
+    the long-term relevance searches dropped the groundings without a
+    first-access fact afterwards.
+    """
+    atoms = tuple(atoms)
+    variables: List[Variable] = []
+    for atom in atoms:
+        for variable in atom.variables:
+            if variable not in variables:
+                variables.append(variable)
+
+    useful: Dict[Variable, set] = {variable: set() for variable in variables}
+    binding_by_place = access.binding_by_place if access is not None else {}
+    seed_constants = getattr(configuration, "seed_constants", frozenset())
+    for atom in atoms:
+        rows = configuration.tuples(atom.relation.name)
+        for place, term in enumerate(atom.terms):
+            if term not in useful:
+                continue
+            for row in rows:
+                useful[term].add(row[place])
+            if (
+                access is not None
+                and atom.relation.name == access.relation.name
+                and place in binding_by_place
+            ):
+                useful[term].add(binding_by_place[place])
+    for variable in variables:
+        domain = variable_domains[variable]
+        for value, constant_domain in seed_constants:
+            if constant_domain == domain:
+                useful[variable].add(value)
+
+    if schema is not None:
+        adom = configuration.active_domain()
+        input_place_variables = set()
+        for atom in atoms:
+            if not schema.has_relation(atom.relation.name):
+                continue
+            input_places = set()
+            for method in schema.methods_for(atom.relation.name):
+                if method.dependent:
+                    input_places.update(method.input_places)
+            for place in input_places:
+                term = atom.terms[place]
+                if term in useful:
+                    input_place_variables.add(term)
+        for variable in input_place_variables:
+            domain = variable_domains[variable]
+            for value, value_domain in adom:
+                if value_domain == domain:
+                    useful[variable].add(value)
+
+    fresh = FreshConstants({value for value, _ in configuration.active_domain()})
+    fresh_pools: Dict[str, Tuple[object, ...]] = {}
+    known_pools = []
+    for variable in variables:
+        domain = variable_domains[variable]
+        if domain.is_enumerated:
+            pool = tuple(sorted(domain.values or (), key=repr))
+            if preferred_values:
+                front = tuple(v for v in preferred_values if v in pool)
+                if front:
+                    pool = front + tuple(v for v in pool if v not in front)
+            if not pool:
+                return
+            known_pools.append(((), pool))
+        else:
+            if domain.name not in fresh_pools:
+                fresh_pools[domain.name] = fresh.several(domain, fresh_per_domain)
+            known = tuple(sorted(useful[variable], key=repr))
+            preferred_front: Tuple[object, ...] = ()
+            if preferred_values:
+                preferred_front = tuple(v for v in preferred_values if v in known)
+                if preferred_front:
+                    known = tuple(v for v in known if v not in preferred_front)
+            known_pools.append((preferred_front, known))
+
+    variable_index = {variable: index for index, variable in enumerate(variables)}
+    compiled = []
+    for atom in atoms:
+        slots = tuple(
+            (variable_index[term], None) if is_variable(term) else (-1, term)
+            for term in atom.terms
+        )
+        last_depth = max(
+            (variable_index[term] for term in atom.terms if is_variable(term)),
+            default=-1,
+        )
+        compiled.append((slots, last_depth))
+
+    def ground(slots, chosen):
+        return tuple(chosen[index] if index >= 0 else constant for index, constant in slots)
+
+    if atom_feasible is not None:
+        for atom_index, (slots, last_depth) in enumerate(compiled):
+            if last_depth == -1 and not atom_feasible(atom_index, ground(slots, [])):
+                return
+    atoms_at_depth: Dict[int, List[int]] = {}
+    if atom_feasible is not None:
+        for atom_index, (_slots, last_depth) in enumerate(compiled):
+            if last_depth >= 0:
+                atoms_at_depth.setdefault(last_depth, []).append(atom_index)
+
+    total = len(variables)
+    chosen: List[object] = [None] * total
+    used_fresh = {name: 0 for name in fresh_pools}
+    produced = 0
+
+    def expand(depth):
+        nonlocal produced
+        if depth == total:
+            yield dict(zip(variables, chosen))
+            produced += 1
+            return
+        preferred_front, known = known_pools[depth]
+        domain = variable_domains[variables[depth]]
+        if domain.is_enumerated:
+            choices = [(value, False) for value in known]
+        else:
+            pool = fresh_pools[domain.name]
+            used = used_fresh[domain.name]
+            fresh_choices = [(value, False) for value in pool[:used]]
+            if used < len(pool):
+                fresh_choices.append((pool[used], True))
+            front_choices = [(value, False) for value in preferred_front]
+            known_choices = [(value, False) for value in known]
+            if prefer_fresh:
+                choices = front_choices + fresh_choices + known_choices
+            else:
+                choices = front_choices + known_choices + fresh_choices
+        for value, is_new_fresh in choices:
+            if max_assignments is not None and produced >= max_assignments:
+                return
+            chosen[depth] = value
+            if is_new_fresh:
+                used_fresh[domain.name] += 1
+            feasible = all(
+                atom_feasible(atom_index, ground(compiled[atom_index][0], chosen))
+                for atom_index in atoms_at_depth.get(depth, ())
+            )
+            if feasible:
+                yield from expand(depth + 1)
+            if is_new_fresh:
+                used_fresh[domain.name] -= 1
+
+    yield from expand(0)
+
+
+def _has_first_fact(atoms, grounding, configuration, access) -> bool:
+    return any(
+        not configuration.contains(atom.relation.name, values)
+        and atom.relation.name == access.relation.name
+        and access.matches(values)
+        for atom, values in zip(atoms, grounding)
+    )
+
+
+def unfiltered_reference_groundings(
+    atoms, variable_domains, configuration, access=None, **options
+):
+    """The reference's assignments grounded atom by atom, in order."""
+    atoms = tuple(atoms)
+    for assignment in reference_witness_assignments(
+        atoms, variable_domains, configuration, access, **options
+    ):
+        yield tuple(atom.ground_values(assignment) for atom in atoms)
+
+
+def reference_groundings(atoms, variable_domains, configuration, access=None, **options):
+    """The reference's groundings, with a first-access fact when probing.
+
+    With an ``access`` only the groundings with a first-access fact are
+    kept, which is the filter the long-term relevance callers applied after
+    grounding.
+    """
+    atoms = tuple(atoms)
+    for grounding in unfiltered_reference_groundings(
+        atoms, variable_domains, configuration, access, **options
+    ):
+        if access is None or _has_first_fact(atoms, grounding, configuration, access):
+            yield grounding
+
+
+_KERNEL_CALLERS = (containment, immediate, longterm_dependent, longterm_independent)
+
+
+@contextlib.contextmanager
+def _through_reference():
+    """Route every decision procedure's enumeration through the reference.
+
+    Immediate relevance applied no first-fact filter, so it gets the
+    unfiltered reference: equal verdicts show the kernel's pruning loses
+    none of its witnesses.
+    """
+    with contextlib.ExitStack() as stack:
+        for module in _KERNEL_CALLERS:
+            reference = (
+                unfiltered_reference_groundings
+                if module is immediate
+                else reference_groundings
+            )
+            stack.enter_context(
+                mock.patch.object(module, "iter_witness_assignments", reference)
+            )
+        yield
+
+
+def _random_case(seed: int):
+    """A generated (schema, configuration, query, access, other query) case."""
+    rng = random.Random(seed)
+    schema = random_schema(
+        relations=rng.randint(2, 4),
+        domains=rng.randint(1, 2),
+        dependent_ratio=rng.random(),
+        methods_per_relation=rng.randint(1, 2),
+        seed=seed,
+    )
+    instance = random_instance(
+        schema, tuples_per_relation=rng.randint(2, 5), value_pool=4, seed=seed
+    )
+    configuration = random_configuration(instance, fraction=0.6 * rng.random(), seed=seed)
+    if rng.random() < 0.6:
+        query = random_cq(schema, atoms=rng.randint(2, 4), variables=rng.randint(2, 4), seed=seed)
+    else:
+        query = random_pq(schema, disjuncts=2, atoms_per_disjunct=2, variables=3, seed=seed)
+    method = rng.choice(schema.access_methods)
+    active = sorted(configuration.active_domain(), key=repr)
+    binding = []
+    for place in method.input_places:
+        domain = method.relation.domain_of(place)
+        pool = [value for value, dom in active if dom == domain] if rng.random() < 0.8 else []
+        binding.append(rng.choice(pool or [f"{domain.name.lower()}{i}" for i in range(4)]))
+    other = random_cq(schema, atoms=rng.randint(1, 2), variables=2, seed=seed + 1000)
+    return schema, configuration, query, Access(method, tuple(binding)), other
+
+
+CASES = st.integers(min_value=0, max_value=100_000).map(_random_case)
+_SMALL_SEARCH = containment.ContainmentOptions(max_nodes=2000, max_plans_per_assignment=8)
+
+
+def _disjuncts(query):
+    return query.to_ucq() if hasattr(query, "to_ucq") else (query,)
+
+
+@common_settings
+@given(
+    case=CASES,
+    with_access=st.booleans(),
+    with_schema=st.booleans(),
+    with_feasibility=st.booleans(),
+    prefer_fresh=st.booleans(),
+)
+def test_kernel_groundings_match_reference_in_order(
+    case, with_access, with_schema, with_feasibility, prefer_fresh
+):
+    schema, configuration, query, probe, _other = case
+    access = probe if with_access else None
+    for disjunct in _disjuncts(query):
+        options = dict(
+            schema=schema if with_schema else None,
+            fresh_per_domain=max(1, len(disjunct.variables)),
+            prefer_fresh=prefer_fresh,
+            preferred_values=probe.binding if prefer_fresh else (),
+            atom_feasible=(
+                witnessable_atom_checker(disjunct.atoms, configuration, schema, access)
+                if with_feasibility
+                else None
+            ),
+        )
+        args = (disjunct.atoms, disjunct.variable_domains(), configuration, access)
+        assert list(iter_witness_assignments(*args, **options)) == list(
+            reference_groundings(*args, **options)
+        )
+
+
+def _steps_signature(steps):
+    if steps is None:
+        return None
+    return [(step.access, sorted(step.facts, key=repr)) for step in steps]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=CASES)
+def test_decision_procedures_match_reference_enumeration(case):
+    schema, configuration, query, access, other = case
+
+    def decide():
+        return (
+            _steps_signature(
+                find_ltr_witness_steps(
+                    query, access, configuration, schema, options=_SMALL_SEARCH
+                )
+            ),
+            is_ltr_independent(query, access, configuration, schema),
+            is_immediately_relevant(query, access, configuration),
+            decide_containment(other, query, schema, configuration, _SMALL_SEARCH),
+        )
+
+    kernel = decide()
+    with _through_reference():
+        reference = decide()
+    assert kernel == reference
+
+
+def test_unused_probe_enumerates_no_first_fact_grounding():
+    """``EmpManAcc`` probes ``Manager``, which no bank subgoal uses: the
+    shape-1 search enumerates nothing, and the access stays relevant through
+    the generic-response shape."""
+    scenario = bank_multi_query_scenario(8, employees=6, offices=3, states=4)
+    schema, query = scenario.schema, scenario.queries[0]
+    counts = {True: 0, False: 0}
+
+    def counting(atoms, variable_domains, configuration, access, **kwargs):
+        for grounding in iter_witness_assignments(
+            atoms, variable_domains, configuration, access, **kwargs
+        ):
+            counts[access is not None] += 1
+            yield grounding
+
+    manager = Access(schema.access_method("EmpManAcc"), ("emp0",))
+    office = Access(schema.access_method("EmpOffAcc"), ("emp0",))
+    with mock.patch.object(longterm_dependent, "iter_witness_assignments", counting):
+        assert find_ltr_witness_steps(query, manager, scenario.configuration, schema)
+        assert counts[True] == 0 and counts[False] > 0
+        assert find_ltr_witness_steps(query, office, scenario.configuration, schema)
+        assert counts[True] > 0
+
+
+@pytest.mark.parametrize(
+    "kwargs, fresh_searches, accesses",
+    [
+        (dict(n_queries=8, employees=6, offices=3, states=4), 72, 15),
+        ({}, 102, 19),
+    ],
+)
+def test_bank_batches_keep_their_search_and_access_counts(kwargs, fresh_searches, accesses):
+    containment_cq_memo().clear()
+    scenario = bank_multi_query_scenario(**kwargs)
+    metrics = RuntimeMetrics()
+    with QueryServer(scenario.mediator(), metrics=metrics) as server:
+        result = server.answer(scenario.queries)
+    assert metrics.snapshot()["counters"]["oracle.fresh_searches"] == fresh_searches
+    assert result.accesses_made == accesses
