@@ -13,21 +13,28 @@ bounded number of fresh constants, then classify every ground subgoal.
   value may appear in an instance consistent with the configuration);
 * every subgoal is grounded once, at the depth where its last variable is
   bound, and the enumerator yields those ground tuples.
+
+:func:`holds_after_adding` is the matching delta check: whether a query that
+is false on the configuration holds once a grounding's new facts are added,
+decided from those facts without copying the configuration.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.data import Configuration, Fact
 from repro.chase.fresh import FreshConstants
+from repro.queries.homomorphism import has_homomorphism
 from repro.queries.terms import Variable, is_variable
 from repro.schema import AbstractDomain
 
 __all__ = [
     "Grounding",
+    "holds_after_adding",
     "iter_witness_assignments",
     "split_grounding",
+    "unify_terms",
     "witnessable_atom_checker",
 ]
 
@@ -84,6 +91,82 @@ def split_grounding(
         else:
             later.append(Fact(name, values))
     return first, later
+
+
+def unify_terms(terms, values) -> Optional[Dict[Variable, object]]:
+    """The substitution sending ``terms`` onto ``values``, or ``None``.
+
+    ``None`` when a constant differs from its value or a repeated variable
+    meets two different values.
+    """
+    substitution: Dict[Variable, object] = {}
+    for term, value in zip(terms, values):
+        if is_variable(term):
+            if substitution.setdefault(term, value) != value:
+                return None
+        elif term != value:
+            return None
+    return substitution
+
+
+def holds_after_adding(
+    disjuncts, configuration: Configuration, facts: Iterable[Fact]
+) -> bool:
+    """Whether some disjunct holds once ``facts`` are added to ``configuration``.
+
+    Precondition: no disjunct holds on ``configuration``.  Then every match
+    on the extended configuration sends some atom onto one of ``facts`` that
+    the configuration lacks, so only those matches are searched: each atom is
+    unified with each new fact of its relation, and the disjunct's remaining
+    atoms are joined under that substitution with
+    :func:`~repro.queries.homomorphism.has_homomorphism`.  A disjunct with no
+    remaining atom holds without touching the configuration.  The joins run
+    over ``configuration`` itself, with the new facts added in place and
+    removed again on exit, the undo-log pattern (and the same single-thread
+    requirement) of :meth:`~repro.data.paths.AccessPath.truncation_view`:
+    content, fingerprint, active domain and indexes are restored even when a
+    join raises, and no copy is taken.
+
+    Every fact is first validated with its relation's ``check_values``, as
+    :meth:`~repro.data.instance.Instance.add` does, so a malformed fact raises
+    :class:`~repro.exceptions.SchemaError` even when no join needs it.  Under
+    the precondition the answer equals evaluating the disjunction on
+    ``configuration.extended_with(facts)``.
+    """
+    schema = configuration.schema
+    new: Dict[str, Dict[Tuple[object, ...], None]] = {}
+    for fact in facts:
+        row = tuple(fact.values)
+        schema.relation(fact.relation).check_values(row)
+        if not configuration.contains(fact.relation, row):
+            new.setdefault(fact.relation, {})[row] = None
+    joins = []
+    for disjunct in disjuncts:
+        atoms = disjunct.atoms
+        for index, atom in enumerate(atoms):
+            for row in new.get(atom.relation.name, ()):
+                substitution = unify_terms(atom.terms, row)
+                if substitution is None:
+                    continue
+                rest = atoms[:index] + atoms[index + 1 :]
+                if not rest:
+                    return True
+                joins.append((rest, substitution))
+    if not joins:
+        return False
+    added: List[Tuple[str, Tuple[object, ...]]] = []
+    try:
+        for name, rows in new.items():
+            for row in rows:
+                configuration.add(name, row)
+                added.append((name, row))
+        return any(
+            has_homomorphism(rest, configuration, substitution)
+            for rest, substitution in joins
+        )
+    finally:
+        for name, row in reversed(added):
+            configuration.remove(name, row)
 
 
 def iter_witness_assignments(

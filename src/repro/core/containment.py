@@ -15,6 +15,10 @@ The decision procedure searches for such a witness, following the tree-like
    enumerates such paths, introducing *support facts* whenever a dependent
    input needs a value that no previous access has emitted;
 3. the witness is accepted when ``Q2`` is false on the final configuration.
+   ``Q2`` is false on ``Conf`` itself (otherwise the monotone exit answers
+   "contained" at once), so this is decided from the plan's new facts alone:
+   :func:`repro.core.assignments.holds_after_adding` only searches matches
+   that use one of them, and copies no configuration.
 
 The witness size for dependent accesses is exponential in the worst case
 (Theorem 5.1's tiling lower bound), so the search is *bounded*: the caller
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.data import Configuration, Fact
 from repro.exceptions import QueryError, SearchBudgetExceeded
@@ -39,9 +43,12 @@ from repro.queries import (
     PositiveQuery,
     evaluate_boolean,
 )
-from repro.queries.terms import Variable
 from repro.chase import iter_production_plans
-from repro.core.assignments import iter_witness_assignments, split_grounding
+from repro.core.assignments import (
+    holds_after_adding,
+    iter_witness_assignments,
+    split_grounding,
+)
 from repro.schema import Schema
 
 __all__ = [
@@ -154,6 +161,10 @@ def find_non_containment_witness(
     is given, the assignment loop raises
     :class:`~repro.exceptions.SearchBudgetExceeded` as soon as the shared
     wall-clock budget is spent (anytime mode; the caller owns the fallback).
+
+    Once neither query decides the initial configuration, both are expanded
+    to DNF, ``query1`` first: a positive query (either one) whose DNF exceeds
+    ``options.max_disjuncts`` raises :class:`~repro.exceptions.QueryError`.
     """
     options = options or ContainmentOptions()
     configuration = (
@@ -177,7 +188,11 @@ def find_non_containment_witness(
     if evaluate_boolean(query1, configuration):
         return ContainmentWitness(configuration.copy(), ())
 
-    for disjunct in _disjuncts(query1, options):
+    disjuncts1 = _disjuncts(query1, options)
+    # ``query2`` is false on ``configuration`` (the monotone exit), which is
+    # the precondition of the delta check ``holds_after_adding``.
+    disjuncts2 = _disjuncts(query2, options)
+    for disjunct in disjuncts1:
         variables = disjunct.variables
         variable_domains = disjunct.variable_domains()
         fresh_count = (
@@ -212,10 +227,11 @@ def find_non_containment_witness(
                 # The disjunct holds already; only relevant if query2 fails,
                 # which the empty-path check above already covered.
                 continue
-            # Monotone pruning: if query2 already holds on the targets alone,
-            # every plan (which can only add support facts) also satisfies it.
-            direct = configuration.extended_with(target_facts)
-            if evaluate_boolean(query2, direct):
+            # Monotone pruning: if query2 already holds once the targets alone
+            # are added, every plan (which can only add support facts) also
+            # satisfies it.  The delta check decides this from the targets,
+            # without a configuration copy.
+            if holds_after_adding(disjuncts2, configuration, target_facts):
                 continue
             for plan in iter_production_plans(
                 schema,
@@ -226,9 +242,11 @@ def find_non_containment_witness(
                 support_value_choices=options.support_value_choices,
                 max_nodes=options.max_nodes,
             ):
-                final = plan.final_configuration()
-                if not evaluate_boolean(query2, final):
-                    return ContainmentWitness(final, plan.all_new_facts())
+                # The plan's final configuration is ``configuration`` plus
+                # its new facts; only the returned witness materialises it.
+                new_facts = plan.all_new_facts()
+                if not holds_after_adding(disjuncts2, configuration, new_facts):
+                    return ContainmentWitness(plan.final_configuration(), new_facts)
     return None
 
 

@@ -16,22 +16,21 @@ of the query.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.data import Configuration
 from repro.exceptions import QueryError
 from repro.queries import (
     ConjunctiveQuery,
     PositiveQuery,
-    evaluate_boolean,
     has_homomorphism,
     is_certain,
 )
-from repro.queries.atoms import Atom
-from repro.queries.terms import Variable, is_variable
 from repro.core.assignments import (
+    holds_after_adding,
     iter_witness_assignments,
     split_grounding,
+    unify_terms,
     witnessable_atom_checker,
 )
 from repro.schema import Access, Schema
@@ -42,24 +41,6 @@ __all__ = ["is_ltr_single_occurrence", "is_ltr_independent"]
 # --------------------------------------------------------------------------- #
 # Proposition 4.3: single occurrence of the accessed relation
 # --------------------------------------------------------------------------- #
-def _unify_with_binding(atom: Atom, access: Access) -> Optional[Dict[Variable, object]]:
-    """The (unique) substitution making ``atom`` agree with the binding.
-
-    Returns ``None`` when a constant of the atom conflicts with the binding.
-    """
-    substitution: Dict[Variable, object] = {}
-    for place, bound_value in access.binding_by_place.items():
-        term = atom.terms[place]
-        if is_variable(term):
-            previous = substitution.get(term)
-            if previous is not None and previous != bound_value:
-                return None
-            substitution[term] = bound_value
-        elif term != bound_value:
-            return None
-    return substitution
-
-
 def is_ltr_single_occurrence(
     query: ConjunctiveQuery,
     access: Access,
@@ -90,7 +71,10 @@ def is_ltr_single_occurrence(
             f"query; the single-occurrence algorithm requires exactly one"
         )
     accessed_atom = occurrences[0]
-    substitution = _unify_with_binding(accessed_atom, access)
+    binding = access.binding_by_place
+    substitution = unify_terms(
+        [accessed_atom.terms[place] for place in binding], tuple(binding.values())
+    )
     if substitution is None:
         return False
 
@@ -155,13 +139,19 @@ def is_ltr_independent(
     The classification is by priority (configuration, then first access, then
     later accesses); by monotonicity of positive queries this is without loss
     of generality.
+
+    The truncated-path check is the delta check
+    :func:`~repro.core.assignments.holds_after_adding`, whose precondition is
+    that the query is false on ``configuration``: a caller passing
+    ``assume_not_certain=True`` guarantees exactly that.
     """
     if not query.is_boolean:
         raise QueryError("long-term relevance is defined for Boolean queries")
     if not assume_not_certain and is_certain(query, configuration):
         return False
 
-    for disjunct in _disjuncts(query):
+    disjuncts = _disjuncts(query)
+    for disjunct in disjuncts:
         fresh_count = max(1, len(disjunct.variables))
         for grounding in iter_witness_assignments(
             disjunct.atoms,
@@ -178,7 +168,6 @@ def is_ltr_independent(
             _first, later_facts = split_grounding(
                 disjunct.atoms, grounding, configuration, access
             )
-            truncated = configuration.extended_with(later_facts)
-            if not evaluate_boolean(query, truncated):
+            if not holds_after_adding(disjuncts, configuration, later_facts):
                 return True
     return False

@@ -15,7 +15,9 @@ from repro import (
     parse_pq,
 )
 from repro.core import containment
-from repro.exceptions import QueryError
+from repro.core.assignments import holds_after_adding
+from repro.data import Fact
+from repro.exceptions import QueryError, SchemaError
 from repro.workloads import chain_schema, containment_example_scenario
 
 
@@ -208,3 +210,64 @@ class TestMonotoneExit:
         groundings = self._count_groundings(monkeypatch)
         assert decide_containment(query, target, schema, configuration)
         assert groundings
+
+
+class TestDeltaCheck:
+    """``query2`` is false on the initial configuration past the monotone
+    exit, so whether a grounding's or a plan's new facts make it true is
+    decided from those facts, without copying the configuration."""
+
+    def test_bench_family_copies_no_configuration(self, monkeypatch):
+        schema, configuration, query = TestMonotoneExit._chain(40, with_l2=False)
+        target = parse_cq(schema, "L2(y, z)")
+        groundings = TestMonotoneExit._count_groundings(monkeypatch)
+        copies = []
+        extended_with = Configuration.extended_with
+
+        def counting(self, facts):
+            copies.append(facts)
+            return extended_with(self, facts)
+
+        monkeypatch.setattr(Configuration, "extended_with", counting)
+        assert decide_containment(query, target, schema, configuration)
+        assert len(groundings) == 6725
+        assert copies == []
+
+    def test_malformed_fact_raises_even_when_no_join_needs_it(self):
+        schema, configuration, _query = TestMonotoneExit._chain(3, with_l2=False)
+        target = parse_cq(schema, "L2(y, z)")
+        before = configuration.fingerprint()
+        facts = [Fact("L2", ("b0", "c0")), Fact("L1", ("a9",))]
+        with pytest.raises(SchemaError):
+            holds_after_adding((target,), configuration, facts)
+        assert configuration.fingerprint() == before
+        assert holds_after_adding((target,), configuration, facts[:1])
+
+    def test_containing_pq_over_the_dnf_budget_raises(self):
+        schema, configuration, query = TestMonotoneExit._chain(3, with_l2=False)
+        target = parse_pq(schema, "L2(y, z) | L2(z, y)")
+        with pytest.raises(QueryError):
+            find_non_containment_witness(
+                query, target, schema, configuration, ContainmentOptions(max_disjuncts=1)
+            )
+        assert decide_containment(query, target, schema, configuration)
+
+    def test_plan_witness_carries_the_final_configuration(self, monkeypatch):
+        schema, configuration, query_r, query_s = containment_example_scenario()
+        plans = []
+        enumerate_plans = containment.iter_production_plans
+
+        def recording(*args, **kwargs):
+            for plan in enumerate_plans(*args, **kwargs):
+                plans.append(plan)
+                yield plan
+
+        monkeypatch.setattr(containment, "iter_production_plans", recording)
+        before = configuration.fingerprint()
+        witness = find_non_containment_witness(query_s, query_r, schema, configuration)
+        assert witness is not None and plans
+        final = plans[-1].final_configuration()
+        assert witness.configuration == final
+        assert witness.configuration.fingerprint() == final.fingerprint()
+        assert witness.new_facts == plans[-1].all_new_facts()
+        assert configuration.fingerprint() == before

@@ -18,12 +18,17 @@ identical* to the naive reference implementations they replaced:
 * the ground-once witness kernel with first-fact pruning yields exactly the
   groundings of the dict-yielding reference enumerator it replaced, in
   order, and every decision procedure built on it keeps its verdicts and
-  witness steps.
+  witness steps;
+* the delta check ``holds_after_adding`` answers exactly what evaluating the
+  query on a copy extended with the facts answers, leaves the configuration
+  untouched (even when its join raises), and keeps the witnesses of
+  containment and the verdicts of ``is_ltr_independent``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from unittest import mock
@@ -35,6 +40,7 @@ from hypothesis import strategies as st
 from repro import Access, Configuration, Instance, SchemaBuilder
 from repro.chase.fresh import FreshConstants
 from repro.core import (
+    assignments,
     containment,
     decide_containment,
     immediate,
@@ -44,11 +50,16 @@ from repro.core import (
     longterm_dependent,
     longterm_independent,
 )
-from repro.core.assignments import iter_witness_assignments, witnessable_atom_checker
+from repro.core.assignments import (
+    holds_after_adding,
+    iter_witness_assignments,
+    split_grounding,
+    witnessable_atom_checker,
+)
 from repro.core.longterm_dependent import containment_cq_memo, find_ltr_witness_steps
 from repro.datalog import accessible_program
 from repro.datalog.engine import evaluate_program, evaluate_program_naive
-from repro.queries import find_homomorphisms
+from repro.queries import evaluate_boolean, find_homomorphisms
 from repro.queries.terms import Variable, is_variable
 from repro.runtime import QueryServer, RelevanceOracle, RuntimeMetrics
 from repro.workloads import (
@@ -627,3 +638,162 @@ def test_bank_batches_keep_their_search_and_access_counts(kwargs, fresh_searches
         result = server.answer(scenario.queries)
     assert metrics.snapshot()["counters"]["oracle.fresh_searches"] == fresh_searches
     assert result.accesses_made == accesses
+
+
+# --------------------------------------------------------------------------- #
+# The delta check against copy-then-evaluate
+# --------------------------------------------------------------------------- #
+def reference_holds_after_adding(disjuncts, configuration, facts) -> bool:
+    """The copy-then-evaluate check the delta check replaced, kept as the
+    reference: copy the configuration, add the facts, evaluate from scratch."""
+    extended = configuration.extended_with(facts)
+    return any(evaluate_boolean(disjunct, extended) for disjunct in disjuncts)
+
+
+def _configuration_state(configuration):
+    relations = configuration.schema.relations
+    return (
+        configuration.fingerprint(),
+        configuration.active_domain(),
+        {relation.name: configuration.tuples(relation) for relation in relations},
+    )
+
+
+def _grounding_fact_sets(queries, configuration, schema, per_disjunct: int = 8):
+    """Fact sets drawn from the kernel's groundings of the queries' disjuncts.
+
+    Each grounding gives its missing subgoals, the same without the last one,
+    and their union with the previous grounding's (fresh values recur across
+    groundings, so the union can join facts of two groundings).
+    """
+    previous: List = []
+    for query in queries:
+        for disjunct in _disjuncts(query):
+            groundings = iter_witness_assignments(
+                disjunct.atoms,
+                disjunct.variable_domains(),
+                configuration,
+                None,
+                schema=schema,
+                fresh_per_domain=max(1, len(disjunct.variables)),
+            )
+            for grounding in itertools.islice(groundings, per_disjunct):
+                _first, facts = split_grounding(disjunct.atoms, grounding, configuration)
+                yield facts
+                if len(facts) > 1:
+                    yield facts[:-1]
+                yield previous + facts
+                previous = facts
+
+
+class _JoinFailure(Exception):
+    pass
+
+
+def _check_delta_against_reference(case, stats) -> None:
+    schema, configuration, query, _access, other = case
+    queries = (query, other)
+    fact_sets = list(_grounding_fact_sets(queries, configuration, schema))
+    join_sizes = stats.setdefault("join_sizes", [])
+    real_join = assignments.has_homomorphism
+
+    def recording_join(atoms, data, partial=None):
+        join_sizes.append(len(atoms))
+        return real_join(atoms, data, partial)
+
+    def failing_join(atoms, data, partial=None):
+        raise _JoinFailure
+
+    for checked in queries:
+        if evaluate_boolean(checked, configuration):
+            continue  # outside the delta check's precondition
+        disjuncts = _disjuncts(checked)
+        for facts in fact_sets:
+            before = _configuration_state(configuration)
+            with mock.patch.object(assignments, "has_homomorphism", recording_join):
+                delta = holds_after_adding(disjuncts, configuration, facts)
+            assert _configuration_state(configuration) == before
+            expected = reference_holds_after_adding(disjuncts, configuration, facts)
+            assert delta == expected, (checked, facts)
+            stats.setdefault("answers", set()).add(delta)
+            with mock.patch.object(assignments, "has_homomorphism", failing_join):
+                try:
+                    assert holds_after_adding(disjuncts, configuration, facts) == delta
+                except _JoinFailure:
+                    stats["raised"] = stats.get("raised", 0) + 1
+            assert _configuration_state(configuration) == before
+
+
+@common_settings
+@given(case=CASES)
+def test_holds_after_adding_matches_copy_then_evaluate(case):
+    _check_delta_against_reference(case, {})
+
+
+def test_delta_property_covers_joins_repeated_variables_and_constants():
+    """The generated cases reach the shapes the property is meant to cover:
+    CQs and PQs, repeated variables, constants, joins of several remaining
+    atoms (also failing ones), and both answers."""
+    stats: Dict[str, object] = {}
+    kinds = set()
+    for seed in range(40):
+        case = _random_case(seed)
+        query = case[2]
+        kinds.add(type(query).__name__)
+        atoms = [atom for disjunct in _disjuncts(query) for atom in disjunct.atoms]
+        if any(len(atom.variables) < len(atom.terms) for atom in atoms):
+            kinds.add("repeated")
+        if any(atom.constants for atom in atoms):
+            kinds.add("constants")
+        _check_delta_against_reference(case, stats)
+    assert kinds >= {"ConjunctiveQuery", "PositiveQuery", "repeated", "constants"}
+    assert max(stats["join_sizes"]) >= 2
+    assert stats["raised"] > 0
+    assert stats["answers"] == {True, False}
+
+
+@contextlib.contextmanager
+def _delta_through_reference():
+    """Route containment and ``is_ltr_independent`` through copy-then-evaluate."""
+    with contextlib.ExitStack() as stack:
+        for module in (containment, longterm_independent):
+            stack.enter_context(
+                mock.patch.object(module, "holds_after_adding", reference_holds_after_adding)
+            )
+        yield
+
+
+def _witness_signature(witness):
+    if witness is None:
+        return None
+    reached = witness.configuration
+    return witness.new_facts, reached.wire_facts(), reached.wire_constants()
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=CASES)
+def test_containment_and_ltr_keep_their_answers_under_the_delta_check(case):
+    schema, configuration, query, access, other = case
+
+    def decide():
+        return (
+            _witness_signature(
+                containment.find_non_containment_witness(
+                    other, query, schema, configuration, _SMALL_SEARCH
+                )
+            ),
+            _witness_signature(
+                containment.find_non_containment_witness(
+                    query, other, schema, configuration, _SMALL_SEARCH
+                )
+            ),
+            is_ltr_independent(query, access, configuration, schema),
+            is_ltr_independent(other, access, configuration, schema),
+        )
+
+    before = _configuration_state(configuration)
+    delta = decide()
+    assert _configuration_state(configuration) == before
+    with _delta_through_reference():
+        reference = decide()
+    assert delta == reference
