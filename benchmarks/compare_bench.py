@@ -56,11 +56,6 @@ def load_stats(path: str) -> Tuple[Dict[str, float], Dict[str, Dict[str, object]
     return means, extras
 
 
-def load_means(path: str) -> Dict[str, float]:
-    """Back-compat wrapper around :func:`load_stats`."""
-    return load_stats(path)[0]
-
-
 def _format_extras(info: Dict[str, object]) -> str:
     parts = []
     for key in sorted(info):
@@ -144,7 +139,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     current_means, current_extras = load_stats(args.current)
     ok, report = compare(
-        load_means(args.baseline),
+        load_stats(args.baseline)[0],
         current_means,
         args.threshold,
         args.gate,

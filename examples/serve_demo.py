@@ -1,4 +1,4 @@
-"""The query server end to end: batch answering, search workers, warm restarts.
+"""The query server end to end: batch answering and warm restarts.
 
 A mediator is asked eight variants of the bank's motivating query at once —
 *is there a loan officer in <state>, with <offering> approved there?*  The
@@ -6,9 +6,7 @@ demo answers the batch three ways:
 
 1. eight independent relevance-guided runs (the per-query library usage);
 2. one :class:`~repro.runtime.server.QueryServer` call — the batch shares
-   one configuration, so common accesses are performed once, and with
-   ``search_workers`` the per-query witness searches run on worker
-   processes;
+   one configuration, so common accesses are performed once;
 3. the same server *restarted*: a second server process warms up from the
    :class:`~repro.runtime.persist.PersistentWitnessCache` file the first one
    wrote, revalidating stored witness paths instead of searching fresh.
@@ -84,7 +82,6 @@ def main(backend: str = "jsonl") -> None:
     print(f"  wall clock:      {single_wall * 1000:.0f} ms")
     print()
 
-    workers = min(4, os.cpu_count() or 1)
     with tempfile.TemporaryDirectory() as tmp:
         cache_path = os.path.join(tmp, f"witness.{backend}")
 
@@ -92,7 +89,6 @@ def main(backend: str = "jsonl") -> None:
         metrics = RuntimeMetrics()
         with QueryServer(
             scenario.mediator(),
-            search_workers=workers,
             cache_path=cache_path,
             cache_backend=backend,
             metrics=metrics,
@@ -101,12 +97,11 @@ def main(backend: str = "jsonl") -> None:
             result = server.answer(scenario.queries)
             server_wall = time.perf_counter() - started
         counters = metrics.snapshot()["counters"]
-        print(f"QueryServer batch (search_workers={workers}, backend={backend}):")
+        print(f"QueryServer batch (backend={backend}):")
         print("  answers:        ", list(result.boolean_answers))
         print("  accesses:       ", result.accesses_made, "(shared across the batch)")
         print("  rounds:         ", result.rounds)
         print("  fresh searches: ", counters.get("oracle.fresh_searches", 0))
-        print("  pool searches:  ", counters.get("oracle.pool_searches", 0))
         print("  witnesses saved:", counters.get("persist.recorded", 0))
         print(f"  wall clock:      {server_wall * 1000:.0f} ms")
         print()
@@ -271,7 +266,6 @@ def serve(port: int, rate: float, round_budget: int) -> None:
     admission = AdmissionController(
         rate=rate if rate > 0 else None,
         round_budget=round_budget if round_budget > 0 else None,
-        pool=server.pool,
         metrics=server.metrics,
     )
     handle = serve_in_background(server, port=port, admission=admission)
@@ -389,9 +383,7 @@ def chaos_demo() -> None:
         metrics=metrics,
     )
     server = QueryServer(mediator, metrics=metrics)
-    admission = AdmissionController(
-        deadline_s=30.0, pool=server.pool, metrics=metrics
-    )
+    admission = AdmissionController(deadline_s=30.0, metrics=metrics)
     handle = serve_in_background(server, admission=admission)
     try:
         status, document = _post_json_status(

@@ -63,9 +63,7 @@ from repro.queries import (
 )
 from repro.runtime import (
     AccessExecutor,
-    MultiQueryMediator,
     PersistentWitnessCache,
-    ProcessRelevancePool,
     QueryOutcome,
     QueryServer,
     RelevanceOracle,
@@ -134,9 +132,7 @@ __all__ = [
     "ltr_to_containment",
     # runtime
     "AccessExecutor",
-    "MultiQueryMediator",
     "PersistentWitnessCache",
-    "ProcessRelevancePool",
     "QueryOutcome",
     "QueryServer",
     "RelevanceOracle",

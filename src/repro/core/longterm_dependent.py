@@ -311,8 +311,7 @@ class ContainmentMemo:
     at an unchanged configuration across rounds, or structurally identical
     bindings — pay for the search once.
 
-    Thread-safe; the process-pool relevance workers each hold their own
-    process-local instance.  :meth:`stats` follows the
+    Thread-safe and process-local.  :meth:`stats` follows the
     :meth:`~repro.runtime.metrics.RuntimeMetrics.register_cache` protocol so
     the hit/miss counters surface in metrics snapshots.
     """

@@ -41,7 +41,6 @@ from repro.runtime import (
     CandidateScreen,
     Deadline,
     PersistentWitnessCache,
-    ProcessRelevancePool,
     RelevanceOracle,
     RuntimeMetrics,
     SharedVerdictStore,
@@ -186,8 +185,6 @@ def relevance_guided_strategy(
     metrics: Optional[RuntimeMetrics] = None,
     parallelism: int = 1,
     store: Optional[SharedVerdictStore] = None,
-    search_workers: int = 1,
-    pool: Optional[ProcessRelevancePool] = None,
     cache_path: Optional[str] = None,
     cache_backend: str = "auto",
     tracer: Optional[TracerLike] = None,
@@ -224,28 +221,14 @@ def relevance_guided_strategy(
     same responses — though up to ``parallelism`` accesses dispatched before
     certainty is reached may additionally complete.
 
-    Two further knobs address the *CPU-bound* side (``parallelism`` only
-    overlaps source latency; the relevance searches themselves stay under
-    the GIL):
-
-    * ``search_workers > 1`` (or an explicit ``pool``) attaches a
-      :class:`ProcessRelevancePool` — each round's fresh LTR searches run
-      concurrently on worker processes and only the incremental shortcuts
-      (cache hits, delta inheritance, witness revalidation) stay inline.
-      Verdicts are pure functions of the configuration content, so answers
-      and access sets are identical to the single-process run.  A pool built
-      here is closed when the run returns; pass ``pool`` to amortise worker
-      start-up across runs.
-    * ``cache_path`` attaches a :class:`PersistentWitnessCache`
-      (``cache_backend`` selects ``"auto"`` / ``"jsonl"`` / ``"sqlite"``
-      storage — see :mod:`repro.runtime.storage`): witness paths captured by
-      this run are recorded, and paths from earlier runs (even earlier
-      *processes*) are seeded so this run revalidates instead of searching
-      fresh.
-
-    Both knobs configure the run's own oracle; with a pre-built ``oracle``
-    attach them at its construction instead (supplying both is rejected,
-    like ``options``).
+    ``cache_path`` attaches a :class:`PersistentWitnessCache`
+    (``cache_backend`` selects ``"auto"`` / ``"jsonl"`` / ``"sqlite"``
+    storage — see :mod:`repro.runtime.storage`): witness paths captured by
+    this run are recorded, and paths from earlier runs (even earlier
+    *processes*) are seeded so this run revalidates instead of searching
+    fresh.  It configures the run's own oracle; with a pre-built ``oracle``
+    attach the cache at its construction instead (supplying both is
+    rejected, like ``options``).
 
     If ``max_rounds`` ends the run before certainty or a no-progress
     fixpoint, the result is flagged ``rounds_exhausted``.
@@ -280,21 +263,18 @@ def relevance_guided_strategy(
             "pass either a pre-built oracle or a SharedVerdictStore, not "
             "both; attach the store when constructing the oracle instead"
         )
-    if oracle is not None and (search_workers > 1 or pool is not None or cache_path):
+    if oracle is not None and cache_path:
         raise QueryError(
-            "attach the process pool / persistent cache when constructing "
-            "the RelevanceOracle; a pre-built oracle keeps its own"
+            "attach the persistent cache when constructing the "
+            "RelevanceOracle; a pre-built oracle keeps its own"
         )
     schema = mediator.schema
     boolean_query = query if query.is_boolean else query.boolean_closure()
-    own_pool: Optional[ProcessRelevancePool] = None
     if oracle is None:
         # The run's private oracle needs no shards: all oracle calls stay on
         # this (the dispatching) thread.  Sharding pays on the genuinely
         # shared surfaces — the attached store, or a caller-built oracle
         # probed from several answering threads.
-        if pool is None and search_workers > 1:
-            own_pool = pool = ProcessRelevancePool(search_workers)
         persist = (
             PersistentWitnessCache(cache_path, backend=cache_backend, metrics=metrics)
             if cache_path
@@ -306,7 +286,6 @@ def relevance_guided_strategy(
             options=options,
             metrics=metrics,
             store=store,
-            pool=pool,
             persist=persist,
         )
     elif oracle.query != boolean_query:
@@ -371,15 +350,6 @@ def relevance_guided_strategy(
             candidates = screen.prefilter(candidates, immediate_only=True)
 
         groups = screen.group(candidates, configuration)
-        if use_long_term:
-            # With a process pool attached the round's fresh LTR
-            # searches run concurrently on the workers; the loop below
-            # then hits the warmed cache.  Without a pool this is a
-            # no-op and every verdict resolves inline as before.
-            oracle.prefetch_long_term(
-                [representative for representative, _members in groups],
-                configuration,
-            )
         relevant: List[Access] = []
         for representative, members in groups:
             relevance_checks += 1
@@ -445,17 +415,11 @@ def relevance_guided_strategy(
         return False
 
     started = time.perf_counter()
-    try:
-        with activate_tracer(
-            tracer if tracer is not None else current_tracer()
-        ) as active:
-            with active.span(
-                "query", query=getattr(query, "name", None), strategy="guided"
-            ):
-                exhausted = _guided_rounds(active)
-    finally:
-        if own_pool is not None:
-            own_pool.close()
+    with activate_tracer(tracer if tracer is not None else current_tracer()) as active:
+        with active.span(
+            "query", query=getattr(query, "name", None), strategy="guided"
+        ):
+            exhausted = _guided_rounds(active)
     executor.metrics.observe("query.latency", time.perf_counter() - started)
 
     # Degraded = faults actually cost the run something.  For Boolean

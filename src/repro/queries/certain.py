@@ -196,8 +196,8 @@ class CertaintyFixpoint:
 
         Never rebuilds: returns ``None`` on a lineage mismatch (or when the
         query is unsupported), so callers that must not pay for a full
-        evaluation — the multi-query server deciding what to ship to its
-        process pool — can probe safely.
+        evaluation — the multi-query server deciding which queries need a
+        certainty check — can probe safely.
         """
         if self._program is None:
             return None

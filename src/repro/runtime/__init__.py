@@ -20,16 +20,13 @@ needs around the paper's decision procedures:
 * :mod:`~repro.runtime.shards` — lock-protected and sharded LRU caches plus
   the :class:`~repro.runtime.shards.SharedVerdictStore` that pools LTR
   history and witnesses across oracles for one (query, schema);
-* :class:`~repro.runtime.procpool.ProcessRelevancePool` — ships CPU-bound
-  LTR/certainty searches to worker processes (the thread pool above only
-  overlaps latency; the GIL serializes the searches themselves);
 * :class:`~repro.runtime.persist.PersistentWitnessCache` — witness paths on
   disk, so a warm restart revalidates instead of searching fresh;
 * :mod:`~repro.runtime.storage` — the pluggable storage backends under the
   persistent cache: compacting JSONL (single writer) and WAL-mode SQLite
   (safe for N concurrent server processes sharing one store);
-* :mod:`~repro.runtime.serialize` — the wire formats and process-stable
-  digests both of the above are built on;
+* :mod:`~repro.runtime.serialize` — the record formats and process-stable
+  digests the persistent cache is built on;
 * :class:`~repro.runtime.server.QueryServer` — the multi-query answering
   runtime: a batch of Boolean queries over one shared configuration, every
   performed access advancing every query's strategy;
@@ -39,14 +36,14 @@ needs around the paper's decision procedures:
 * :mod:`~repro.runtime.tracing` — hierarchical spans over the whole answering
   path (``answer → round → screen → oracle → access-batch → source-call``),
   off by default via an ambient no-op tracer, propagated across the thread
-  pool and re-anchored across the process-pool wire;
+  pool;
 * :mod:`~repro.runtime.export` — Prometheus text, JSON snapshot, and
   Chrome-trace (Perfetto) exporters plus the per-query ``explain`` report;
 * :class:`~repro.runtime.service.AnsweringService` — the network-facing
   HTTP front end: query submission over the wire, coalesced shared rounds,
   outcome streaming/polling, ``/metrics`` and per-query trace endpoints;
 * :class:`~repro.runtime.admission.AdmissionController` — the service's
-  per-client token-bucket rate limits, in-flight quotas, queue/pool
+  per-client token-bucket rate limits, in-flight quotas, queue
   backpressure (429/503 + ``Retry-After``), and round/access fairness
   budgets;
 * :mod:`~repro.runtime.retry` — the fault-tolerance primitives: seeded
@@ -73,7 +70,6 @@ from repro.runtime.export import (
 )
 from repro.runtime.metrics import LatencyHistogram, RuntimeMetrics
 from repro.runtime.persist import PersistentWitnessCache
-from repro.runtime.procpool import ProcessRelevancePool, default_search_workers
 from repro.runtime.retry import (
     BreakerBoard,
     CircuitBreaker,
@@ -81,7 +77,7 @@ from repro.runtime.retry import (
     RetryPolicy,
 )
 from repro.runtime.screening import CandidateScreen, relevant_relation_closure
-from repro.runtime.server import MultiQueryMediator, QueryOutcome, QueryServer, ServerResult
+from repro.runtime.server import QueryOutcome, QueryServer, ServerResult
 from repro.runtime.service import AnsweringService, ServiceHandle, serve_in_background
 from repro.runtime.shards import ShardedLRUCache, SharedVerdictStore
 from repro.runtime.storage import (
@@ -123,11 +119,9 @@ __all__ = [
     "LRUCache",
     "LatencyHistogram",
     "LtrWitness",
-    "MultiQueryMediator",
     "NO_TRACER",
     "NullTracer",
     "PersistentWitnessCache",
-    "ProcessRelevancePool",
     "QueryOutcome",
     "QueryServer",
     "RelevanceOracle",
@@ -147,7 +141,6 @@ __all__ = [
     "activate_tracer",
     "chrome_trace_events",
     "current_tracer",
-    "default_search_workers",
     "dependent_input_domains",
     "encode_spans",
     "explain_trace",

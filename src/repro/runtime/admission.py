@@ -14,10 +14,9 @@ allowed to queue:
 * **per-client in-flight quotas** — at most ``max_inflight_per_client``
   queries queued-or-answering per client, so a slow-reading client cannot
   park unbounded state server-side (429 again);
-* **global backpressure** — a bounded submission queue (``max_queued``) and
-  a :meth:`~repro.runtime.procpool.ProcessRelevancePool.saturated` probe of
-  the attached search pool; either trips HTTP 503 + ``Retry-After``, the
-  "shed load now, come back shortly" signal load balancers understand;
+* **global backpressure** — a bounded submission queue (``max_queued``); a
+  full queue trips HTTP 503 + ``Retry-After``, the "shed load now, come back
+  shortly" signal load balancers understand;
 * **drain mode** — :meth:`begin_drain` flips the controller to reject every
   new submission with 503 while already-admitted queries run to completion,
   which is what makes the service's shutdown graceful;
@@ -27,10 +26,9 @@ allowed to queue:
   enforces *inside* a coalesced batch: a dominating query retires with
   ``rounds_exhausted`` instead of starving its batchmates.
 
-The accounting style — admitted/in-flight/capacity with explicit
-over-commit-style headroom on the pool probe — follows the pool-handler
-idiom of the MAAS pods API (used/available/over-commit) cited in
-SNIPPETS.md §2.  Everything is stdlib: one lock, plain dicts, a monotonic
+The accounting style — admitted/in-flight/capacity — follows the
+pool-handler idiom of the MAAS pods API (used/available/over-commit) cited
+in SNIPPETS.md §2.  Everything is stdlib: one lock, plain dicts, a monotonic
 clock injected for tests.
 """
 
@@ -42,7 +40,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.runtime.metrics import RuntimeMetrics
-from repro.runtime.procpool import ProcessRelevancePool
 
 __all__ = ["AdmissionController", "AdmissionDecision", "TokenBucket"]
 
@@ -130,11 +127,8 @@ class AdmissionController:
     max_inflight_per_client:
         Per-client cap on queries queued-or-answering; ``None`` disables.
     max_queued:
-        Global bound on the submission queue.  A full queue is the first
+        Global bound on the submission queue.  A full queue is the
         backpressure signal (503).
-    pool / pool_backlog_factor:
-        The search pool to probe for saturation; the factor is forwarded to
-        :meth:`ProcessRelevancePool.saturated`.
     round_budget / access_budget:
         Per-query fairness budgets handed to every admitted query (see
         :meth:`budgets_for`); ``None`` disables.
@@ -161,8 +155,6 @@ class AdmissionController:
         burst: Optional[float] = None,
         max_inflight_per_client: Optional[int] = None,
         max_queued: int = 256,
-        pool: Optional[ProcessRelevancePool] = None,
-        pool_backlog_factor: float = 2.0,
         round_budget: Optional[int] = None,
         access_budget: Optional[int] = None,
         deadline_s: Optional[float] = None,
@@ -177,8 +169,6 @@ class AdmissionController:
         self._burst = burst if burst is not None else (max(rate, 1.0) if rate else None)
         self._max_inflight = max_inflight_per_client
         self._max_queued = max(1, max_queued)
-        self._pool = pool
-        self._pool_backlog_factor = pool_backlog_factor
         if deadline_s is not None and deadline_s <= 0.0:
             raise ValueError("deadline_s must be positive (or None to disable)")
         self.round_budget = round_budget
@@ -227,9 +217,9 @@ class AdmissionController:
     def admit(self, client: str, n_queries: int = 1) -> AdmissionDecision:
         """Decide one submission of ``n_queries`` queries from ``client``.
 
-        Checks run cheapest-and-most-global first: drain, queue bound, pool
-        saturation (all 503 — the *service* is the bottleneck), then the
-        client's in-flight quota and rate bucket (429 — the *client* is).
+        Checks run cheapest-and-most-global first: drain and queue bound
+        (both 503 — the *service* is the bottleneck), then the client's
+        in-flight quota and rate bucket (429 — the *client* is).
         An admitted submission has already been charged against the queue
         and the client's quota; the caller must pair it with exactly one
         :meth:`release` (normally via :meth:`resolved`) per query.
@@ -240,10 +230,6 @@ class AdmissionController:
                 return self._reject("draining", 503, self._retry_after)
             if self._queued + n_queries > self._max_queued:
                 return self._reject("queue_full", 503, self._retry_after)
-            if self._pool is not None and self._pool.saturated(
-                backlog_factor=self._pool_backlog_factor
-            ):
-                return self._reject("pool_saturated", 503, self._retry_after)
             state = self._client_state(client, now)
             if (
                 self._max_inflight is not None

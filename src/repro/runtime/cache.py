@@ -25,18 +25,11 @@ search: long-term relevance goes through the incremental engine of
 Entries are evicted least-recently-used beyond ``max_entries`` so a
 long-running mediator cannot grow the cache without bound.
 
-Two optional attachments extend the oracle beyond one process:
-
-* a :class:`~repro.runtime.procpool.ProcessRelevancePool` (``pool=``) lets a
-  caller *prefetch* a batch of LTR verdicts on worker processes
-  (:meth:`RelevanceOracle.prefetch_long_term`): the misses that would
-  otherwise each run a fresh CPU-bound search on this thread are searched
-  concurrently, their verdicts and witness paths merged back into the cache;
-* a :class:`~repro.runtime.persist.PersistentWitnessCache` (``persist=``, or
-  ``cache_path=`` / ``cache_backend=`` to open one — JSONL or SQLite, see
-  :mod:`repro.runtime.storage`) seeds stored witness paths at construction —
-  a warm restart revalidates instead of searching — and records every newly
-  captured path.
+An optional :class:`~repro.runtime.persist.PersistentWitnessCache`
+(``persist=``, or ``cache_path=`` / ``cache_backend=`` to open one — JSONL or
+SQLite, see :mod:`repro.runtime.storage`) extends the oracle beyond one
+process: it seeds stored witness paths at construction — a warm restart
+revalidates instead of searching — and records every newly captured path.
 
 Concurrency: every cache the oracle reads or writes is an
 :class:`~repro.runtime.shards.LRUCache` (lock-protected) or a
@@ -54,7 +47,7 @@ needed.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Hashable, Optional, Sequence, Tuple, Union
 
 from repro.core import (
     ContainmentOptions,
@@ -78,7 +71,6 @@ from repro.schema import Access, Schema
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.persist import PersistentWitnessCache
-    from repro.runtime.procpool import ProcessRelevancePool
 
 __all__ = ["LRUCache", "RelevanceOracle", "access_key"]
 
@@ -128,7 +120,6 @@ class RelevanceOracle:
         fixpoint_max_facts: int = 1_000_000,
         n_shards: int = 1,
         store: Optional[SharedVerdictStore] = None,
-        pool: Optional["ProcessRelevancePool"] = None,
         persist: Optional["PersistentWitnessCache"] = None,
         cache_path: Optional[str] = None,
         cache_backend: str = "auto",
@@ -138,7 +129,6 @@ class RelevanceOracle:
         self._options = options
         self._ltr_method = ltr_method
         self._metrics = metrics if metrics is not None else RuntimeMetrics()
-        self._pool = pool
         if cache_path is not None and persist is not None:
             raise QueryError("pass either cache_path or a persist instance, not both")
         if cache_path is not None:
@@ -192,10 +182,8 @@ class RelevanceOracle:
             "ltr.containment_cq_memo", containment_cq_memo()
         )
         # Provenance for trace annotations: which witness keys came off disk
-        # (vs captured live this process) and which verdicts a pool worker
-        # computed.  LtrWitness is frozen, so provenance lives here, not on
-        # the witness objects.
-        self._pool_shipped: set = set()
+        # (vs captured live this process).  LtrWitness is frozen, so
+        # provenance lives here, not on the witness objects.
         if persist is not None and incremental:
             seeded_keys = persist.seed(self._witnesses, self._query, schema)
             self._persist_seeded = frozenset(seeded_keys)
@@ -226,11 +214,6 @@ class RelevanceOracle:
     def ltr_method(self) -> str:
         """The long-term relevance procedure the oracle dispatches to."""
         return self._ltr_method
-
-    @property
-    def pool(self) -> Optional["ProcessRelevancePool"]:
-        """The attached process pool, if any."""
-        return self._pool
 
     @property
     def persist(self) -> Optional["PersistentWitnessCache"]:
@@ -337,7 +320,7 @@ class RelevanceOracle:
 
         Under an active tracer every call records an ``oracle`` span tagged
         with the ``outcome`` that resolved it (``exact-hit`` /
-        ``pool-shipped`` / ``delta-inherited`` / ``revalidated`` / ``fresh``)
+        ``delta-inherited`` / ``revalidated`` / ``fresh``)
         — the explain report's answer to *how* each verdict was obtained —
         with ``witness-revalidate`` / ``fresh-search`` child spans around the
         expensive stages.  Untraced, the exact-hit path costs one extra
@@ -350,11 +333,8 @@ class RelevanceOracle:
             self._metrics.incr("oracle.hits")
             tracer = current_tracer()
             if tracer.enabled:
-                outcome = (
-                    "pool-shipped" if akey in self._pool_shipped else "exact-hit"
-                )
                 with tracer.span("oracle", method=access.method.name) as span:
-                    span.annotate(outcome=outcome, relevant=bool(cached))
+                    span.annotate(outcome="exact-hit", relevant=bool(cached))
             return bool(cached)
         self._metrics.incr("oracle.misses")
         tracer = current_tracer()
@@ -472,93 +452,6 @@ class RelevanceOracle:
         return self._witnesses.get(access_key(access))
 
     # ------------------------------------------------------------------ #
-    # Process-pool prefetching
-    # ------------------------------------------------------------------ #
-    def begin_prefetch_long_term(
-        self, accesses: Sequence[Access], configuration: Configuration
-    ) -> Callable[[], int]:
-        """Start resolving a batch's LTR misses on the process pool.
-
-        Filters ``accesses`` down to those the oracle could only answer by a
-        fresh search — an exact-fingerprint hit, a delta-inheritable history
-        entry, or a stored witness path (revalidated in O(|path|), cheaper
-        than a round-trip to a worker) are all left to the inline resolution
-        of :meth:`long_term_relevant` — and submits one search task per
-        remaining access.
-
-        Returns a *finalizer*: calling it blocks until every submitted search
-        completed, merges the verdicts (and re-anchored witness paths) into
-        the cache, and returns the number of pooled searches.  The split lets
-        a multi-query caller submit all queries' batches before collecting
-        any, so searches of different queries overlap across workers.
-
-        With no pool attached (or nothing to search) the finalizer is a
-        no-op returning 0, so callers need no conditional.
-        """
-        if self._pool is None or not accesses:
-            return lambda: 0
-        fingerprint = configuration.fingerprint()
-        pending: List[Access] = []
-        seen = set()
-        for access in accesses:
-            akey = access_key(access)
-            if akey in seen:
-                continue
-            seen.add(akey)
-            if ("ltr", akey, fingerprint) in self._cache:
-                continue
-            if self._incremental:
-                history = self._ltr_history.get(akey)
-                if history is not None and history.snapshot.delta_safe(
-                    configuration, self._unsafe_domains
-                ):
-                    continue
-                if self._witnesses.get(akey) is not None:
-                    continue
-            pending.append(access)
-        if not pending:
-            return lambda: 0
-        # Chunked submission: the configuration payload travels once per
-        # chunk, not once per access (see ProcessRelevancePool.submit_ltr_chunks).
-        # submit_ltr_chunks captures the submitting thread's open span, so
-        # shipped worker spans re-anchor under the query that asked.
-        chunks = self._pool.submit_ltr_chunks(
-            self._query,
-            self._schema,
-            configuration,
-            pending,
-            ltr_method=self._ltr_method,
-            options=self._options,
-            trace=current_tracer().enabled,
-        )
-
-        def finish() -> int:
-            for access, verdict, witness in self._pool.ltr_chunk_results(
-                chunks, self._schema
-            ):
-                akey = access_key(access)
-                self._pool_shipped.add(akey)
-                self._metrics.incr("oracle.pool_searches")
-                self._metrics.incr("oracle.fresh_searches")
-                self._record_ltr(
-                    akey,
-                    ("ltr", akey, fingerprint),
-                    verdict,
-                    configuration,
-                    witness=witness,
-                    access=access,
-                )
-            return len(pending)
-
-        return finish
-
-    def prefetch_long_term(
-        self, accesses: Sequence[Access], configuration: Configuration
-    ) -> int:
-        """Blocking form of :meth:`begin_prefetch_long_term`."""
-        return self.begin_prefetch_long_term(accesses, configuration)()
-
-    # ------------------------------------------------------------------ #
     # Externally computed verdicts
     # ------------------------------------------------------------------ #
     def absorb_response(self, response) -> None:
@@ -591,8 +484,8 @@ class RelevanceOracle:
         Resolves by exact fingerprint hit or by a lineage-matched read of the
         certainty fixpoint (:meth:`CertaintyFixpoint.peek` — never rebuilds);
         returns ``None`` when only a full (re-)evaluation could answer.  The
-        query server uses this to decide which queries' certainty checks to
-        ship to the pool.
+        query server uses this to find the queries whose certainty checks
+        need one.
         """
         key = ("certain", configuration.fingerprint())
         cached = self._cache.get(key, _MISSING)
@@ -606,19 +499,6 @@ class RelevanceOracle:
                 self._cache.put(key, bool(verdict))
                 return bool(verdict)
         return None
-
-    def cached_certainty(self, configuration: Configuration) -> Optional[bool]:
-        """The memoized certainty at ``configuration``, or ``None`` on a miss.
-
-        Unlike :meth:`is_certain` this never computes (and unlike
-        :meth:`fast_certainty` it never consults the fixpoint).
-        """
-        cached = self._cache.get(("certain", configuration.fingerprint()), _MISSING)
-        return None if cached is _MISSING else bool(cached)
-
-    def adopt_certainty(self, configuration: Configuration, verdict: bool) -> None:
-        """Record a certainty verdict computed outside the oracle (pool task)."""
-        self._cache.put(("certain", configuration.fingerprint()), bool(verdict))
 
     def adopt_long_term_verdict(
         self,

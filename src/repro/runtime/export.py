@@ -145,7 +145,7 @@ def chrome_trace_events(spans: Iterable[Span]) -> List[Dict[str, object]]:
 
     Timestamps and durations are microseconds per the trace-event format;
     ``pid``/``tid`` come from whichever process/thread recorded the span, so
-    the Perfetto timeline separates pool workers from the serving process.
+    the Perfetto timeline separates executor threads from the serving thread.
     Tags ride along as ``args`` (with the outcome and trace id included),
     which Perfetto shows in the span detail pane.
     """
@@ -153,8 +153,6 @@ def chrome_trace_events(spans: Iterable[Span]) -> List[Dict[str, object]]:
     for span in spans:
         args: Dict[str, object] = {str(k): v for k, v in span.tags.items()}
         args["trace_id"] = span.trace_id
-        if span.remote:
-            args["remote"] = True
         events.append(
             {
                 "name": span.name,
@@ -214,8 +212,6 @@ _EXPLAIN_TAGS = (
     "plans",
     "facts",
     "seeded",
-    "chunks",
-    "remote",
     "attempt",
     "gave_up",
     "breaker",
@@ -233,8 +229,6 @@ def _describe(span: Span) -> str:
     for key in sorted(span.tags):
         if key not in _EXPLAIN_TAGS:
             rendered.append(f"{key}={span.tags[key]}")
-    if span.remote and "remote" not in span.tags:
-        rendered.append("remote=True")
     if rendered:
         parts.append("(" + ", ".join(rendered) + ")")
     return "  ".join(parts)

@@ -52,8 +52,8 @@ def access_is_relevant(
 
     The shared dispatch-time re-check of the single-query strategy's
     ``precheck`` and the query server's per-owner precheck: both must apply
-    exactly the same policy, or a pooled/multi-query run could perform a
-    different access set than the sequential one.
+    exactly the same policy, or a multi-query run could perform a different
+    access set than the single-query one.
     """
     if use_long_term and not oracle.long_term_relevant(access, configuration):
         return False

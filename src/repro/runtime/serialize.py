@@ -1,12 +1,9 @@
-"""Wire formats and process-stable digests for the query-server runtime.
+"""Record formats and process-stable digests for the query-server runtime.
 
-Two consumers need to move the paper's objects across process boundaries:
-
-* the :class:`~repro.runtime.procpool.ProcessRelevancePool` ships relevance
-  search tasks — a query, a schema, an access, and a configuration snapshot —
-  to worker processes and merges witness paths back;
-* the :class:`~repro.runtime.persist.PersistentWitnessCache` writes witness
-  paths to disk and must key them in a way that survives restarts.
+The :class:`~repro.runtime.persist.PersistentWitnessCache` writes witness
+paths to disk and must key them in a way that survives restarts, and the
+:class:`~repro.runtime.server.QueryServer` keys its per-query verdict stores
+by the same query tokens.
 
 Pickling the objects themselves is handled by the classes (compact
 ``__reduce__`` wire formats on :class:`~repro.data.instance.Instance` and
@@ -20,8 +17,7 @@ module adds what pickle cannot give:
   ``hash`` is salted per process and useless for persistent keys);
 * **witness step specs** — a witness path reduced to
   ``(method name, binding, facts)`` triples, decodable against *any* equal
-  schema (in particular the parent's schema objects after a worker found the
-  path against its own unpickled copy);
+  schema (in particular a restarted process's own schema objects);
 * **a JSON value codec** — witness facts restricted to JSON-representable
   values (strings, numbers, booleans, ``None``, nested tuples/lists) so the
   persistent cache is a plain-text artifact; values outside that set raise

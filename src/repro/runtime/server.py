@@ -3,36 +3,28 @@
 Everything below :mod:`repro.planner.dynamic` answers *one* query per run: a
 private oracle, a private screen, rounds that stop at that query's certainty.
 A traffic-serving mediator is asked many queries about the *same* sources at
-once, and the single-query loop wastes the two things the queries could
-share:
+once, and the single-query loop wastes what the queries could share: an
+access performed for one query grows the one configuration every other query
+reads, so a fact retrieved once should advance every query's strategy (and an
+access wanted by three queries should be performed exactly once).
 
-* **the configuration** — an access performed for one query grows the one
-  configuration every other query reads, so a fact retrieved once should
-  advance every query's strategy (and an access wanted by three queries
-  should be performed exactly once);
-* **the CPU** — each query's relevance searches are independent, and with a
-  :class:`~repro.runtime.procpool.ProcessRelevancePool` they run *in
-  parallel across queries* instead of sequentially under the GIL.
-
-:class:`QueryServer` (alias :class:`MultiQueryMediator`) is that runtime.  It
-owns one :class:`~repro.sources.service.Mediator` and, per distinct Boolean
-query, a :class:`~repro.runtime.shards.SharedVerdictStore` kept in a registry
-— so repeated :meth:`~QueryServer.answer` calls (the "requests" of the
-server) inherit every earlier call's LTR history and witness paths.  With a
+:class:`QueryServer` is that runtime.  It owns one
+:class:`~repro.sources.service.Mediator` and, per distinct Boolean query, a
+:class:`~repro.runtime.shards.SharedVerdictStore` kept in a registry — so
+repeated :meth:`~QueryServer.answer` calls (the "requests" of the server)
+inherit every earlier call's LTR history and witness paths.  With a
 ``cache_path`` the stores additionally warm up from a
 :class:`~repro.runtime.persist.PersistentWitnessCache`, surviving process
 restarts.
 
 A :meth:`~QueryServer.answer` call schedules **shared rounds**:
 
-1. resolve certainty for every still-open query (pooled across queries when
-   a process pool is attached) and retire the certain ones;
+1. resolve certainty for every still-open query and retire the certain
+   ones;
 2. enumerate the round's candidate accesses *once* against the shared
    configuration;
 3. per query: prefilter by its relevant-relation closure, group bindings by
-   configuration automorphism, and resolve the representatives' LTR verdicts
-   — submitting every query's fresh searches to the pool *before* collecting
-   any, so the searches overlap across workers;
+   configuration automorphism, and resolve the representatives' LTR verdicts;
 4. union the relevant accesses of all queries (deduplicated), execute them
    as one batch through a shared :class:`~repro.runtime.executor.AccessExecutor`
    (``parallelism`` overlaps source latency), re-checking each access at
@@ -40,17 +32,14 @@ A :meth:`~QueryServer.answer` call schedules **shared rounds**:
 5. stop early once every query is certain; otherwise loop until a round
    makes no progress.
 
-Verdicts are pure functions of configuration content, so the scheduling is
-deterministic: a server with ``search_workers=4`` returns the same answers
-and performs the same access set as one with ``search_workers=1`` — only the
-wall-clock differs.
+Every relevance search runs in-process on the calling thread: one fresh
+search costs less than a round trip to a worker process would.
 """
 
 from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
@@ -62,7 +51,6 @@ from repro.runtime.executor import AccessExecutor, candidate_accesses
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.persist import PersistentWitnessCache
 from repro.runtime.storage import WitnessStore
-from repro.runtime.procpool import ProcessRelevancePool
 from repro.runtime.retry import Deadline
 from repro.runtime.screening import (
     CandidateScreen,
@@ -75,7 +63,7 @@ from repro.runtime.tracing import TracerLike, activate_tracer, current_tracer
 from repro.schema import Access
 from repro.sources.service import Mediator
 
-__all__ = ["MultiQueryMediator", "QueryOutcome", "QueryServer", "ServerResult"]
+__all__ = ["QueryOutcome", "QueryServer", "ServerResult"]
 
 
 @dataclass(frozen=True)
@@ -153,7 +141,6 @@ class _QueryState:
 
     __slots__ = (
         "query",
-        "boolean",
         "oracle",
         "screen",
         "prefilter_ltr",
@@ -161,7 +148,6 @@ class _QueryState:
         "relevance_checks",
         "exhausted",
         "index",
-        "span_ctx",
         "round_budget",
         "access_budget",
         "rounds_used",
@@ -171,9 +157,8 @@ class _QueryState:
         "attempts",
     )
 
-    def __init__(self, query, boolean, oracle, screen, prefilter_ltr, index) -> None:
+    def __init__(self, query, oracle, screen, prefilter_ltr, index) -> None:
         self.query = query
-        self.boolean = boolean
         self.oracle = oracle
         self.screen = screen
         self.prefilter_ltr = prefilter_ltr
@@ -183,10 +168,6 @@ class _QueryState:
         #: Submission-order position; tags spans and why-annotations so a
         #: trace names queries stably even when they lack a ``name``.
         self.index = index
-        #: The query's per-round span context — later phases of the same
-        #: round (verdict resolution, pooled prefetch adoption) re-anchor
-        #: their spans under the span that screened the query's candidates.
-        self.span_ctx = None
         #: Fairness budgets (``None`` = unlimited) and the accounting they
         #: are metered against: rounds this query actively participated in,
         #: and accesses its relevance verdicts asked the batch to perform.
@@ -225,11 +206,8 @@ class QueryServer:
     use_immediate / use_long_term / ltr_method:
         The relevance notions each query's strategy filters accesses with
         (same semantics as :func:`repro.planner.dynamic.relevance_guided_strategy`).
-    search_workers / pool:
-        ``search_workers > 1`` builds a :class:`ProcessRelevancePool` owned
-        by the server (closed by :meth:`close`); an explicit ``pool`` is
-        attached as-is and left open.  The pool runs every query's fresh LTR
-        searches — and the per-round certainty checks — concurrently.
+    search_workers:
+        Only ``1`` is accepted: relevance searches run in-process.
     cache_path / cache_backend / persist:
         A :class:`PersistentWitnessCache` path (``cache_backend`` selects
         ``"auto"`` / ``"jsonl"`` / ``"sqlite"`` storage — see
@@ -239,7 +217,9 @@ class QueryServer:
         so a restarted server revalidates instead of searching fresh.  With
         the SQLite backend one store file may be shared by N concurrent
         server processes; the backend's generation counter invalidates each
-        process's decode memo, so worker A's records seed worker B.
+        process's decode memo, so worker A's records seed worker B.  A cache
+        opened from ``cache_path`` is closed by :meth:`close`; a supplied
+        ``persist`` is left open for its owner.
     parallelism:
         Access-execution concurrency per round (source latency overlap),
         forwarded to the shared executor.
@@ -260,10 +240,9 @@ class QueryServer:
         An optional :class:`~repro.runtime.tracing.Tracer` activated for the
         duration of every :meth:`answer` call.  With one attached the server
         records the full span hierarchy — ``answer → round → certainty /
-        query → verdicts → oracle`` plus the executor's access batches — and
-        re-anchors spans shipped back from pool workers.  Without one the
-        ambient (usually no-op) tracer is used and the overhead is a few
-        thread-local reads per round.
+        query → verdicts → oracle`` plus the executor's access batches.
+        Without one the ambient (usually no-op) tracer is used and the
+        overhead is a few thread-local reads per round.
     """
 
     def __init__(
@@ -275,7 +254,6 @@ class QueryServer:
         ltr_method: str = "auto",
         metrics: Optional[RuntimeMetrics] = None,
         search_workers: int = 1,
-        pool: Optional[ProcessRelevancePool] = None,
         cache_path: Optional[str] = None,
         cache_backend: str = "auto",
         persist: Optional[Union[PersistentWitnessCache, WitnessStore]] = None,
@@ -289,15 +267,16 @@ class QueryServer:
             raise QueryError("at least one relevance notion must be enabled")
         if cache_path is not None and persist is not None:
             raise QueryError("pass either cache_path or a persist instance, not both")
+        if search_workers != 1:
+            raise QueryError(
+                f"search_workers={search_workers} is not supported: relevance "
+                "searches now run in-process"
+            )
         self._mediator = mediator
         self._use_immediate = use_immediate
         self._use_long_term = use_long_term
         self._ltr_method = ltr_method
         self._metrics = metrics if metrics is not None else RuntimeMetrics()
-        self._own_pool = pool is None and search_workers > 1
-        self._pool = (
-            ProcessRelevancePool(search_workers) if self._own_pool else pool
-        )
         if isinstance(persist, WitnessStore):
             persist = PersistentWitnessCache(store=persist)
         self._persist = (
@@ -309,6 +288,7 @@ class QueryServer:
         )
         if self._persist is not None:
             self._persist.attach_metrics(self._metrics)
+        self._own_persist = cache_path is not None
         self._parallelism = max(1, parallelism)
         self._max_entries = max_entries
         # An explicit tracer is activated for the span of every answer call;
@@ -342,11 +322,6 @@ class QueryServer:
         return self._metrics
 
     @property
-    def pool(self) -> Optional[ProcessRelevancePool]:
-        """The attached process pool, if any."""
-        return self._pool
-
-    @property
     def persist(self) -> Optional[PersistentWitnessCache]:
         """The attached persistent witness cache, if any."""
         return self._persist
@@ -377,9 +352,12 @@ class QueryServer:
         return store
 
     def close(self) -> None:
-        """Shut down a server-owned process pool (idempotent)."""
-        if self._own_pool and self._pool is not None:
-            self._pool.close()
+        """Close the witness store opened from ``cache_path`` (idempotent).
+
+        A caller-supplied ``persist`` stays open: its owner closes it.
+        """
+        if self._own_persist:
+            self._persist.close()
 
     def __enter__(self) -> "QueryServer":
         return self
@@ -518,7 +496,6 @@ class QueryServer:
                 metrics=self._metrics,
                 max_entries=self._max_entries,
                 store=self.store_for(boolean),
-                pool=self._pool,
                 persist=self._persist,
             )
             screen = CandidateScreen(boolean, schema, metrics=self._metrics)
@@ -528,7 +505,7 @@ class QueryServer:
                 "independent",
                 "single-occurrence",
             )
-            state = _QueryState(query, boolean, oracle, screen, prefilter_ltr, index)
+            state = _QueryState(query, oracle, screen, prefilter_ltr, index)
             if round_budgets is not None:
                 state.round_budget = round_budgets[index]
             if access_budgets is not None:
@@ -542,13 +519,12 @@ class QueryServer:
         self, states: Sequence[_QueryState], configuration: Configuration
     ) -> None:
         """Update ``state.certain`` for every state (monotone, so certain
-        states are never re-checked).  With a pool attached the uncached
-        checks of different queries run concurrently on the workers.
+        states are never re-checked).
 
         ``fast_certainty`` resolves by exact fingerprint hit *or* by a
         lineage-matched read of the query's certainty fixpoint — advanced
         each batch by the merged facts — so only queries needing a full
-        (re-)evaluation are shipped to the pool or computed inline."""
+        (re-)evaluation reach the ``certainty`` span."""
         unresolved: List[_QueryState] = []
         for state in states:
             if state.certain:
@@ -562,44 +538,8 @@ class QueryServer:
             return
         tracer = current_tracer()
         with tracer.span("certainty", unresolved=len(unresolved)) as span:
-            if self._pool is not None and len(unresolved) > 1:
-                trace = tracer.enabled
-                parent = span.context if trace else None
-                futures = [
-                    self._pool.submit(
-                        "certain",
-                        state.boolean,
-                        self._mediator.schema,
-                        configuration,
-                        trace=trace,
-                    )
-                    for state in unresolved
-                ]
-                for state, future in zip(unresolved, futures):
-                    # A deadlined query must not block on a slow pooled
-                    # certainty check: give the future only the query's
-                    # remaining time and leave the state uncertain on a
-                    # timeout (sound — certainty is only ever an upgrade).
-                    timeout = None
-                    if state.deadline is not None:
-                        remaining = state.deadline.remaining()
-                        if remaining != float("inf"):
-                            timeout = max(0.0, remaining)
-                    try:
-                        payload = future.result(timeout=timeout)
-                    except FuturesTimeout:
-                        self._metrics.incr("deadline.certainty_timeout")
-                        continue
-                    if trace:
-                        payload, span_specs = payload
-                        tracer.adopt_spans(span_specs, parent, query=state.index)
-                    verdict = bool(payload[0])
-                    state.oracle.adopt_certainty(configuration, verdict)
-                    state.certain = verdict
-                    self._metrics.incr("server.pool_certainty")
-            else:
-                for state in unresolved:
-                    state.certain = state.oracle.is_certain(configuration)
+            for state in unresolved:
+                state.certain = state.oracle.is_certain(configuration)
             if tracer.enabled:
                 span.annotate(
                     certain=sum(1 for state in unresolved if state.certain)
@@ -695,88 +635,68 @@ class QueryServer:
         )
         if tracer.enabled:
             round_span.annotate(active=len(active), candidates=len(candidates))
-        # Per query: prefilter + group, then submit every query's fresh
-        # LTR searches before collecting any — with a pool the searches
-        # of different queries overlap across the worker processes.  The
-        # prefetch is submitted inside the query's span so the workers'
-        # shipped span trees re-anchor under it.
-        grouped: List[Tuple[_QueryState, List]] = []
-        finishers = []
+        # Per query, inside its span: prefilter and group the candidates,
+        # resolve each group's verdict, and add the relevant accesses to the
+        # round's deduplicated batch.  Under a tracer every batched access
+        # also gets a *why* record — which queries wanted it and whether its
+        # verdict was computed directly or inherited from its group
+        # representative — which the executor forwards onto the access's
+        # ``source-call`` span.
+        wanted: Dict[Tuple[str, Tuple[object, ...]], List[_QueryState]] = {}
+        why: Dict[Tuple[str, Tuple[object, ...]], Dict[str, object]] = {}
+        batch_accesses: List[Access] = []
         for state in active:
             with tracer.span(
                 "query",
                 query=getattr(state.query, "name", None),
                 index=state.index,
-            ) as qspan:
+            ):
                 mine = candidates
                 if state.prefilter_ltr:
                     mine = state.screen.prefilter(mine)
                 elif self._use_immediate and not self._use_long_term:
                     mine = state.screen.prefilter(mine, immediate_only=True)
                 groups = state.screen.group(mine, configuration)
-                grouped.append((state, groups))
-                if self._use_long_term:
-                    finishers.append(
-                        state.oracle.begin_prefetch_long_term(
-                            [representative for representative, _m in groups],
+                with tracer.span("verdicts", index=state.index) as vspan:
+                    kept = 0
+                    for representative, members in groups:
+                        state.relevance_checks += 1
+                        if not resolve_group_verdict(
+                            state.oracle,
+                            representative,
+                            members,
                             configuration,
-                        )
-                    )
-                state.span_ctx = qspan.context if tracer.enabled else None
-        for finish in finishers:
-            finish()
-
-        # Assemble each query's relevant accesses, then union them.  Under
-        # a tracer every batched access also gets a *why* record — which
-        # queries wanted it and whether its verdict was computed directly
-        # or inherited from its group representative — which the executor
-        # forwards onto the access's ``source-call`` span.
-        wanted: Dict[Tuple[str, Tuple[object, ...]], List[_QueryState]] = {}
-        why: Dict[Tuple[str, Tuple[object, ...]], Dict[str, object]] = {}
-        batch_accesses: List[Access] = []
-        for state, groups in grouped:
-            with tracer.span(
-                "verdicts", parent=state.span_ctx, index=state.index
-            ) as vspan:
-                kept = 0
-                for representative, members in groups:
-                    state.relevance_checks += 1
-                    if not resolve_group_verdict(
-                        state.oracle,
-                        representative,
-                        members,
-                        configuration,
-                        use_long_term=self._use_long_term,
-                        use_immediate=self._use_immediate,
-                    ):
-                        continue
-                    kept += 1
-                    for access in [representative] + [m for m, _map in members]:
-                        key = access_key(access)
-                        owners = wanted.get(key)
-                        if owners is None:
-                            wanted[key] = [state]
-                            batch_accesses.append(access)
-                            state.accesses_charged += 1
-                        elif state not in owners:
-                            owners.append(state)
-                            state.accesses_charged += 1
-                        if tracer.enabled:
-                            entry = why.setdefault(
-                                key,
-                                {
-                                    "why": "relevant",
-                                    "via": (
-                                        "representative"
-                                        if access is representative
-                                        else "automorphism-group"
-                                    ),
-                                    "queries": [],
-                                },
-                            )
-                            entry["queries"].append(state.index)
-                if tracer.enabled:
-                    vspan.annotate(groups=len(groups), relevant=kept)
+                            use_long_term=self._use_long_term,
+                            use_immediate=self._use_immediate,
+                        ):
+                            continue
+                        kept += 1
+                        for access in [representative] + [m for m, _map in members]:
+                            key = access_key(access)
+                            owners = wanted.get(key)
+                            if owners is None:
+                                wanted[key] = [state]
+                                batch_accesses.append(access)
+                                state.accesses_charged += 1
+                            elif state not in owners:
+                                owners.append(state)
+                                state.accesses_charged += 1
+                            if tracer.enabled:
+                                entry = why.setdefault(
+                                    key,
+                                    {
+                                        "why": "relevant",
+                                        "via": (
+                                            "representative"
+                                            if access is representative
+                                            else "automorphism-group"
+                                        ),
+                                        "queries": [],
+                                    },
+                                )
+                                entry["queries"].append(state.index)
+                    if tracer.enabled:
+                        vspan.annotate(groups=len(groups), relevant=kept)
 
         def annotate_access(access: Access) -> Optional[Dict[str, object]]:
             entry = why.get(access_key(access))
@@ -916,33 +836,10 @@ class QueryServer:
         return states, rounds, exhausted
 
     def _finalize(self, states: List[_QueryState]) -> Tuple[QueryOutcome, ...]:
-        """Evaluate every query at the final configuration (pooled when possible)."""
+        """Evaluate every query at the final configuration."""
         final = self._mediator.configuration_view
-        answer_sets: List[FrozenSet[Tuple[object, ...]]] = []
-        tracer = current_tracer()
-        with tracer.span("finalize", queries=len(states)) as span:
-            if self._pool is not None and len(states) > 1:
-                trace = tracer.enabled
-                parent = span.context if trace else None
-                futures = [
-                    self._pool.submit(
-                        "answers",
-                        state.query,
-                        self._mediator.schema,
-                        final,
-                        trace=trace,
-                    )
-                    for state in states
-                ]
-                for state, future in zip(states, futures):
-                    payload = future.result()
-                    if trace:
-                        payload, span_specs = payload
-                        tracer.adopt_spans(span_specs, parent, query=state.index)
-                    answer_sets.append(frozenset(payload[0]))
-            else:
-                for state in states:
-                    answer_sets.append(certain_answers(state.query, final))
+        with current_tracer().span("finalize", queries=len(states)):
+            answer_sets = [certain_answers(state.query, final) for state in states]
         outcomes = []
         for state, answers in zip(states, answer_sets):
             # ``certain`` is monotone, so a flag set during the rounds is
@@ -974,7 +871,3 @@ class QueryServer:
                 )
             )
         return tuple(outcomes)
-
-
-#: The name the ROADMAP promised; the implementation grew into a server.
-MultiQueryMediator = QueryServer

@@ -22,8 +22,7 @@ is that front end: a stdlib-only asyncio HTTP server that
   answered the query;
 * enforces **admission control** (:mod:`repro.runtime.admission`): per-client
   token-bucket rate limits and in-flight quotas answer 429 with an honest
-  ``Retry-After``; a full submission queue or a saturated
-  :class:`~repro.runtime.procpool.ProcessRelevancePool` answers 503; and
+  ``Retry-After``; a full submission queue answers 503; and
   every admitted query carries the service's round/access fairness budget
   into :meth:`QueryServer.answer`, so one dominating query of a coalesced
   batch retires with ``rounds_exhausted`` instead of starving the rest;
@@ -186,7 +185,7 @@ class AnsweringService:
         self._admission = (
             admission
             if admission is not None
-            else AdmissionController(pool=server.pool, metrics=self._metrics)
+            else AdmissionController(metrics=self._metrics)
         )
         self._host = host
         self._port = port

@@ -22,22 +22,15 @@ Three properties shape the design:
   even the keyword-argument packing.  ``tests/test_tracing.py`` asserts the
   per-call overhead of the no-op recorder stays negligible.
 
-* **Explicit context propagation across pools.**  Thread-locals don't follow
-  work onto executor threads or pool processes, so nothing implicit is
-  relied on at a boundary.  Crossing the :class:`AccessExecutor` thread pool,
-  the dispatching thread captures :meth:`Tracer.context` and the worker opens
-  its span with an explicit ``parent=``.  Crossing the
-  :class:`~repro.runtime.procpool.ProcessRelevancePool` boundary, the worker
-  process records spans into its own local tracer, ships them back as plain
-  tuples (:func:`encode_spans` — the same wire discipline as
-  :mod:`repro.runtime.serialize`), and the parent re-anchors them under the
-  submitting span (:meth:`Tracer.adopt_spans`), remapping ids and tagging
-  them ``remote`` so a flame graph shows which subtrees ran out of process.
+* **Explicit context propagation across threads.**  Thread-locals don't
+  follow work onto executor threads, so nothing implicit is relied on at the
+  boundary.  Crossing the :class:`AccessExecutor` thread pool, the
+  dispatching thread captures :meth:`Tracer.context` and the worker opens its
+  span with an explicit ``parent=``.
 
-* **Dual clocks.**  Spans stamp ``time.time()`` at entry (comparable across
-  the processes of one machine, and the Chrome-trace timestamp base) and
-  measure duration with ``time.perf_counter()`` (monotonic, so durations
-  never go negative under clock steps).
+* **Dual clocks.**  Spans stamp ``time.time()`` at entry (the Chrome-trace
+  timestamp base) and measure duration with ``time.perf_counter()``
+  (monotonic, so durations never go negative under clock steps).
 """
 
 from __future__ import annotations
@@ -46,7 +39,7 @@ import itertools
 import os
 import threading
 import time
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 __all__ = [
     "NO_TRACER",
@@ -88,7 +81,6 @@ class Span:
         "tags",
         "pid",
         "thread",
-        "remote",
         "_tracer",
         "_t0",
     )
@@ -111,7 +103,6 @@ class Span:
         self.tags = tags
         self.pid = os.getpid()
         self.thread = threading.get_ident()
-        self.remote = False
         self._tracer = tracer
         self._t0 = 0.0
 
@@ -194,15 +185,6 @@ class NullTracer:
         """Discard the pre-timed span; returns the shared no-op span."""
         return _NULL_SPAN
 
-    def adopt_spans(
-        self,
-        specs: Sequence[Tuple],
-        parent: Optional[SpanContext],
-        **extra_tags: object,
-    ) -> List["Span"]:
-        """Discard wire-encoded spans from workers; returns no spans."""
-        return []
-
     def spans(self) -> List["Span"]:
         """Nothing was recorded: always an empty list."""
         return []
@@ -225,7 +207,7 @@ class Tracer:
 
     Spans opened with ``with tracer.span(...)`` nest through a per-thread
     stack; an explicit ``parent=`` (a :class:`SpanContext`, typically carried
-    across a pool boundary) overrides the stack.  Completed spans accumulate
+    onto an executor thread) overrides the stack.  Completed spans accumulate
     in insertion (completion) order; :meth:`spans` snapshots them for the
     exporters.
     """
@@ -257,7 +239,7 @@ class Tracer:
             stack.pop()
 
     def context(self) -> Optional[SpanContext]:
-        """The innermost open span on *this* thread (to hand across a pool)."""
+        """The innermost open span on *this* thread (to hand to a worker thread)."""
         stack = self._stack()
         return stack[-1] if stack else None
 
@@ -308,58 +290,6 @@ class Tracer:
             self._spans.append(span)
 
     # ------------------------------------------------------------------ #
-    # Wire-format adoption (process-pool boundary)
-    # ------------------------------------------------------------------ #
-    def adopt_spans(
-        self,
-        specs: Sequence[Tuple],
-        parent: Optional[SpanContext],
-        **extra_tags: object,
-    ) -> List[Span]:
-        """Re-anchor worker-process spans (from :func:`encode_spans`) here.
-
-        Every spec gets a fresh span id from this tracer; worker-local parent
-        links are remapped through the same assignment, and spans whose
-        worker-side parent is unknown (the worker's roots) are parented under
-        ``parent``.  Adopted spans keep their worker wall-clock ``start`` and
-        ``duration`` (same machine, same epoch) plus the recording process id,
-        and are flagged ``remote`` so exporters and nesting checks can tell
-        shipped subtrees from local ones.
-        """
-        if not specs:
-            return []
-        id_map: Dict[int, int] = {}
-        for spec in specs:
-            id_map[spec[0]] = next(self._ids)
-        trace_id = parent.trace_id if parent is not None else id_map[specs[0][0]]
-        adopted: List[Span] = []
-        for spec in specs:
-            old_id, old_parent, name, start, duration, tag_items, pid, thread = spec
-            tags = dict(tag_items)
-            tags.update(extra_tags)
-            span = Span(
-                self,
-                name,
-                trace_id,
-                id_map[old_id],
-                (
-                    id_map[old_parent]
-                    if old_parent in id_map
-                    else (parent.span_id if parent is not None else None)
-                ),
-                tags,
-            )
-            span.start = start
-            span.duration = duration
-            span.pid = pid
-            span.thread = thread
-            span.remote = True
-            adopted.append(span)
-        with self._lock:
-            self._spans.extend(adopted)
-        return adopted
-
-    # ------------------------------------------------------------------ #
     # Inspection
     # ------------------------------------------------------------------ #
     def spans(self) -> List[Span]:
@@ -385,12 +315,11 @@ class Tracer:
 
 
 def encode_spans(spans: Iterable[Span]) -> Tuple[Tuple, ...]:
-    """Flatten spans to plain pickle-friendly tuples for the pool wire.
+    """Flatten spans to plain tuples (the ``spans`` of the JSON snapshot).
 
     Each spec is ``(span_id, parent_id, name, start, duration, tag items,
-    pid, thread)`` — the inverse of :meth:`Tracer.adopt_spans`.  Tag values
-    recorded by the runtime are primitives, so the tuples pickle and JSON-ify
-    without custom reducers.
+    pid, thread)``.  Tag values recorded by the runtime are primitives, so
+    the tuples pickle and JSON-ify without custom reducers.
     """
     return tuple(
         (
@@ -418,9 +347,9 @@ TracerLike = Union[Tracer, NullTracer]
 def current_tracer() -> TracerLike:
     """The tracer active on this thread (:data:`NO_TRACER` when none is).
 
-    Deliberately thread-local, not inherited: a worker thread or process must
-    receive its context explicitly (``parent=`` / :func:`activate_tracer`),
-    which is what keeps parent links correct across the pools.
+    Deliberately thread-local, not inherited: a worker thread must receive
+    its context explicitly (``parent=`` / :func:`activate_tracer`), which is
+    what keeps parent links correct across the executor's thread pool.
     """
     tracer = getattr(_ACTIVE, "tracer", None)
     return tracer if tracer is not None else NO_TRACER

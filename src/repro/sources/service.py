@@ -909,7 +909,7 @@ class Mediator:
 
         Convenience entry point for the multi-query runtime::
 
-            with mediator.serve(search_workers=4, cache_path="witness.jsonl") as server:
+            with mediator.serve(cache_path="witness.jsonl") as server:
                 result = server.answer([q1, q2, q3])
 
         All keyword arguments are forwarded to the server's constructor.

@@ -450,8 +450,7 @@ def star_join_scenario(
 
     Compared to :func:`multi_query_scenario` the joins here have *no hub*:
     every spoke access is independent of the others, so the round's
-    relevance searches — one per (query, spoke, key) orbit — dominate and
-    the process pool has real CPU-bound work to spread.
+    relevance searches — one per (query, spoke, key) orbit — dominate.
     """
     if atoms_per_query < 2 or atoms_per_query > spokes:
         raise ValueError("atoms_per_query must be between 2 and spokes")
@@ -518,8 +517,7 @@ def bank_multi_query_scenario(
     performs the shared accesses once, while the per-query witness searches
     are the CPU-bound part.  A fresh LTR search costs about a millisecond
     here, once the probes that witness no subgoal (``EmpManAcc``) enumerate
-    nothing in the first-fact shape; that is less than a round trip to a
-    process-pool search worker, so the pool does not pay on this batch.
+    nothing in the first-fact shape.
 
     Only the ``State`` and ``Offering`` constants vary.  The employee title
     is deliberately fixed: every extra ``Text``-domain constant in the shared

@@ -1,11 +1,10 @@
 """Admission-control and fairness-budget tests.
 
 Unit-level: the token bucket's refill arithmetic, the controller's decision
-order (drain → queue → pool → quota → rate) and accounting, the pool
-saturation probe, and the new metrics gauges.  Integration-level: the
-:meth:`QueryServer.answer` round/access budgets — a budgeted query retires
-with ``rounds_exhausted`` while its batchmates' rounds (and answers) are
-untouched.
+order (drain → queue → quota → rate) and accounting, and the new metrics
+gauges.  Integration-level: the :meth:`QueryServer.answer` round/access
+budgets — a budgeted query retires with ``rounds_exhausted`` while its
+batchmates' rounds (and answers) are untouched.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import pytest
 from repro.exceptions import QueryError
 from repro.runtime import (
     AdmissionController,
-    ProcessRelevancePool,
     QueryServer,
     RuntimeMetrics,
     TokenBucket,
@@ -142,22 +140,6 @@ class TestAdmissionController:
         controller.started(4)
         assert controller.admit("bob", 1).admitted
 
-    def test_saturated_pool_rejects_503(self):
-        class FakePool:
-            def __init__(self):
-                self.full = False
-
-            def saturated(self, *, backlog_factor):
-                return self.full
-
-        pool = FakePool()
-        controller = AdmissionController(pool=pool, clock=FakeClock())
-        assert controller.admit("alice", 1).admitted
-        pool.full = True
-        decision = controller.admit("alice", 1)
-        assert (not decision.admitted) and decision.status == 503
-        assert decision.reason == "pool_saturated"
-
     def test_drain_rejects_everything_503(self):
         metrics = RuntimeMetrics()
         controller = AdmissionController(metrics=metrics, clock=FakeClock())
@@ -199,25 +181,6 @@ class TestAdmissionController:
             assert controller.admit(client, 1).admitted
             controller.resolved(client, 1)
         assert len(controller._clients) <= 4
-
-
-# --------------------------------------------------------------------------- #
-# Pool saturation probe
-# --------------------------------------------------------------------------- #
-class TestPoolSaturation:
-    def test_idle_pool_is_not_saturated(self):
-        pool = ProcessRelevancePool(2)
-        assert pool.inflight == 0
-        assert not pool.saturated()
-
-    def test_saturation_threshold(self):
-        pool = ProcessRelevancePool(2)
-        pool._inflight = 4  # workers × factor: boundary is not saturated
-        assert not pool.saturated(backlog_factor=2.0)
-        pool._inflight = 5
-        assert pool.saturated(backlog_factor=2.0)
-        assert pool.saturated(backlog_factor=1.0)
-        assert not pool.saturated(backlog_factor=10.0)
 
 
 # --------------------------------------------------------------------------- #

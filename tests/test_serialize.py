@@ -1,16 +1,13 @@
-"""Serialization layer tests: pickling round-trips, stable digests, and the
-process-pool equivalence property.
+"""Serialization layer tests: pickling round-trips and stable digests.
 
-The query-server runtime ships schemas, queries, accesses, and configuration
-snapshots across process boundaries and keys a persistent cache on their
-digests, so three properties are load-bearing:
+The query-server runtime keys a persistent cache on the digests of schemas,
+queries, accesses, and configurations, and the data classes pickle to
+compact forms, so two properties are load-bearing:
 
 * ``loads(dumps(x))`` preserves equality — and, for configurations, the
   content *fingerprint* (rebuilt, not copied, on the receiving side);
 * the stable tokens of :mod:`repro.runtime.serialize` are pure functions of
-  structure (equal objects agree, different objects disagree);
-* a :class:`ProcessRelevancePool` worker returns exactly the verdict the
-  in-process search computes, and its witness paths revalidate in-process.
+  structure (equal objects agree, different objects disagree).
 """
 
 from __future__ import annotations
@@ -25,9 +22,6 @@ from repro import (
     Configuration,
     Instance,
 )
-from repro.core import is_long_term_relevant
-from repro.queries import is_certain
-from repro.runtime import ProcessRelevancePool
 from repro.runtime.serialize import (
     UnencodableValueError,
     access_token,
@@ -42,8 +36,6 @@ from repro.runtime.serialize import (
     schema_token,
 )
 from repro.workloads import (
-    bank_multi_query_scenario,
-    diamond_scenario,
     fanout_scenario,
     multi_query_scenario,
     random_configuration,
@@ -207,73 +199,3 @@ class TestWitnessWire:
             encode_json_value(object())
         with pytest.raises(UnencodableValueError):
             decode_json_value(["?", 1])
-
-
-# --------------------------------------------------------------------------- #
-# Process-pool equivalence: worker verdicts == in-process search
-# --------------------------------------------------------------------------- #
-@pytest.fixture(scope="module")
-def shared_pool():
-    with ProcessRelevancePool(2) as pool:
-        yield pool
-
-
-class TestProcessPoolEquivalence:
-    def _probes(self, scenario):
-        schema = scenario.schema
-        configuration = scenario.configuration.copy()
-        for fact in scenario.hidden_instance.facts():
-            configuration.add(fact.relation, fact.values)
-        probes = []
-        by_domain = configuration.active_values_by_domain()
-        for method in schema.access_methods:
-            pools = [
-                by_domain.get(method.relation.domain_of(place), ())
-                for place in method.input_places
-            ]
-            if all(pools):
-                binding = tuple(pool[0] for pool in pools)
-                probes.append(Access(method, binding))
-        return configuration, probes
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_pool_ltr_matches_fresh_search(self, shared_pool, seed):
-        for scenario in (fanout_scenario(3), diamond_scenario(2)):
-            query = scenario.query
-            configuration, probes = self._probes(scenario)
-            futures = shared_pool.submit_ltr_many(
-                query, scenario.schema, configuration, probes
-            )
-            for probe, future in zip(probes, futures):
-                verdict, witness = shared_pool.ltr_result(future, scenario.schema)
-                fresh = is_long_term_relevant(
-                    query, probe, configuration, scenario.schema
-                )
-                assert verdict == fresh, (scenario.name, probe)
-                if witness is not None:
-                    # A returned path is a genuine witness at the probed
-                    # configuration — revalidation replays it soundly.
-                    assert witness.revalidate(query, configuration)
-
-    def test_pool_certainty_and_answers_match(self, shared_pool):
-        scenario = bank_multi_query_scenario(3, employees=5, offices=3, states=3)
-        configuration, _probes = self._probes(scenario)
-        for query in scenario.queries:
-            certain = shared_pool.submit(
-                "certain", query, scenario.schema, configuration
-            ).result()[0]
-            assert certain == is_certain(query, configuration)
-            answers = shared_pool.submit(
-                "answers", query, scenario.schema, configuration
-            ).result()[0]
-            from repro.queries import certain_answers
-
-            assert answers == certain_answers(query, configuration)
-
-    def test_pool_rejects_unknown_kind(self, shared_pool):
-        scenario = fanout_scenario(2)
-        future = shared_pool.submit(
-            "nope", scenario.query, scenario.schema, scenario.configuration
-        )
-        with pytest.raises(ValueError):
-            future.result()

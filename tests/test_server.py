@@ -1,12 +1,11 @@
 """Query-server runtime tests.
 
 Covers the multi-query mediator end to end: agreement with the single-query
-strategies, access sharing across a batch, determinism across
-``search_workers`` counts (the load-bearing property: a pooled run returns
-the same answers and performs the same access set as a single-process run),
-the persistent witness cache across simulated restarts, the store registry
-across ``answer`` calls, and the new metrics surfaces (timer call counts,
-per-shard cache gauges).
+strategies, access sharing across a batch, the in-process-only
+``search_workers`` surface, the persistent witness cache across simulated
+restarts (and its closing with the server), the store registry across
+``answer`` calls, and the new metrics surfaces (timer call counts, per-shard
+cache gauges).
 """
 
 from __future__ import annotations
@@ -139,40 +138,37 @@ class TestServerAgreement:
 
 
 # --------------------------------------------------------------------------- #
-# Determinism across search worker counts
+# Search workers: relevance searches run in-process
 # --------------------------------------------------------------------------- #
 class TestSearchWorkerDeterminism:
-    def test_pooled_server_matches_single_process(self, scenario):
-        baseline_mediator = scenario.mediator()
-        with QueryServer(baseline_mediator) as baseline_server:
-            baseline = baseline_server.answer(scenario.queries)
+    def test_search_workers_other_than_one_are_rejected(self, scenario):
         mediator = scenario.mediator()
-        with QueryServer(mediator, search_workers=4) as pooled_server:
-            pooled = pooled_server.answer(scenario.queries)
-        assert pooled.answers == baseline.answers
-        assert _access_set(mediator) == _access_set(baseline_mediator)
-        assert pooled.accesses_made == baseline.accesses_made
+        for workers in (0, 2, 4):
+            with pytest.raises(QueryError, match="in-process"):
+                QueryServer(mediator, search_workers=workers)
+        with pytest.raises(QueryError, match="in-process"):
+            mediator.serve(search_workers=2)
+        with pytest.raises(TypeError):
+            relevance_guided_strategy(mediator, scenario.queries[0], search_workers=2)
 
-    def test_guided_strategy_search_workers_matches_single_process(self):
-        scenario = bank_multi_query_scenario(2, employees=5, offices=3, states=3)
-        query = scenario.queries[0]
+    def test_search_workers_one_is_accepted(self, scenario):
         baseline_mediator = scenario.mediator()
-        baseline = relevance_guided_strategy(baseline_mediator, query)
+        with QueryServer(baseline_mediator) as server:
+            baseline = server.answer(scenario.queries)
         mediator = scenario.mediator()
-        pooled = relevance_guided_strategy(mediator, query, search_workers=2)
-        assert pooled.answers == baseline.answers
+        with mediator.serve(search_workers=1) as server:
+            result = server.answer(scenario.queries)
+        assert result.answers == baseline.answers
         assert _access_set(mediator) == _access_set(baseline_mediator)
 
     def test_prebuilt_oracle_rejects_pool_knobs(self, scenario):
+        """A pre-built oracle keeps its own persistent cache, so the
+        strategy rejects ``cache_path`` next to one."""
         from repro.runtime import RelevanceOracle
 
         query = scenario.queries[0]
         mediator = scenario.mediator()
         oracle = RelevanceOracle(query, mediator.schema)
-        with pytest.raises(QueryError):
-            relevance_guided_strategy(
-                mediator, query, oracle=oracle, search_workers=2
-            )
         with pytest.raises(QueryError):
             relevance_guided_strategy(
                 mediator, query, oracle=oracle, cache_path="unused.jsonl"
@@ -256,6 +252,34 @@ class TestPersistentCache:
             result = server.answer(scenario.queries)
         assert len(result.outcomes) == len(scenario.queries)
         assert isinstance(witnesses, dict)
+
+    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
+    def test_close_closes_the_store_it_opened(self, tmp_path, scenario, backend):
+        path = os.fspath(tmp_path / f"w.{backend}")
+        with QueryServer(scenario.mediator(), cache_path=path) as server:
+            server.answer(scenario.queries)
+        persist = server.persist
+        if backend == "sqlite":
+            assert persist.store._conn is None
+        # Reading stats after close still works: SQLite reconnects lazily,
+        # and closing a JSONL store is a no-op.
+        assert persist.stats["backend"] == backend
+        assert persist.store.stats()["records"] > 0
+        server.close()  # idempotent
+
+    def test_close_leaves_a_supplied_cache_open(self, tmp_path, scenario):
+        cache = PersistentWitnessCache(os.fspath(tmp_path / "w.sqlite"))
+        with QueryServer(scenario.mediator(), persist=cache) as server:
+            cold = server.answer(scenario.queries)
+        assert cache.store._conn is not None
+        # The caller still owns a working cache: a restarted server warms
+        # up from it.
+        metrics = RuntimeMetrics()
+        with QueryServer(scenario.mediator(), persist=cache, metrics=metrics) as server:
+            warm = server.answer(scenario.queries)
+        assert warm.answers == cold.answers
+        assert metrics.count("persist.seeded") > 0
+        cache.close()
 
     def test_cache_path_and_persist_are_exclusive(self, tmp_path, scenario):
         cache = PersistentWitnessCache(os.fspath(tmp_path / "w.jsonl"))

@@ -4,7 +4,7 @@ The load-bearing assertion: answers served over the wire are identical to
 calling :meth:`QueryServer.answer` in-process on the same scenario.  Around
 it: the three delivery modes (wait / poll / chunked stream), the admission
 rejections as observed by a real HTTP client (429 + ``Retry-After``, 503
-for queue/pool/drain), graceful drain completing in-flight queries, the
+for queue/drain), graceful drain completing in-flight queries, the
 ``/metrics`` exposition parsing as Prometheus text, the trace endpoint, and
 the error paths.
 """
@@ -246,27 +246,6 @@ class TestAdmissionOverHttp:
             assert status == 503
             assert document["error"] == "queue_full"
             assert int(headers["Retry-After"]) >= 1
-        finally:
-            handle.shutdown(drain=False)
-
-    def test_saturated_pool_sees_503(self):
-        class SaturatedPool:
-            def saturated(self, *, backlog_factor):
-                return True
-
-        scenario = bank_multi_query_scenario(2, employees=3, offices=2, states=2)
-        handle = serve_in_background(
-            QueryServer(scenario.mediator()),
-            admission=AdmissionController(pool=SaturatedPool()),
-        )
-        try:
-            status, _, document = _request(
-                f"{handle.base_url}/queries",
-                method="POST",
-                document={"query": str(scenario.queries[0])},
-            )
-            assert status == 503
-            assert document["error"] == "pool_saturated"
         finally:
             handle.shutdown(drain=False)
 

@@ -5,8 +5,8 @@ Covers, roughly in order:
 * span mechanics — implicit nesting, explicit parents, annotation, the
   ambient-tracer plumbing, and the no-op recorder's negligible overhead;
 * cross-boundary propagation — spans recorded from executor worker threads
-  under an explicitly captured parent, and worker-process span trees
-  round-tripped through the plain-tuple wire format and re-anchored;
+  under an explicitly captured parent, and spans flattened to the
+  plain-tuple format of the JSON snapshot;
 * latency histograms — bounded quantile estimates and their surfacing
   through :meth:`RuntimeMetrics.snapshot`;
 * the :meth:`RuntimeMetrics.reset` cache-gauge regression (registered
@@ -14,9 +14,9 @@ Covers, roughly in order:
 * exporters — Prometheus text, JSON snapshot, Chrome-trace file, and the
   ``explain`` report;
 * end-to-end span trees — a traced guided strategy run and a traced
-  multi-query server batch spanning the thread pool and a 4-worker process
-  pool, with well-nestedness and parentage assertions, plus structural
-  equality between sequential and concurrent runs.
+  multi-query server batch spanning the thread pool, with well-nestedness
+  and parentage assertions, plus structural equality between sequential and
+  concurrent runs.
 """
 
 from __future__ import annotations
@@ -52,21 +52,20 @@ from repro.workloads import bank_multi_query_scenario, fanout_scenario
 # Helpers
 # ------------------------------------------------------------------ #
 
-#: Tolerance for parent/child interval containment.  Local spans mix a
-#: ``time.time()`` epoch with ``perf_counter`` durations, and remote spans
-#: use the worker's clock, so exact containment is not guaranteed.
+#: Tolerance for parent/child interval containment.  Spans mix a
+#: ``time.time()`` epoch with ``perf_counter`` durations, so exact
+#: containment is not guaranteed.
 _EPSILON = 0.05
 
 
 def assert_well_formed(spans):
     """Structural sanity of a span list: unique ids, resolvable parents,
-    children starting no earlier than their (same-process) parents.
+    children starting no earlier than their parents.
 
-    Full interval containment is deliberately *not* asserted: the server
-    re-anchors later phases (e.g. a round's ``verdicts`` span) under the
-    already-closed span that screened the same query's candidates, so a
-    child may legitimately outlive its parent.  Causal ordering still
-    holds — a child can never start before the span that caused it.
+    Full interval containment is deliberately *not* asserted: a span
+    recorded with an explicit ``parent=`` (e.g. a source call timed on an
+    executor thread) may legitimately outlive its parent.  Causal ordering
+    still holds — a child can never start before the span that caused it.
     """
     by_id = {span.span_id: span for span in spans}
     assert len(by_id) == len(spans), "span ids must be unique"
@@ -77,8 +76,7 @@ def assert_well_formed(spans):
         assert span.parent_id in by_id, f"dangling parent for {span.name}"
         parent = by_id[span.parent_id]
         assert span.trace_id == parent.trace_id
-        if not span.remote and not parent.remote:
-            assert span.start >= parent.start - _EPSILON
+        assert span.start >= parent.start - _EPSILON
 
 
 def span_children(spans):
@@ -221,7 +219,6 @@ class TestAmbientTracer:
             span.annotate(more=2)
         assert NO_TRACER.spans() == []
         assert NO_TRACER.context() is None
-        assert NO_TRACER.adopt_spans([(1, None, "x", 0.0, 0.0, (), 1, 1)], None) == []
 
     def test_noop_overhead_is_negligible(self):
         """The off-by-default guard — a thread-local read plus an attribute
@@ -275,52 +272,17 @@ class TestCrossThread:
 
 
 class TestWireRoundTrip:
-    def _worker_spans(self):
-        """A small worker-side tree, as a worker process would record it."""
-        worker = Tracer()
-        with worker.span("pool-task", kind="ltr"):
-            with worker.span("pool-search", method="m1") as search:
-                search.annotate(relevant=True)
-        return encode_spans(worker.spans())
-
-    def test_adopt_reanchors_under_the_submitting_span(self):
-        specs = self._worker_spans()
-        parent_tracer = Tracer()
-        with parent_tracer.span("oracle") as oracle:
-            ctx = oracle.context
-        adopted = parent_tracer.adopt_spans(specs, ctx, query=3)
-        assert len(adopted) == 2
-        spans = parent_tracer.spans()
-        by_name = {span.name: span for span in spans}
-        task = by_name["pool-task"]
-        search = by_name["pool-search"]
-        # Re-anchored: the worker root hangs off the submitting span, the
-        # worker-internal edge survives the id remap, and everything joins
-        # the parent's trace.
-        assert task.parent_id == oracle.span_id
-        assert search.parent_id == task.span_id
-        assert task.trace_id == search.trace_id == oracle.trace_id
-        assert task.remote and search.remote
-        # Extra tags stamp every adopted span, so any shipped span can be
-        # attributed to the query that submitted the work.
-        assert task.tags["query"] == 3
-        assert search.tags["query"] == 3
-        assert search.tags["method"] == "m1" and search.tags["relevant"] is True
-        # The remap minted fresh local ids — the worker's id space never
-        # collides with spans the adopting tracer already holds.
-        assert len({span.span_id for span in spans}) == len(spans)
-
-    def test_adopt_without_parent_starts_a_fresh_trace(self):
-        specs = self._worker_spans()
+    def _spans(self):
+        """A small recorded tree."""
         tracer = Tracer()
-        adopted = tracer.adopt_spans(specs, None)
-        roots = [span for span in adopted if span.parent_id is None]
-        assert len(roots) == 1
-        assert all(span.trace_id == roots[0].trace_id for span in adopted)
+        with tracer.span("oracle", method="m1"):
+            with tracer.span("fresh-search") as search:
+                search.annotate(relevant=True)
+        return encode_spans(tracer.spans())
 
     def test_encode_spans_is_plain_data(self):
-        """The wire format must survive the pickle-free tuple contract."""
-        for spec in self._worker_spans():
+        """The JSON snapshot's span format must stay plain tuples."""
+        for spec in self._spans():
             span_id, parent_id, name, start, duration, tags, pid, thread = spec
             assert isinstance(name, str)
             assert isinstance(tags, tuple)
@@ -572,7 +534,7 @@ class TestServerTracing:
     def test_traced_batch_spans_thread_pool(self):
         """Satellite: a traced server batch with max_concurrency=8 yields a
         well-nested tree whose per-query spans are parented to the right
-        round and whose verdict spans re-anchor to their query's span."""
+        round and whose verdict spans nest in their query's span."""
         scenario = _bank_scenario()
         tracer = Tracer()
         with QueryServer(scenario.mediator(), parallelism=8, tracer=tracer) as server:
@@ -600,8 +562,6 @@ class TestServerTracing:
             if span.name == "query":
                 assert by_id[span.parent_id].name == "round"
             if span.name == "verdicts":
-                # Re-anchored under the query span that screened the round's
-                # candidates, even though it runs after that span closed.
                 parent = by_id[span.parent_id]
                 assert parent.name == "query"
                 assert parent.tags["index"] == span.tags["index"]
@@ -637,38 +597,6 @@ class TestServerTracing:
 
         assert source_calls(concurrent_spans) == source_calls(sequential_spans)
         assert structure(concurrent_spans) == structure(sequential_spans)
-
-    def test_traced_batch_spans_process_pool(self):
-        """Acceptance: with search_workers=4 the worker processes' span
-        trees travel the plain-tuple wire and re-anchor under the parent's
-        spans — one well-formed tree across process boundaries."""
-        scenario = _bank_scenario()
-        tracer = Tracer()
-        with QueryServer(
-            scenario.mediator(), search_workers=4, tracer=tracer
-        ) as server:
-            result = server.answer(scenario.queries)
-        assert result.accesses_made > 0
-        spans = tracer.spans()
-        assert_well_formed(spans)
-        remote = [span for span in spans if span.remote]
-        assert remote, "pooled searches must ship their spans back"
-        parent_pid = os.getpid()
-        by_id = {span.span_id: span for span in spans}
-        assert any(span.pid != parent_pid for span in remote)
-        for span in remote:
-            # Every shipped span is attached to the single answer trace.
-            assert span.trace_id == spans[-1].trace_id or span.trace_id in {
-                s.trace_id for s in spans if s.parent_id is None
-            }
-            if span.name == "pool-task":
-                # Shipped roots re-anchor under the local span that
-                # submitted the work: a query span (chunked prefetch), a
-                # certainty/finalize phase, or an oracle miss.
-                parent = by_id[span.parent_id]
-                assert not parent.remote
-                assert parent.name in {"certainty", "oracle", "finalize", "query"}
-        assert {span.name for span in remote} & {"pool-task", "pool-search"}
 
     def test_explain_report_names_the_accesses(self):
         scenario = _bank_scenario()
