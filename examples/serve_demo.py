@@ -236,10 +236,13 @@ def multiproc_demo(workers: int) -> None:
         print("Cold process warm-starting from the fleet's store:")
         print("  seeded paths:   ", warm["seeded"])
         print("  revalidated:    ", warm["revalidated"])
-        print("  fresh searches: ", warm["fresh"], f"(cold: {reports[0]['fresh']})")
+        # A fleet worker may itself warm-start from its fleet-mates'
+        # records, so compare with the coldest worker.
+        coldest = max(report["fresh"] for report in reports)
+        print("  fresh searches: ", warm["fresh"], f"(coldest worker: {coldest})")
         print(f"  wall clock:      {warm['wall_ms']} ms")
         assert warm["answers"] == reports[0]["answers"]
-        assert warm["fresh"] < reports[0]["fresh"]
+        assert warm["fresh"] < coldest
 
 
 def _post_json(url: str, document: dict) -> dict:

@@ -226,9 +226,11 @@ def relevance_guided_strategy(
     storage — see :mod:`repro.runtime.storage`): witness paths captured by
     this run are recorded, and paths from earlier runs (even earlier
     *processes*) are seeded so this run revalidates instead of searching
-    fresh.  It configures the run's own oracle; with a pre-built ``oracle``
-    attach the cache at its construction instead (supplying both is
-    rejected, like ``options``).
+    fresh.  It configures the run's own oracle, and the run closes the
+    cache before it returns.  With a pre-built ``oracle`` attach the cache
+    (``persist=``) at its construction instead (supplying both is rejected,
+    like ``options``); the run then only flushes it.  Either way each
+    round's records are written together when the round ends.
 
     If ``max_rounds`` ends the run before certainty or a no-progress
     fixpoint, the result is flagged ``rounds_exhausted``.
@@ -270,12 +272,13 @@ def relevance_guided_strategy(
         )
     schema = mediator.schema
     boolean_query = query if query.is_boolean else query.boolean_closure()
+    owned = None  # a cache this run opens, and so closes
     if oracle is None:
         # The run's private oracle needs no shards: all oracle calls stay on
         # this (the dispatching) thread.  Sharding pays on the genuinely
         # shared surfaces — the attached store, or a caller-built oracle
         # probed from several answering threads.
-        persist = (
+        owned = (
             PersistentWitnessCache(cache_path, backend=cache_backend, metrics=metrics)
             if cache_path
             else None
@@ -286,7 +289,7 @@ def relevance_guided_strategy(
             options=options,
             metrics=metrics,
             store=store,
-            persist=persist,
+            persist=owned,
         )
     elif oracle.query != boolean_query:
         raise QueryError(
@@ -298,6 +301,7 @@ def relevance_guided_strategy(
             "the supplied RelevanceOracle was built for a different schema "
             "object than the mediator's; build it with mediator.schema"
         )
+    persist = oracle.persist
     executor = AccessExecutor(mediator, metrics=metrics)
     screen = CandidateScreen(
         boolean_query,
@@ -396,11 +400,17 @@ def relevance_guided_strategy(
                 break
             executor.metrics.incr("strategy.rounds")
             round_started = time.perf_counter()
-            with active.span("round", index=round_index):
-                finished = _one_round()
-            executor.metrics.observe(
-                "round.latency", time.perf_counter() - round_started
-            )
+            # The round's witness paths land in one store write, even when
+            # the round raises.
+            try:
+                with active.span("round", index=round_index):
+                    finished = _one_round()
+            finally:
+                if persist is not None:
+                    persist.flush()
+                executor.metrics.observe(
+                    "round.latency", time.perf_counter() - round_started
+                )
             if finished:
                 return False
         # Every allowed round progressed without reaching certainty (or, for
@@ -415,11 +425,17 @@ def relevance_guided_strategy(
         return False
 
     started = time.perf_counter()
-    with activate_tracer(tracer if tracer is not None else current_tracer()) as active:
-        with active.span(
-            "query", query=getattr(query, "name", None), strategy="guided"
-        ):
-            exhausted = _guided_rounds(active)
+    # No store handle opened here outlives the call; a supplied oracle's
+    # cache belongs to its owner.
+    try:
+        with activate_tracer(tracer if tracer is not None else current_tracer()) as active:
+            with active.span(
+                "query", query=getattr(query, "name", None), strategy="guided"
+            ):
+                exhausted = _guided_rounds(active)
+    finally:
+        if owned is not None:
+            owned.close()
     executor.metrics.observe("query.latency", time.perf_counter() - started)
 
     # Degraded = faults actually cost the run something.  For Boolean

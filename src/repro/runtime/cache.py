@@ -26,10 +26,12 @@ Entries are evicted least-recently-used beyond ``max_entries`` so a
 long-running mediator cannot grow the cache without bound.
 
 An optional :class:`~repro.runtime.persist.PersistentWitnessCache`
-(``persist=``, or ``cache_path=`` / ``cache_backend=`` to open one — JSONL or
-SQLite, see :mod:`repro.runtime.storage`) extends the oracle beyond one
-process: it seeds stored witness paths at construction — a warm restart
-revalidates instead of searching — and records every newly captured path.
+(``persist=``; JSONL or SQLite, see :mod:`repro.runtime.storage`) extends
+the oracle beyond one process: it seeds stored witness paths at
+construction — a warm restart revalidates instead of searching — and
+buffers every newly captured path.  The caller owns the cache: it flushes
+the buffer (the server and the guided strategy do so after every round)
+and closes it.
 
 Concurrency: every cache the oracle reads or writes is an
 :class:`~repro.runtime.shards.LRUCache` (lock-protected) or a
@@ -60,6 +62,7 @@ from repro.exceptions import QueryError
 from repro.queries import is_certain
 from repro.queries.certain import CertaintyFixpoint
 from repro.runtime.metrics import RuntimeMetrics
+from repro.runtime.serialize import query_token, schema_token
 from repro.runtime.shards import LRUCache, ShardedLRUCache, SharedVerdictStore
 from repro.runtime.tracing import current_tracer
 from repro.runtime.witness import (
@@ -121,23 +124,17 @@ class RelevanceOracle:
         n_shards: int = 1,
         store: Optional[SharedVerdictStore] = None,
         persist: Optional["PersistentWitnessCache"] = None,
-        cache_path: Optional[str] = None,
-        cache_backend: str = "auto",
     ) -> None:
         self._query = query if query.is_boolean else query.boolean_closure()
         self._schema = schema
         self._options = options
         self._ltr_method = ltr_method
         self._metrics = metrics if metrics is not None else RuntimeMetrics()
-        if cache_path is not None and persist is not None:
-            raise QueryError("pass either cache_path or a persist instance, not both")
-        if cache_path is not None:
-            from repro.runtime.persist import PersistentWitnessCache
-
-            persist = PersistentWitnessCache(
-                cache_path, backend=cache_backend, metrics=self._metrics
-            )
         self._persist = persist
+        if persist is not None:
+            # The cache counts ``persist.recorded`` when it flushes.
+            persist.attach_metrics(self._metrics)
+            self._persist_tokens = (query_token(self._query), schema_token(schema))
         self._cache: Union[LRUCache, ShardedLRUCache] = (
             ShardedLRUCache(max_entries, n_shards=n_shards)
             if n_shards > 1
@@ -185,7 +182,7 @@ class RelevanceOracle:
         # (vs captured live this process).  LtrWitness is frozen, so
         # provenance lives here, not on the witness objects.
         if persist is not None and incremental:
-            seeded_keys = persist.seed(self._witnesses, self._query, schema)
+            seeded_keys = persist.seed(self._witnesses, self._persist_tokens, schema)
             self._persist_seeded = frozenset(seeded_keys)
             if seeded_keys:
                 self._metrics.incr("persist.seeded", len(seeded_keys))
@@ -442,10 +439,9 @@ class RelevanceOracle:
         if witness is not None:
             self._witnesses.put(akey, witness)
             if self._persist is not None and access is not None:
-                if self._persist.record(
-                    self._query, self._schema, access, witness, configuration
-                ):
-                    self._metrics.incr("persist.recorded")
+                self._persist.record(
+                    self._persist_tokens, access, witness, configuration
+                )
 
     def witness_for(self, access: Access) -> Optional[LtrWitness]:
         """The stored LTR witness for ``access``, if one was captured."""

@@ -23,6 +23,14 @@ concurrent server processes sharing one store).  Design notes:
   configuration the witness was captured at, for observability (the path is
   revalidated at the *probe* configuration regardless, so a stale stamp
   costs nothing but a failed revalidation).
+* **Batched writes.**  :meth:`record` only encodes a witness and buffers
+  it; :meth:`flush` hands the buffer to the backend in one
+  :meth:`~repro.runtime.storage.WitnessStore.append_many` call (one SQLite
+  transaction, one generation bump).  The answering round is the batch:
+  the server and the guided strategy flush at the end of every round,
+  :meth:`witnesses_for` flushes first (a cache reads its own writes), and
+  :meth:`close` flushes last.  A crash loses at most the round in flight,
+  which only costs the fresh searches that would have found it again.
 * **Cross-process invalidation.**  The per-(query, schema) decode memo is
   tagged with the backend's generation token and re-pulled when the token
   moves — a record landed by worker process A seeds worker B's next
@@ -42,10 +50,11 @@ concurrent server processes sharing one store).  Design notes:
 from __future__ import annotations
 
 import threading
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.runtime.serialize import (
     UnencodableValueError,
+    configuration_digest,
     decode_witness_record,
     decode_witness_steps,
     encode_witness_record,
@@ -88,9 +97,10 @@ class PersistentWitnessCache:
         instead of opening one from ``path``.
     metrics:
         An optional :class:`~repro.runtime.metrics.RuntimeMetrics`; when
-        attached, the cache mirrors backend counters as
-        ``persist.<backend>.appends`` / ``dedup_skips`` / ``compactions`` /
-        ``reloads`` and gauges ``persist.<backend>.records`` / ``bytes``.
+        attached, the cache counts ``persist.recorded`` at each flush,
+        mirrors backend counters as ``persist.<backend>.appends`` /
+        ``dedup_skips`` / ``compactions`` / ``reloads`` and gauges
+        ``persist.<backend>.records`` / ``bytes``.
     store_options:
         Extra keyword arguments for the backend constructor (compaction
         triggers for JSONL, busy timeout for SQLite).
@@ -121,6 +131,11 @@ class PersistentWitnessCache:
         self._decoded: Dict[
             Tuple[str, str], Tuple[Hashable, Dict[Hashable, LtrWitness]]
         ] = {}
+        #: Encoded records waiting for the next :meth:`flush`.
+        self._pending: List[dict] = []
+        #: The last (configuration fingerprint, configuration digest) pair:
+        #: a round records many witnesses at one configuration.
+        self._last_digest: Optional[Tuple[Hashable, str]] = None
         #: Store counter values already mirrored into metrics.
         self._mirrored: Dict[str, int] = {}
         self._stats: Dict[str, int] = {
@@ -161,17 +176,23 @@ class PersistentWitnessCache:
         Returns a mapping from the in-memory access key (``(method name,
         binding)`` — the key the oracle's witness cache uses) to the decoded
         :class:`LtrWitness`.  Records whose payload no longer decodes
-        against ``schema`` are skipped and counted.  The returned dict is a
-        **copy** — callers may mutate it freely without corrupting the memo
-        shared by every later oracle.
+        against ``schema`` are skipped and counted.  Buffered records are
+        flushed first, so the result includes this cache's own writes.  The
+        returned dict is a **copy** — callers may mutate it freely without
+        corrupting the memo shared by every later oracle.
         """
-        key = (query_token(query), schema_token(schema))
+        return self._witnesses_for((query_token(query), schema_token(schema)), schema)
+
+    def _witnesses_for(
+        self, key: Tuple[str, str], schema: Schema
+    ) -> Dict[Hashable, LtrWitness]:
         # Decode under the lock: the class promises safety when shared
         # across the oracles of one process, and an unlocked memo store
-        # could both lose a concurrent record()'s invalidation and race the
+        # could both lose a concurrent flush()'s invalidation and race the
         # stats counters.  Decoding is modest (it only runs when the store
         # generation moved), so holding the lock for it is fine.
         with self._lock:
+            self._flush_locked()
             # Read the generation *before* the load: a write landing between
             # the two makes the memo look stale next call (a harmless
             # re-decode), never current-but-incomplete (a lost update).
@@ -198,19 +219,21 @@ class PersistentWitnessCache:
             self._decoded[key] = (generation, decoded)
             return dict(decoded)
 
-    def seed(self, witness_cache, query, schema: Schema):
+    def seed(self, witness_cache, tokens: Tuple[str, str], schema: Schema):
         """Copy stored witnesses into an in-memory witness cache.
 
-        Only keys the cache does not already hold are written (a live
-        witness captured this run is fresher than a persisted one).  Returns
-        the list of seeded access keys — the oracle keeps them for witness
-        *provenance* (a trace can then say whether a revalidation ran against
-        a persisted path or one captured live this process).
+        ``tokens`` is the ``(query token, schema token)`` pair of the
+        seeding oracle.  Only keys the cache does not already hold are
+        written (a live witness captured this run is fresher than a
+        persisted one).  Returns the list of seeded access keys — the oracle
+        keeps them for witness *provenance* (a trace can then say whether a
+        revalidation ran against a persisted path or one captured live this
+        process).
         """
         tracer = current_tracer()
         with tracer.span("persist.seed") as span:
             seeded = []
-            for akey, witness in self.witnesses_for(query, schema).items():
+            for akey, witness in self._witnesses_for(tokens, schema).items():
                 if akey not in witness_cache:
                     witness_cache.put(akey, witness)
                     seeded.append(akey)
@@ -218,7 +241,7 @@ class PersistentWitnessCache:
                 span.annotate(seeded=len(seeded), backend=self._store.backend)
         with self._lock:
             self._stats["seeded"] += len(seeded)
-        self._sync_metrics()
+            self._sync_metrics()
         return seeded
 
     # ------------------------------------------------------------------ #
@@ -226,52 +249,90 @@ class PersistentWitnessCache:
     # ------------------------------------------------------------------ #
     def record(
         self,
-        query,
-        schema: Schema,
+        tokens: Tuple[str, str],
         access: Access,
         witness: LtrWitness,
         configuration=None,
     ) -> bool:
-        """Store one captured witness path (deduplicated); True if written."""
+        """Buffer one captured witness path for the next :meth:`flush`.
+
+        ``tokens`` is the ``(query token, schema token)`` pair of the
+        recording oracle, computed once for its life.  Returns True when the
+        record is buffered, False when a value has no wire encoding (counted
+        under ``skipped_unencodable``).  Whether the record is *written* is
+        decided at flush time, against the record stored then.
+        """
         tracer = current_tracer()
         with tracer.span("persist.record") as span:
-            written = self._record(query, schema, access, witness, configuration)
+            buffered = self._record(tokens, access, witness, configuration)
             if tracer.enabled:
-                span.annotate(
-                    written=written,
-                    method=access.method.name,
-                    backend=self._store.backend,
-                )
-        return written
+                span.annotate(method=access.method.name, backend=self._store.backend)
+        return buffered
 
-    def _record(self, query, schema, access, witness, configuration) -> bool:
-        step_specs = encode_witness_steps(witness.steps)
-        qtoken, stoken = query_token(query), schema_token(schema)
+    def _record(self, tokens, access, witness, configuration) -> bool:
+        stamp = None
+        if configuration is not None:
+            fingerprint = configuration.fingerprint()
+            last = self._last_digest
+            if last is None or last[0] != fingerprint:
+                last = self._last_digest = (
+                    fingerprint,
+                    configuration_digest(configuration),
+                )
+            stamp = last[1]
+        qtoken, stoken = tokens
         try:
             payload = encode_witness_record(
-                qtoken, stoken, access, step_specs, configuration
+                qtoken, stoken, access, encode_witness_steps(witness.steps), stamp
             )
         except UnencodableValueError:
             with self._lock:
                 self._stats["skipped_unencodable"] += 1
             return False
-        written = self._store.append(payload)
         with self._lock:
+            self._pending.append(payload)
+        return True
+
+    def flush(self) -> int:
+        """Write the buffered records with one backend call; the count written.
+
+        Each record is deduplicated against the record stored when it is
+        written, in capture order, so a batch writes exactly what one
+        :meth:`~repro.runtime.storage.WitnessStore.append` per record would.
+        """
+        with self._lock:
+            return self._flush_locked()
+
+    def _flush_locked(self) -> int:
+        if not self._pending:
+            return 0
+        pending, self._pending = self._pending, []
+        tracer = current_tracer()
+        with tracer.span("persist.flush") as span:
+            written = self._store.append_many(pending)
             if written:
-                self._stats["recorded"] += 1
-                self._decoded.pop((qtoken, stoken), None)
-        self._sync_metrics()
+                self._stats["recorded"] += written
+                for payload in pending:
+                    self._decoded.pop((payload["query"], payload["schema"]), None)
+                if self._metrics is not None:
+                    self._metrics.incr("persist.recorded", written)
+            self._sync_metrics()
+            if tracer.enabled:
+                span.annotate(
+                    records=len(pending), written=written, backend=self._store.backend
+                )
         return written
 
     # ------------------------------------------------------------------ #
     # Maintenance and observability
     # ------------------------------------------------------------------ #
     def compact(self) -> CompactionResult:
-        """Compact the backend (see :meth:`WitnessStore.compact`)."""
-        result = self._store.compact()
+        """Flush, then compact the backend (see :meth:`WitnessStore.compact`)."""
         with self._lock:
+            self._flush_locked()
+            result = self._store.compact()
             self._decoded.clear()
-        self._sync_metrics()
+            self._sync_metrics()
         return result
 
     @property
@@ -293,25 +354,29 @@ class PersistentWitnessCache:
         return merged
 
     def _sync_metrics(self) -> None:
-        """Mirror backend counters/gauges into the attached metrics sink."""
-        with self._lock:
-            metrics = self._metrics
+        """Mirror backend counters/gauges into the attached metrics sink.
+
+        Called with the lock held, once per seed, flush and compaction: the
+        store's ``stats()`` costs a ``COUNT(*)`` and a ``stat`` call.
+        """
+        metrics = self._metrics
         if metrics is None:
             return
         snapshot = self._store.stats()
         backend = snapshot.get("backend", self._store.backend)
-        with self._lock:
-            for name in _MIRRORED_COUNTERS:
-                value = int(snapshot.get(name, 0))
-                delta = value - self._mirrored.get(name, 0)
-                if delta > 0:
-                    metrics.incr(f"persist.{backend}.{name}", delta)
-                    self._mirrored[name] = value
+        for name in _MIRRORED_COUNTERS:
+            value = int(snapshot.get(name, 0))
+            delta = value - self._mirrored.get(name, 0)
+            if delta > 0:
+                metrics.incr(f"persist.{backend}.{name}", delta)
+                self._mirrored[name] = value
         metrics.set_gauge(f"persist.{backend}.records", int(snapshot.get("records", 0)))
         metrics.set_gauge(f"persist.{backend}.bytes", int(snapshot.get("bytes", 0)))
 
     def close(self) -> None:
-        """Close the backend (idempotent)."""
+        """Flush the buffered records, then close the backend (idempotent)."""
+        with self._lock:
+            self._flush_locked()
         self._store.close()
 
     def __enter__(self) -> "PersistentWitnessCache":

@@ -277,13 +277,15 @@ def encode_witness_record(
     stoken: str,
     access: Access,
     step_specs: Sequence[Sequence[object]],
-    configuration: Optional[Configuration] = None,
+    fingerprint: Optional[str] = None,
 ) -> dict:
     """One persisted witness record as a JSON-ready payload dictionary.
 
     ``step_specs`` is the :func:`encode_witness_steps` form of the witness
-    path.  Raises :class:`UnencodableValueError` when the binding or any fact
-    carries a value outside the JSON wire format.
+    path; ``fingerprint`` is the :func:`configuration_digest` of the
+    configuration it was captured at, stamped for observability.  Raises
+    :class:`UnencodableValueError` when the binding or any fact carries a
+    value outside the JSON wire format.
     """
     payload = {
         "v": RECORD_VERSION,
@@ -294,8 +296,8 @@ def encode_witness_record(
         "binding": [encode_json_value(value) for value in access.binding],
         "steps": encode_json_steps(step_specs),
     }
-    if configuration is not None:
-        payload["fingerprint"] = configuration_digest(configuration)
+    if fingerprint is not None:
+        payload["fingerprint"] = fingerprint
     return payload
 
 

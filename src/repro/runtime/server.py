@@ -219,7 +219,8 @@ class QueryServer:
         server processes; the backend's generation counter invalidates each
         process's decode memo, so worker A's records seed worker B.  A cache
         opened from ``cache_path`` is closed by :meth:`close`; a supplied
-        ``persist`` is left open for its owner.
+        ``persist`` is left open for its owner.  Each guided round's
+        records are written together when the round ends.
     parallelism:
         Access-execution concurrency per round (source latency overlap),
         forwarded to the shared executor.
@@ -564,14 +565,17 @@ class QueryServer:
             rounds += 1
             self._metrics.incr("server.rounds")
             round_started = time.perf_counter()
-            # ``try/finally`` so the round histogram also sees the terminal
-            # round, which returns from inside the span.
+            # ``try/finally`` so a round that raises still reaches the round
+            # histogram, and still writes the witness paths it captured: the
+            # round's records land in one store write.
             try:
                 with tracer.span("round", index=rounds - 1) as round_span:
                     result = self._one_guided_round(
                         states, executor, tracer, round_span
                     )
             finally:
+                if self._persist is not None:
+                    self._persist.flush()
                 self._metrics.observe(
                     "server.round_latency", time.perf_counter() - round_started
                 )

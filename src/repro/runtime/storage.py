@@ -14,7 +14,8 @@ pure decode/memo/seed layer and deployments pick the store that fits:
 * :class:`SqliteWitnessStore` — one row per key (``INSERT OR REPLACE``) in
   WAL mode with busy-timeout + retry, safe for **N concurrent server
   processes** sharing one store file.  A ``meta`` generation counter bumps
-  on every effective write, so readers detect foreign writes cheaply.
+  once per transaction that writes, so readers detect foreign writes
+  cheaply.
 
 Shared semantics every backend provides:
 
@@ -22,6 +23,9 @@ Shared semantics every backend provides:
   for the payload's key (by :func:`~repro.runtime.serialize.record_digest`),
   so re-recording the same witness on every warm run never grows the store —
   and an A→B→A witness churn correctly re-lands A as the live record.
+  ``append_many(payloads)`` writes a batch with the same per-record
+  semantics, in order, and returns the written count; SQLite commits the
+  whole batch as one transaction.
 * ``load_pair`` / ``load_all`` return raw payload dictionaries; decoding
   (and therefore *trust* — loaded paths are always revalidated) stays in the
   cache layer.  Records of a newer :data:`~repro.runtime.serialize.RECORD_VERSION`
@@ -42,7 +46,7 @@ import sqlite3
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Optional, Tuple
 
 from repro.runtime.serialize import record_digest
 
@@ -99,6 +103,10 @@ class WitnessStore:
     def append(self, payload: dict) -> bool:
         """Store one record; False if it matched the currently stored one."""
         raise NotImplementedError
+
+    def append_many(self, payloads: Iterable[dict]) -> int:
+        """Store records in order, each as :meth:`append` would; the count written."""
+        return sum(1 for payload in payloads if self.append(payload))
 
     def compact(self) -> CompactionResult:
         """Reclaim dead space; the live record set is unchanged."""
@@ -352,9 +360,12 @@ class SqliteWitnessStore(WitnessStore):
       timeout, and lock/busy errors are retried with exponential backoff, so
       N server processes hammering one store degrade to queueing, not
       exceptions.
-    * **Generation counter.**  A ``meta`` row increments on every effective
-      write *in the same transaction*, giving readers in other processes a
-      single-integer change detector.
+    * **One transaction per batch.**  :meth:`append_many` checks, upserts
+      and counts a whole batch in one transaction; :meth:`append` is a
+      one-record batch.  A crash loses at most the batch in flight.
+    * **Generation counter.**  A ``meta`` row increments once per
+      transaction that writes at least one row, *in that transaction*,
+      giving readers in other processes a single-integer change detector.
     * **Corruption tolerance.**  A file that is not a database (or a
       hopelessly corrupt one) marks the store broken: reads return empty,
       writes no-op, ``skipped_undecodable`` counts the failures — callers
@@ -521,33 +532,44 @@ class SqliteWitnessStore(WitnessStore):
     # Writing
     # ------------------------------------------------------------------ #
     def append(self, payload: dict) -> bool:
-        key3 = _payload_key(payload)
-        digest = record_digest(payload)
-        text = json.dumps(payload, sort_keys=True)
+        return self.append_many((payload,)) == 1
+
+    def append_many(self, payloads: Iterable[dict]) -> int:
+        rows = [
+            _payload_key(payload)
+            + (record_digest(payload), json.dumps(payload, sort_keys=True))
+            for payload in payloads
+        ]
+        if not rows:
+            return 0
 
         def action(conn):
-            with conn:  # one transaction: read-check, upsert, bump
-                row = conn.execute(
-                    "SELECT digest FROM witnesses"
-                    " WHERE query = ? AND schema = ? AND access = ?",
-                    key3,
-                ).fetchone()
-                if row is not None and row[0] == digest:
-                    self._counters["dedup_skips"] += 1
-                    return False
-                conn.execute(
-                    "INSERT OR REPLACE INTO witnesses"
-                    " (query, schema, access, digest, payload)"
-                    " VALUES (?, ?, ?, ?, ?)",
-                    key3 + (digest, text),
-                )
-                conn.execute(
-                    "UPDATE meta SET value = value + 1 WHERE key = 'generation'"
-                )
-                self._counters["appends"] += 1
-                return True
+            written = 0
+            with conn:  # one transaction: per-row read-check and upsert, one bump
+                for row in rows:
+                    stored = conn.execute(
+                        "SELECT digest FROM witnesses"
+                        " WHERE query = ? AND schema = ? AND access = ?",
+                        row[:3],
+                    ).fetchone()
+                    if stored is not None and stored[0] == row[3]:
+                        continue
+                    conn.execute(
+                        "INSERT OR REPLACE INTO witnesses"
+                        " (query, schema, access, digest, payload)"
+                        " VALUES (?, ?, ?, ?, ?)",
+                        row,
+                    )
+                    written += 1
+                if written:
+                    conn.execute(
+                        "UPDATE meta SET value = value + 1 WHERE key = 'generation'"
+                    )
+            self._counters["appends"] += written
+            self._counters["dedup_skips"] += len(rows) - written
+            return written
 
-        return self._run(action, False)
+        return self._run(action, 0)
 
     def compact(self) -> CompactionResult:
         """Checkpoint the WAL and vacuum; the row set is already compact."""

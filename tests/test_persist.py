@@ -13,7 +13,12 @@ The load-bearing properties:
   journals, and outright garbage files load cleanly, skipped records
   counted, never an exception.
 * **Cross-backend equivalence** — the same record stream produces identical
-  decoded record sets through JSONL and SQLite (Hypothesis property).
+  decoded record sets through JSONL and SQLite, and through per-record
+  ``append`` and chunked ``append_many`` (Hypothesis properties).
+* **Batched writes** — the cache buffers a round's records and writes them
+  in one ``append_many`` (one SQLite transaction, one generation bump) at
+  ``flush``; a cache reads its own unflushed records, other readers see
+  them after the flush.
 * **Multi-process sharing** — N concurrent processes appending to one
   SQLite store lose nothing, and a record landed by one process invalidates
   another's decode memo via the generation counter.
@@ -32,7 +37,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import QueryError
 from repro.runtime import (
     JsonlWitnessStore,
     PersistentWitnessCache,
@@ -43,8 +47,9 @@ from repro.runtime import (
     open_witness_store,
     serve_in_background,
 )
+from repro.runtime.executor import candidate_accesses
 from repro.runtime.serialize import record_digest, schema_token
-from repro.workloads import multi_query_scenario
+from repro.workloads import bank_multi_query_scenario, multi_query_scenario
 
 TOOLS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
 
@@ -61,6 +66,30 @@ def _payload(query="q", schema="s", access="a", variant=0):
         "binding": [value],
         "steps": [["m", [value], [[value]]]],
     }
+
+
+def _generation(path):
+    """The raw generation counter of a SQLite store file."""
+    conn = sqlite3.connect(path)
+    try:
+        return conn.execute("SELECT value FROM meta WHERE key = 'generation'").fetchone()[0]
+    finally:
+        conn.close()
+
+
+def _buffer_witnesses(cache, scenario):
+    """Capture every query's first-round witnesses into ``cache``'s buffer."""
+    mediator = scenario.mediator()
+    configuration = mediator.configuration_view
+    candidates = candidate_accesses(scenario.schema, configuration, lambda _key: False)
+    # Build every oracle first: seeding reads the store, which flushes.
+    oracles = [
+        RelevanceOracle(query, scenario.schema, persist=cache)
+        for query in scenario.queries
+    ]
+    for oracle in oracles:
+        for access in candidates:
+            oracle.long_term_relevant(access, configuration)
 
 
 def _file_lines(path):
@@ -195,6 +224,22 @@ class TestSqliteStore:
         store.append(_payload(variant=0))  # dedup skip
         assert store.generation() == g1
 
+    def test_append_many_bumps_the_generation_once(self, tmp_path):
+        path = os.fspath(tmp_path / "w.sqlite")
+        store = SqliteWitnessStore(path)
+        a, b, c = (_payload(variant=v) for v in range(3))
+        store.append(a)
+        g0 = _generation(path)
+        # A→B→A inside one batch writes three times, as three appends would.
+        assert store.append_many([a, b, a, _payload(access="other")]) == 3
+        assert _generation(path) == g0 + 1
+        assert store.append_many([a, _payload(access="other")]) == 0
+        assert _generation(path) == g0 + 1
+        assert store.append_many([a, c]) == 1
+        assert _generation(path) == g0 + 2
+        stats = store.stats()
+        assert (stats["appends"], stats["dedup_skips"]) == (5, 4)
+
     def test_garbage_file_degrades_without_raising(self, tmp_path):
         path = os.fspath(tmp_path / "w.sqlite")
         with open(path, "wb") as handle:
@@ -286,6 +331,41 @@ class TestCrossBackendEquivalence:
         assert digests(jsonl) == digests(sqlite_store)
         sqlite_store.close()
 
+    @settings(max_examples=25, deadline=None)
+    @given(stream=_record_stream, cuts=st.lists(st.integers(min_value=0, max_value=40)))
+    def test_append_many_in_chunks_matches_per_record_appends(
+        self, tmp_path_factory, stream, cuts
+    ):
+        tmp = tmp_path_factory.mktemp("batched")
+        payloads = [
+            _payload(f"q{qi}", "s", f"a{ai}", variant) for qi, ai, variant in stream
+        ]
+        bounds = [0] + sorted(set(cut for cut in cuts if cut < len(payloads)))
+        chunks = [
+            payloads[start:end] for start, end in zip(bounds, bounds[1:] + [len(payloads)])
+        ]
+
+        def digests(store):
+            return {
+                key + (atoken,): record_digest(payload)
+                for key, pair in store.load_all().items()
+                for atoken, payload in pair.items()
+            }
+
+        outcomes = []
+        for store_class in (JsonlWitnessStore, SqliteWitnessStore):
+            single = store_class(os.fspath(tmp / f"single-{store_class.backend}"))
+            batched = store_class(os.fspath(tmp / f"batched-{store_class.backend}"))
+            written = sum(single.append(dict(p)) for p in payloads)
+            assert written == sum(
+                batched.append_many([dict(p) for p in chunk]) for chunk in chunks
+            )
+            assert digests(batched) == digests(single)
+            outcomes.append((written, digests(single)))
+            single.close()
+            batched.close()
+        assert outcomes[0] == outcomes[1]
+
     def test_real_witness_stream_through_both_backends(self, tmp_path, scenario):
         jsonl_path = os.fspath(tmp_path / "w.jsonl")
         with QueryServer(scenario.mediator(), cache_path=jsonl_path) as server:
@@ -356,19 +436,65 @@ class TestPersistentCacheLayer:
         after = reader.witnesses_for(query, scenario.schema)
         assert len(after) == len(before) - 1
 
-    def test_oracle_cache_path_knob(self, tmp_path, scenario):
-        path = os.fspath(tmp_path / "w.sqlite")
-        query = scenario.queries[0]
-        oracle = RelevanceOracle(query, scenario.schema, cache_path=path)
-        assert oracle.persist is not None
+    def test_oracle_persist_knob(self, tmp_path, scenario):
+        cache = PersistentWitnessCache(os.fspath(tmp_path / "w.sqlite"))
+        oracle = RelevanceOracle(scenario.queries[0], scenario.schema, persist=cache)
+        assert oracle.persist is cache
         assert oracle.persist.backend == "sqlite"
-        with pytest.raises(QueryError):
-            RelevanceOracle(
-                query,
-                scenario.schema,
-                cache_path=path,
-                persist=oracle.persist,
+        cache.close()
+
+    def test_witnesses_for_reads_unflushed_records(self, tmp_path, scenario):
+        cache = PersistentWitnessCache(os.fspath(tmp_path / "w.sqlite"))
+        _buffer_witnesses(cache, scenario)
+        assert cache.store.stats()["records"] == 0  # still buffered
+        seen = sum(
+            len(cache.witnesses_for(query, scenario.schema))
+            for query in scenario.queries
+        )
+        assert seen > 0
+        assert cache.store.stats()["records"] == seen
+        cache.close()
+
+    def test_second_cache_sees_records_only_after_flush(self, tmp_path, scenario):
+        path = os.fspath(tmp_path / "w.sqlite")
+        metrics = RuntimeMetrics()
+        writer = PersistentWitnessCache(path, metrics=metrics)
+        reader = PersistentWitnessCache(path)
+        _buffer_witnesses(writer, scenario)
+
+        def visible():
+            return sum(
+                len(reader.witnesses_for(query, scenario.schema))
+                for query in scenario.queries
             )
+
+        assert visible() == 0
+        assert metrics.count("persist.recorded") == 0
+        written = writer.flush()
+        assert written > 0
+        assert visible() == written
+        assert metrics.count("persist.recorded") == written
+        assert writer.flush() == 0  # nothing left buffered
+        writer.close()
+        reader.close()
+
+    def test_cold_bank_batch_writes_once_per_round(self, tmp_path):
+        scenario = bank_multi_query_scenario(8, employees=6, offices=3, states=4)
+        path = os.fspath(tmp_path / "bank.sqlite")
+        metrics = RuntimeMetrics()
+        server = QueryServer(scenario.mediator(), cache_path=path, metrics=metrics)
+        result = server.answer(scenario.queries)
+        assert 1 <= _generation(path) <= result.rounds
+        assert metrics.count("persist.recorded") == 96
+        # Every record landed when answer() returned, before close().
+        reader = PersistentWitnessCache(path)
+        seen = sum(
+            len(reader.witnesses_for(query, scenario.schema))
+            for query in scenario.queries
+        )
+        assert seen == reader.store.stats()["records"] == 96
+        reader.close()
+        server.close()
 
     def test_server_accepts_store_instance(self, tmp_path, scenario):
         store = SqliteWitnessStore(os.fspath(tmp_path / "w.sqlite"))

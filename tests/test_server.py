@@ -204,14 +204,18 @@ class TestPersistentCache:
             "oracle.fresh_searches", 0
         )
 
-    def test_warm_restart_on_guided_strategy(self, tmp_path):
+    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
+    def test_warm_restart_on_guided_strategy(self, tmp_path, backend):
         scenario = bank_multi_query_scenario(2, employees=5, offices=3, states=3)
         query = scenario.queries[0]
-        path = os.fspath(tmp_path / "bank.jsonl")
+        path = os.fspath(tmp_path / f"bank.{backend}")
         cold_metrics = RuntimeMetrics()
         cold = relevance_guided_strategy(
             scenario.mediator(), query, cache_path=path, metrics=cold_metrics
         )
+        # The run closed the cache it opened: SQLite removes the WAL file
+        # when the last connection closes.
+        assert not os.path.exists(path + "-wal")
         warm_metrics = RuntimeMetrics()
         warm = relevance_guided_strategy(
             scenario.mediator(), query, cache_path=path, metrics=warm_metrics

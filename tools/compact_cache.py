@@ -10,7 +10,8 @@ Subcommands:
 
 ``migrate SRC DST``
     Copy every live record from one store into another — typically JSONL →
-    SQLite when a deployment moves to multi-process serving.  With
+    SQLite when a deployment moves to multi-process serving.  The copy is
+    one ``append_many`` call: a single transaction on SQLite.  With
     ``--verify``, both stores are re-opened afterwards and their decoded
     record sets compared; any difference is a non-zero exit.
 
@@ -80,17 +81,16 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
     if os.path.abspath(args.src) == os.path.abspath(args.dst):
         print("migrate: SRC and DST are the same file", file=sys.stderr)
         return 2
-    copied = skipped = 0
     with open_witness_store(args.src, args.from_backend) as src:
-        with open_witness_store(args.dst, args.to_backend) as dst:
-            for pair in src.load_all().values():
-                for payload in pair.values():
-                    if dst.append(payload):
-                        copied += 1
-                    else:
-                        skipped += 1
+        payloads = [
+            payload for pair in src.load_all().values() for payload in pair.values()
+        ]
+    with open_witness_store(args.dst, args.to_backend) as dst:
+        copied = dst.append_many(payloads)
     print(
-        json.dumps({"copied": copied, "already_present": skipped}, indent=2)
+        json.dumps(
+            {"copied": copied, "already_present": len(payloads) - copied}, indent=2
+        )
     )
     if args.verify:
         src_digests = _digest_map(args.src, args.from_backend)
