@@ -119,8 +119,10 @@ def holds_after_adding(
     the configuration lacks, so only those matches are searched: each atom is
     unified with each new fact of its relation, and the disjunct's remaining
     atoms are joined under that substitution with
-    :func:`~repro.queries.homomorphism.has_homomorphism`.  A disjunct with no
-    remaining atom holds without touching the configuration.  The joins run
+    :func:`~repro.queries.homomorphism.has_homomorphism`, from the plan the
+    disjunct keeps for them (:meth:`~repro.queries.cq.ConjunctiveQuery.rest_plan`,
+    compiled on its first join).  A disjunct with no remaining atom holds
+    without touching the configuration.  The joins run
     over ``configuration`` itself, with the new facts added in place and
     removed again on exit, the undo-log pattern (and the same single-thread
     requirement) of :meth:`~repro.data.paths.AccessPath.truncation_view`:
@@ -148,10 +150,9 @@ def holds_after_adding(
                 substitution = unify_terms(atom.terms, row)
                 if substitution is None:
                     continue
-                rest = atoms[:index] + atoms[index + 1 :]
-                if not rest:
+                if len(atoms) == 1:
                     return True
-                joins.append((rest, substitution))
+                joins.append((disjunct, index, substitution))
     if not joins:
         return False
     added: List[Tuple[str, Tuple[object, ...]]] = []
@@ -161,8 +162,8 @@ def holds_after_adding(
                 configuration.add(name, row)
                 added.append((name, row))
         return any(
-            has_homomorphism(rest, configuration, substitution)
-            for rest, substitution in joins
+            has_homomorphism(disjunct.rest_plan(index), configuration, substitution)
+            for disjunct, index, substitution in joins
         )
     finally:
         for name, row in reversed(added):

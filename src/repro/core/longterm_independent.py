@@ -103,7 +103,7 @@ def is_ltr_single_occurrence(
     }
     for atom in other_atoms:
         truncation.add(atom.relation.name, atom.ground_values(frozen))
-    return not has_homomorphism(query.atoms, truncation)
+    return not has_homomorphism(query.join_plan, truncation)
 
 
 # --------------------------------------------------------------------------- #

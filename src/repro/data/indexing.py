@@ -17,12 +17,9 @@ __all__ = [
     "fact_hash",
     "index_add",
     "index_discard",
-    "iter_bound_matches",
 ]
 
 _EMPTY: Tuple[Tuple[object, ...], ...] = ()
-
-_UNBOUND = object()
 
 
 def candidates_from_index(
@@ -63,39 +60,6 @@ def candidates_from_index(
             for place, value in bound.items()
         )
     ]
-
-
-def iter_bound_matches(
-    rows: Iterable[Tuple[object, ...]],
-    free: Iterable[Tuple[int, object]],
-    assignment: Mapping[object, object],
-    *,
-    arity: Optional[int] = None,
-):
-    """Extend ``assignment`` once per row, binding the ``free`` places.
-
-    ``free`` pairs each unbound place with its binding key (a variable);
-    repeated keys must agree across places.  Rows are assumed to already
-    satisfy the bound places (they came from :func:`candidates_from_index`);
-    with ``arity`` given, rows of a different length are skipped (mixed-arity
-    stores).
-    """
-    free = tuple(free)  # re-iterated once per row; a one-shot iterator would silently drop constraints
-    for row in rows:
-        if arity is not None and len(row) != arity:
-            continue
-        extension = dict(assignment)
-        matched = True
-        for place, key in free:
-            value = row[place]
-            seen = extension.get(key, _UNBOUND)
-            if seen is _UNBOUND:
-                extension[key] = value
-            elif seen != value:
-                matched = False
-                break
-        if matched:
-            yield extension
 
 
 _HASH_MASK = (1 << 64) - 1

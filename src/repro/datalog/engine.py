@@ -11,9 +11,11 @@ Evaluation is *indexed semi-naive*:
   ``(place, constant)`` to tuples, so a body literal with bound terms only
   enumerates compatible rows instead of scanning the predicate;
 * each iteration only joins rule bodies against at least one *delta* (newly
-  derived) literal, and the body is reordered so the delta literal is matched
-  first and the remaining literals are joined greedily by the number of
-  variables they share with what is already bound.
+  derived) literal.  Every join runs from the rule's compiled
+  :class:`~repro.queries.join.JoinPlan`, kept on the :class:`Rule`: the delta
+  literal is matched first, and the remaining literals follow the one order
+  rule of :mod:`repro.queries.join` (fewest unbound variable places, then the
+  smallest predicate, then the earliest literal).
 
 :func:`evaluate_program_naive` preserves the straightforward scan-based
 evaluator; the property tests assert both produce identical fixpoints, and it
@@ -22,11 +24,11 @@ serves as the baseline in benchmark comparisons.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
-from repro.data.indexing import candidates_from_index, index_add, iter_bound_matches
+from repro.data.indexing import candidates_from_index, index_add
 from repro.datalog.program import Literal, Program, Rule
-from repro.queries.terms import Variable, is_variable, split_bound_free
+from repro.queries.terms import Variable, is_variable
 
 __all__ = [
     "Database",
@@ -45,7 +47,11 @@ _EMPTY: Tuple[Tuple[object, ...], ...] = ()
 
 
 class IndexedDatabase:
-    """A fact store for Datalog evaluation with (place, constant) indexes."""
+    """A fact store for Datalog evaluation with (place, constant) indexes.
+
+    It serves the join kernel through the same ``tuples_matching`` /
+    ``relation_size`` interface as :class:`~repro.data.instance.Instance`.
+    """
 
     __slots__ = ("_rows", "_indexes")
 
@@ -67,11 +73,11 @@ class IndexedDatabase:
         index_add(self._indexes.setdefault(predicate, {}), row)
         return True
 
-    def size(self, predicate: str) -> int:
+    def relation_size(self, predicate: str) -> int:
         """Number of rows stored for a predicate."""
         return len(self._rows.get(predicate, ()))
 
-    def candidates(
+    def tuples_matching(
         self, predicate: str, bound: Mapping[int, object]
     ) -> Iterable[Tuple[object, ...]]:
         """Rows agreeing with ``bound`` (``place -> value``), via the index.
@@ -90,61 +96,6 @@ class IndexedDatabase:
         return self._rows
 
 
-def _match_indexed(
-    literal: Literal,
-    database: IndexedDatabase,
-    assignment: Dict[Variable, object],
-    restriction: Optional[Set[Tuple[object, ...]]] = None,
-) -> Iterator[Dict[Variable, object]]:
-    """Extend ``assignment`` so that ``literal`` matches a database fact.
-
-    ``restriction`` (when given) limits matching to a subset of the
-    predicate's tuples — this is how the delta relation of the semi-naive
-    algorithm is plugged in; delta sets are small, so they are scanned.
-    """
-    bound, free = split_bound_free(literal.terms, assignment)
-
-    if restriction is not None:
-        rows: Iterable[Tuple[object, ...]] = [
-            row
-            for row in restriction
-            if len(row) == literal.arity
-            and all(row[place] == value for place, value in bound.items())
-        ]
-    else:
-        rows = database.candidates(literal.predicate, bound)
-
-    yield from iter_bound_matches(rows, free, assignment, arity=literal.arity)
-
-
-def _ordered_body(
-    rule: Rule, delta_position: Optional[int], database: IndexedDatabase
-) -> List[int]:
-    """Join order for a rule body: the delta literal first, then greedily by
-    bound variables and predicate size."""
-    body = rule.body
-    remaining = list(range(len(body)))
-    order: List[int] = []
-    bound_variables: Set[Variable] = set()
-    if delta_position is not None:
-        order.append(delta_position)
-        remaining.remove(delta_position)
-        bound_variables.update(body[delta_position].variables)
-    while remaining:
-        def score(index: int) -> Tuple[int, int]:
-            literal = body[index]
-            unbound = sum(
-                1 for variable in literal.variables if variable not in bound_variables
-            )
-            return (unbound, database.size(literal.predicate))
-
-        best = min(remaining, key=score)
-        remaining.remove(best)
-        order.append(best)
-        bound_variables.update(body[best].variables)
-    return order
-
-
 def _rule_derivations(
     rule: Rule,
     database: IndexedDatabase,
@@ -155,35 +106,21 @@ def _rule_derivations(
     When ``delta`` is given, only derivations using at least one delta fact
     are produced (semi-naive restriction); this is implemented by requiring,
     for some body position, that the literal matches within the delta while
-    the other literals match the full database.
+    the other literals match the full database.  Every join runs from the
+    rule's compiled :attr:`~repro.datalog.program.Rule.join_plan`, with the
+    delta literal first.
     """
     if rule.is_fact:
         yield rule.head.ground_values({})
         return
-
-    positions: Sequence[Optional[int]] = (
-        range(len(rule.body)) if delta is not None else [None]
-    )
-    for delta_position in positions:
-        delta_rows: Optional[Set[Tuple[object, ...]]] = None
-        if delta_position is not None:
-            delta_rows = delta.get(rule.body[delta_position].predicate) if delta else None
-            if not delta_rows:
-                continue
-        order = _ordered_body(rule, delta_position, database)
-
-        def backtrack(depth: int, assignment: Dict[Variable, object]) -> Iterator[Dict[Variable, object]]:
-            if depth == len(order):
-                yield assignment
-                return
-            position = order[depth]
-            literal = rule.body[position]
-            restriction = delta_rows if position == delta_position else None
-            for extension in _match_indexed(literal, database, assignment, restriction):
-                yield from backtrack(depth + 1, extension)
-
-        for assignment in backtrack(0, {}):
-            yield rule.head.ground_values(assignment)
+    plan = rule.join_plan
+    if delta is None:
+        yield from plan.derive(database)
+        return
+    for position, predicate in enumerate(plan.names):
+        delta_rows = delta.get(predicate)
+        if delta_rows:
+            yield from plan.derive(database, position, delta_rows)
 
 
 class SemiNaiveEvaluation:
@@ -235,7 +172,7 @@ class SemiNaiveEvaluation:
 
     def holds(self, predicate: str) -> bool:
         """Whether any fact is stored for ``predicate``."""
-        return self._database.size(predicate) > 0
+        return self._database.relation_size(predicate) > 0
 
     def fact_count(self) -> int:
         """Total number of stored facts (extensional plus derived)."""
@@ -295,8 +232,7 @@ class SemiNaiveEvaluation:
             for rule in self._program:
                 if rule.is_fact:
                     continue
-                body_predicates = {literal.predicate for literal in rule.body}
-                if not body_predicates & set(delta):
+                if delta.keys().isdisjoint(rule.join_plan.names):
                     continue
                 if self._apply(rule, delta, new_delta):
                     return

@@ -15,9 +15,11 @@ ones (the relations of the schema).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Set, Tuple
 
 from repro.exceptions import QueryError
+from repro.queries.join import JoinPlan, plan_free_state
 from repro.queries.terms import Term, Variable, is_variable
 
 __all__ = ["Literal", "Rule", "Program"]
@@ -102,6 +104,20 @@ class Rule:
     def is_fact(self) -> bool:
         """Whether the rule has an empty body (i.e. it is a ground fact)."""
         return not self.body
+
+    @cached_property
+    def join_plan(self) -> JoinPlan:
+        """The compiled join of the body, projecting on the head's terms.
+
+        Cached outside ``==``, hashing and pickled state.
+        """
+        return JoinPlan(
+            ((literal.predicate, literal.terms) for literal in self.body),
+            head=self.head.terms,
+        )
+
+    def __getstate__(self) -> Dict[str, object]:
+        return plan_free_state(self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if self.is_fact:

@@ -74,7 +74,12 @@ def compile_certainty_program(query: Query) -> Program:
     program = Program()
     for disjunct in disjuncts:
         body = tuple(Literal(atom.relation.name, atom.terms) for atom in disjunct.atoms)
-        program.add(Rule(goal, body))
+        rule = Rule(goal, body)
+        # The rule joins the disjunct's body and derives a nullary head, so
+        # it shares the disjunct's compiled join (a cached property lives in
+        # the instance dict) instead of compiling a second one.
+        rule.__dict__["join_plan"] = disjunct.join_plan
+        program.add(rule)
     return program
 
 

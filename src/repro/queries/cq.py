@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import QueryError
 from repro.queries.atoms import Atom
+from repro.queries.join import JoinPlan, plan_free_state
 from repro.queries.terms import Term, Variable, is_variable
 from repro.schema import AbstractDomain, Relation
 
@@ -55,6 +57,34 @@ class ConjunctiveQuery:
                         f"variable {term!r} occurs at attributes of different "
                         f"abstract domains ({previous.name!r} and {domain.name!r})"
                     )
+
+    # ------------------------------------------------------------------ #
+    # Compiled joins (cached outside ==, hash, canonical_form and pickles)
+    # ------------------------------------------------------------------ #
+    @cached_property
+    def join_plan(self) -> JoinPlan:
+        """The compiled join of the query's atoms."""
+        return JoinPlan.of_atoms(self.atoms)
+
+    @cached_property
+    def _rest_plans(self) -> List[Optional[JoinPlan]]:
+        return [None] * len(self.atoms)
+
+    def rest_plan(self, index: int) -> JoinPlan:
+        """The compiled join of the atoms without atom ``index``.
+
+        The delta check joins these once it has matched atom ``index`` on a
+        new fact; each is compiled on its first join and kept.
+        """
+        plans = self._rest_plans
+        plan = plans[index]
+        if plan is None:
+            plan = JoinPlan.of_atoms(self.atoms[:index] + self.atoms[index + 1 :])
+            plans[index] = plan
+        return plan
+
+    def __getstate__(self) -> Dict[str, object]:
+        return plan_free_state(self)
 
     # ------------------------------------------------------------------ #
     # Construction helpers

@@ -1,8 +1,10 @@
 """Query evaluation over fact stores (instances, configurations, canonical
 instances).
 
-Evaluation of conjunctive queries is a homomorphism search; positive queries
-are evaluated structurally (so no DNF blow-up is paid at evaluation time).
+Evaluation of conjunctive queries is a homomorphism search run from the
+query's compiled :attr:`~repro.queries.cq.ConjunctiveQuery.join_plan`;
+positive queries are evaluated structurally (so no DNF blow-up is paid at
+evaluation time), each atom node from its own one-atom plan.
 Both Boolean and non-Boolean queries are supported; non-Boolean evaluation
 returns the set of answer tuples, i.e. the projections of the satisfying
 assignments onto the free variables.
@@ -10,14 +12,13 @@ assignments onto the free variables.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Set, Tuple, Union
 
 from repro.exceptions import QueryError
-from repro.queries.atoms import Atom
 from repro.queries.cq import ConjunctiveQuery
-from repro.queries.homomorphism import FactStore, find_homomorphisms, has_homomorphism
+from repro.queries.homomorphism import FactStore
 from repro.queries.pq import AndNode, AtomNode, OrNode, PQNode, PositiveQuery
-from repro.queries.terms import Variable, is_variable
+from repro.queries.terms import Variable
 
 __all__ = [
     "Query",
@@ -38,7 +39,7 @@ def _cq_assignments(
     partial: Optional[Mapping[Variable, object]] = None,
     limit: Optional[int] = None,
 ) -> Iterator[Dict[Variable, object]]:
-    yield from find_homomorphisms(query.atoms, data, partial, limit)
+    yield from query.join_plan.solutions(data, partial, limit)
 
 
 # --------------------------------------------------------------------------- #
@@ -56,7 +57,7 @@ def _node_assignments(
     deduplicate when materialising answer sets.
     """
     if isinstance(node, AtomNode):
-        yield from find_homomorphisms([node.atom], data, assignment)
+        yield from node.join_plan.solutions(data, assignment)
     elif isinstance(node, AndNode):
         def conjoin(index: int, current: Dict[Variable, object]) -> Iterator[Dict[Variable, object]]:
             if index == len(node.children):
@@ -103,6 +104,8 @@ def evaluate_boolean(
     partial: Optional[Mapping[Variable, object]] = None,
 ) -> bool:
     """Whether a Boolean query (or a query read as Boolean) holds in ``data``."""
+    if isinstance(query, ConjunctiveQuery):
+        return query.join_plan.exists(data, partial)
     for _ in satisfying_assignments(query, data, partial, limit=1):
         return True
     return False

@@ -2,15 +2,22 @@
 
 A homomorphism from a set of atoms into a fact store is an assignment of the
 variables to values such that every atom, once ground, is a fact of the store.
-The search is a backtracking join with a simple greedy atom ordering (most
-bound variables first, smallest relation first).
+The search runs the compiled join of :mod:`repro.queries.join`: the body
+becomes a :class:`~repro.queries.join.JoinPlan` with integer variable slots,
+and every search orders the atoms by one rule (fewest unbound variable
+places first, then the smallest relation, then the earliest atom).  The
+public functions accept atoms or a plan.  Plans live on their owners: a
+:class:`ConjunctiveQuery` keeps ``join_plan`` (and, for the delta check, one
+plan per removed atom), a positive query's atom node and a Datalog rule keep
+theirs.  A bare atom sequence compiles a plan per call.
 
 Fact stores that expose a ``tuples_matching(relation_name, bound)`` method
 (see :class:`~repro.data.instance.Instance` and :class:`CanonicalInstance`)
 are joined through their (place, constant) indexes: at every step only the
 tuples compatible with the constants and already-bound variables of the atom
-are enumerated.  Stores exposing only ``tuples`` fall back to a full scan, so
-any mapping-backed store keeps working.
+are enumerated.  Stores exposing only ``tuples`` are scanned and filtered, so
+any mapping-backed store keeps working; both paths skip rows of the wrong
+arity.
 
 The module also provides :class:`CanonicalInstance`, a lightweight fact store
 used for canonical databases of queries: unlike
@@ -25,7 +32,6 @@ from typing import (
     FrozenSet,
     Iterable,
     Iterator,
-    List,
     Mapping,
     Optional,
     Sequence,
@@ -34,10 +40,11 @@ from typing import (
     Union,
 )
 
-from repro.data.indexing import candidates_from_index, index_add, iter_bound_matches
+from repro.data.indexing import candidates_from_index, index_add
 from repro.queries.atoms import Atom
 from repro.queries.cq import ConjunctiveQuery
-from repro.queries.terms import Variable, is_variable, split_bound_free
+from repro.queries.join import JoinPlan
+from repro.queries.terms import Variable
 
 __all__ = [
     "CanonicalInstance",
@@ -127,106 +134,35 @@ class CanonicalInstance:
 #: Anything exposing ``tuples(relation_name_or_relation) -> iterable of tuples``.
 FactStore = object
 
-
-def _relation_size(data: FactStore, relation_name: str) -> int:
-    sizer = getattr(data, "relation_size", None)
-    if sizer is not None:
-        try:
-            return sizer(relation_name)
-        except Exception:  # pragma: no cover - defensive
-            return 0
-    try:
-        return len(data.tuples(relation_name))
-    except Exception:  # pragma: no cover - defensive
-        return 0
+#: A join body: atoms, or the :class:`~repro.queries.join.JoinPlan` compiled
+#: from them.
+Body = Union[Sequence[Atom], JoinPlan]
 
 
-def _atom_order(atoms: Sequence[Atom], data: FactStore) -> List[Atom]:
-    """Greedy join order: prefer atoms with many already-bound variables."""
-    remaining = list(atoms)
-    ordered: List[Atom] = []
-    bound: Set[Variable] = set()
-    while remaining:
-        def score(atom: Atom) -> Tuple[int, int]:
-            unbound = sum(
-                1 for term in atom.terms if is_variable(term) and term not in bound
-            )
-            return (unbound, _relation_size(data, atom.relation.name))
-
-        best = min(remaining, key=score)
-        remaining.remove(best)
-        ordered.append(best)
-        bound.update(best.variables)
-    return ordered
-
-
-def _match_atom(
-    atom: Atom, data: FactStore, assignment: Dict[Variable, object]
-) -> Iterator[Dict[Variable, object]]:
-    """Yield extensions of ``assignment`` making ``atom`` a fact of ``data``."""
-    matcher = getattr(data, "tuples_matching", None)
-    if matcher is not None:
-        # Indexed path: constants and already-bound variables become index
-        # constraints, so only compatible tuples are enumerated.
-        bound, free = split_bound_free(atom.terms, assignment)
-        rows = matcher(atom.relation.name, bound)
-        yield from iter_bound_matches(rows, free, assignment, arity=len(atom.terms))
-        return
-
-    rows = data.tuples(atom.relation.name)
-    for row in rows:
-        extension = dict(assignment)
-        matched = True
-        for place, term in enumerate(atom.terms):
-            value = row[place]
-            if is_variable(term):
-                bound_value = extension.get(term, _UNBOUND)
-                if bound_value is _UNBOUND:
-                    extension[term] = value
-                elif bound_value != value:
-                    matched = False
-                    break
-            elif term != value:
-                matched = False
-                break
-        if matched:
-            yield extension
-
-
-_UNBOUND = object()
+def _plan(atoms: Body) -> JoinPlan:
+    # A bare atom sequence compiles a plan per call; the hot paths pass the
+    # plan their query, node or disjunct keeps.
+    return atoms if isinstance(atoms, JoinPlan) else JoinPlan.of_atoms(atoms)
 
 
 def find_homomorphisms(
-    atoms: Sequence[Atom],
+    atoms: Body,
     data: FactStore,
     partial: Optional[Mapping[Variable, object]] = None,
     limit: Optional[int] = None,
 ) -> Iterator[Dict[Variable, object]]:
-    """Enumerate homomorphisms of ``atoms`` into ``data``.
+    """Enumerate homomorphisms of ``atoms`` (or their plan) into ``data``.
 
     ``partial`` pre-binds some variables; ``limit`` stops the enumeration
-    after the given number of homomorphisms.
+    after the given number of homomorphisms.  Each homomorphism is a new
+    dict: ``partial``'s keys first, then the other variables in the order
+    the join binds them.
     """
-    ordered = _atom_order(atoms, data)
-    initial: Dict[Variable, object] = dict(partial or {})
-    produced = 0
-
-    def backtrack(index: int, assignment: Dict[Variable, object]) -> Iterator[Dict[Variable, object]]:
-        if index == len(ordered):
-            yield dict(assignment)
-            return
-        for extension in _match_atom(ordered[index], data, assignment):
-            yield from backtrack(index + 1, extension)
-
-    for homomorphism in backtrack(0, initial):
-        yield homomorphism
-        produced += 1
-        if limit is not None and produced >= limit:
-            return
+    return _plan(atoms).solutions(data, partial, limit)
 
 
 def find_homomorphism(
-    atoms: Sequence[Atom],
+    atoms: Body,
     data: FactStore,
     partial: Optional[Mapping[Variable, object]] = None,
 ) -> Optional[Dict[Variable, object]]:
@@ -237,12 +173,12 @@ def find_homomorphism(
 
 
 def has_homomorphism(
-    atoms: Sequence[Atom],
+    atoms: Body,
     data: FactStore,
     partial: Optional[Mapping[Variable, object]] = None,
 ) -> bool:
     """Whether at least one homomorphism exists."""
-    return find_homomorphism(atoms, data, partial) is not None
+    return _plan(atoms).exists(data, partial)
 
 
 def freeze_query(

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.exceptions import QueryError
 from repro.queries.atoms import Atom
 from repro.queries.cq import ConjunctiveQuery
+from repro.queries.join import JoinPlan, plan_free_state
 from repro.queries.terms import Term, Variable, is_variable
 from repro.schema import AbstractDomain, Relation
 
@@ -64,6 +66,14 @@ class AtomNode(PQNode):
 
     def canonical_form(self) -> Tuple[object, ...]:
         return ("atom", self.atom.canonical_form())
+
+    @cached_property
+    def join_plan(self) -> JoinPlan:
+        """The compiled one-atom join (cached outside ``==``, hash and pickles)."""
+        return JoinPlan.of_atoms((self.atom,))
+
+    def __getstate__(self) -> Dict[str, object]:
+        return plan_free_state(self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return repr(self.atom)

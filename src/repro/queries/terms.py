@@ -10,7 +10,7 @@ the same abstract domain — this is validated by the query classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Tuple, Union
+from typing import Iterable, Tuple, Union
 
 __all__ = [
     "Variable",
@@ -19,7 +19,6 @@ __all__ = [
     "is_variable",
     "variables_in",
     "constants_in",
-    "split_bound_free",
 ]
 
 
@@ -70,31 +69,3 @@ def constants_in(terms: Iterable[Term]) -> Tuple[object, ...]:
         if not is_variable(term) and term not in seen:
             seen.append(term)
     return tuple(seen)
-
-
-_UNBOUND = object()
-
-
-def split_bound_free(
-    terms: Iterable[Term], assignment: "Mapping[Variable, object]"
-) -> "Tuple[Dict[int, object], List[Tuple[int, Variable]]]":
-    """Partition term places into bound constraints and free variables.
-
-    Constants and variables already bound by ``assignment`` become
-    ``place -> value`` constraints (usable as index lookups); unbound
-    variables are returned as ``(place, variable)`` pairs.  This is the
-    shared preprocessing step of the indexed matchers in
-    :mod:`repro.queries.homomorphism` and :mod:`repro.datalog.engine`.
-    """
-    bound: Dict[int, object] = {}
-    free: List[Tuple[int, Variable]] = []
-    for place, term in enumerate(terms):
-        if isinstance(term, Variable):
-            value = assignment.get(term, _UNBOUND)
-            if value is _UNBOUND:
-                free.append((place, term))
-            else:
-                bound[place] = value
-        else:
-            bound[place] = term
-    return bound, free

@@ -489,14 +489,17 @@ class QueryServer:
         states: List[_QueryState] = []
         schema = self._mediator.schema
         for index, query in enumerate(queries):
-            boolean = query if query.is_boolean else query.boolean_closure()
+            store = self.store_for(query)
+            # The store's query equals this one's Boolean closure; deciding
+            # with it reuses the joins it compiled for earlier requests.
+            boolean = store.query
             oracle = RelevanceOracle(
                 boolean,
                 schema,
                 ltr_method=self._ltr_method,
                 metrics=self._metrics,
                 max_entries=self._max_entries,
-                store=self.store_for(boolean),
+                store=store,
                 persist=self._persist,
             )
             screen = CandidateScreen(boolean, schema, metrics=self._metrics)
@@ -843,7 +846,15 @@ class QueryServer:
         """Evaluate every query at the final configuration."""
         final = self._mediator.configuration_view
         with current_tracer().span("finalize", queries=len(states)):
-            answer_sets = [certain_answers(state.query, final) for state in states]
+            # A Boolean query is evaluated as its store's equal query, whose
+            # compiled join outlives the request.
+            answer_sets = [
+                certain_answers(
+                    state.query if state.query.free_variables else state.oracle.query,
+                    final,
+                )
+                for state in states
+            ]
         outcomes = []
         for state, answers in zip(states, answer_sets):
             # ``certain`` is monotone, so a flag set during the rounds is

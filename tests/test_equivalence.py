@@ -3,9 +3,9 @@
 The indexed paths introduced for performance must be *observationally
 identical* to the naive reference implementations they replaced:
 
-* indexed homomorphism search over an :class:`Instance` /
-  :class:`CanonicalInstance` returns exactly the assignments a scan-based
-  search returns;
+* the join kernel over an :class:`Instance`, a :class:`CanonicalInstance`
+  and a scan-only store returns exactly the assignments of a brute-force
+  reference (the product of the store's values over the variables);
 * indexed semi-naive Datalog evaluation computes the same fixpoint as the
   naive evaluator, on the accessible-part program and on recursive programs;
 * the incremental caches of :class:`Instance` (active domain, fingerprint,
@@ -34,7 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import Access, Configuration, Instance, SchemaBuilder
@@ -59,7 +59,13 @@ from repro.core.assignments import (
 from repro.core.longterm_dependent import containment_cq_memo, find_ltr_witness_steps
 from repro.datalog import accessible_program
 from repro.datalog.engine import evaluate_program, evaluate_program_naive
-from repro.queries import evaluate_boolean, find_homomorphisms
+from repro.queries import (
+    Atom,
+    CanonicalInstance,
+    evaluate_boolean,
+    find_homomorphisms,
+    has_homomorphism,
+)
 from repro.queries.terms import Variable, is_variable
 from repro.runtime import QueryServer, RelevanceOracle, RuntimeMetrics
 from repro.workloads import (
@@ -115,13 +121,83 @@ def _assignment_set(assignments):
     return {frozenset(assignment.items()) for assignment in assignments}
 
 
+def brute_force_homomorphisms(atoms, instance, partial):
+    """The join's independent reference: every assignment of the atoms'
+    variables outside ``partial`` to the store's values, extended with
+    ``partial``, that makes every atom a fact."""
+    values = sorted(
+        {
+            value
+            for relation in SCHEMA.relations
+            for row in instance.tuples(relation)
+            for value in row
+        }
+    )
+    variables = [
+        variable
+        for variable in dict.fromkeys(
+            term for atom in atoms for term in atom.terms if is_variable(term)
+        )
+        if variable not in partial
+    ]
+    found = set()
+    for choice in itertools.product(values, repeat=len(variables)):
+        assignment = dict(partial)
+        assignment.update(zip(variables, choice))
+        if all(
+            instance.contains(atom.relation.name, atom.ground_values(assignment))
+            for atom in atoms
+        ):
+            found.add(frozenset(assignment.items()))
+    return found
+
+
+_X, _Y, _Z, _OUTSIDE = (Variable(name) for name in ("x", "y", "z", "w"))
+_TERMS = st.sampled_from([_X, _Y, _Z, "v0", "v1"])
+#: Bodies of 0-3 atoms over R and S: constants and repeated variables
+#: (``R(x, x)``) arise, as do joins and cross products.
+_BODIES = st.one_of(
+    QUERIES.map(lambda query: query.atoms),
+    st.lists(
+        st.builds(
+            lambda name, first, second: Atom(SCHEMA.relation(name), (first, second)),
+            st.sampled_from(["R", "S"]),
+            _TERMS,
+            _TERMS,
+        ),
+        max_size=3,
+    ).map(tuple),
+)
+#: Partial assignments, possibly binding ``w``, which no body mentions.
+_PARTIALS = st.dictionaries(st.sampled_from([_X, _OUTSIDE]), VALUES, max_size=2)
+
+
 @common_settings
-@given(facts=FACTSETS, query=QUERIES)
-def test_indexed_homomorphisms_match_scan_search(facts, query):
+@given(facts=FACTSETS, atoms=_BODIES, partial=_PARTIALS, limit=st.integers(1, 3))
+@example(facts={"R": [], "S": []}, atoms=(), partial={_OUTSIDE: "v0"}, limit=1)
+@example(
+    facts={"R": [("v0", "v0"), ("v0", "v1")], "S": [("v0", "v0"), ("v1", "v0")]},
+    atoms=(Atom(SCHEMA.relation("R"), (_X, _X)), Atom(SCHEMA.relation("S"), (_Y, "v0"))),
+    partial={_OUTSIDE: "v3"},
+    limit=1,
+)
+def test_indexed_homomorphisms_match_scan_search(facts, atoms, partial, limit):
+    """The indexed, canonical and scan-only stores all enumerate exactly the
+    brute-force reference's homomorphisms, each once; ``limit=k`` gives the
+    first k of the unlimited enumeration; the empty body gives the partial."""
     instance = Instance(SCHEMA, facts)
-    indexed = _assignment_set(find_homomorphisms(query.atoms, instance))
-    scanned = _assignment_set(find_homomorphisms(query.atoms, _ScanStore(instance)))
-    assert indexed == scanned
+    expected = brute_force_homomorphisms(atoms, instance, partial)
+    canonical = CanonicalInstance(
+        {relation.name: instance.tuples(relation) for relation in SCHEMA.relations}
+    )
+    for store in (instance, canonical, _ScanStore(instance)):
+        found = list(find_homomorphisms(atoms, store, partial))
+        assert len(found) == len(expected)
+        assert _assignment_set(found) == expected
+        assert list(find_homomorphisms(atoms, store, partial, limit=limit)) == found[:limit]
+        assert has_homomorphism(atoms, store, partial) == bool(expected)
+        if not atoms:
+            assert found == [partial]
 
 
 @common_settings

@@ -25,6 +25,7 @@ from repro import (
 )
 from repro.exceptions import QueryError
 from repro.queries import (
+    CanonicalInstance,
     canonical_instance,
     find_homomorphism,
     find_homomorphisms,
@@ -33,6 +34,7 @@ from repro.queries import (
 )
 from repro.queries.pq import AndNode, AtomNode, OrNode
 from repro.queries.terms import constants_in, is_variable, variables_in
+from repro.workloads import chain_schema
 
 
 class TestTermsAndAtoms:
@@ -242,6 +244,26 @@ class TestHomomorphisms:
         query = parse_cq(binary_schema, "S(x, 5)")
         assert has_homomorphism(query.atoms, binary_instance)
         assert find_homomorphism(query.atoms, binary_instance) is not None
+
+    @pytest.mark.parametrize("row", [("a",), ("a", "b", "c")])
+    def test_rows_of_the_wrong_arity_match_nothing(self, row):
+        """A scan-only store and an indexed store agree on short and long
+        rows: neither matches them (the scan once raised on the short row
+        and matched a prefix of the long one)."""
+
+        class ScanStore:
+            def __init__(self, facts):
+                self._facts = facts
+
+            def tuples(self, relation):
+                return frozenset(self._facts.get(relation, ()))
+
+        query = parse_cq(chain_schema(2), "L1(x, y)")
+        facts = {"L1": [row]}
+        for store in (ScanStore(facts), CanonicalInstance(facts)):
+            assert list(find_homomorphisms(query.atoms, store)) == []
+            assert list(find_homomorphisms(query.join_plan, store)) == []
+            assert not has_homomorphism(query.atoms, store)
 
 
 class TestClassicalContainment:

@@ -20,7 +20,9 @@ from repro import (
     AbstractDomain,
     Access,
     Configuration,
+    ConjunctiveQuery,
     Instance,
+    evaluate,
 )
 from repro.runtime.serialize import (
     UnencodableValueError,
@@ -43,7 +45,7 @@ from repro.workloads import (
     random_schema,
     star_join_scenario,
 )
-from repro.workloads.query_generators import random_cq
+from repro.workloads.query_generators import random_cq, random_pq
 
 
 def roundtrip(obj):
@@ -91,6 +93,26 @@ class TestPickleRoundTrips:
         clone = roundtrip(query)
         assert clone == query
         assert query_token(clone) == query_token(query)
+
+        # A compiled join plan stays out of the query's identity: evaluating
+        # (which compiles and caches plans, also the delta check's plans
+        # without one atom) changes neither the pickled bytes nor ==, hash or
+        # the token, for CQs and for positive queries.
+        instance = random_instance(schema, tuples_per_relation=6, seed=seed)
+        fresh_pq = random_pq(schema, disjuncts=2, atoms_per_disjunct=2, seed=seed)
+        for evaluated, fresh in (
+            (query, random_cq(schema, atoms=3, variables=4, seed=seed)),
+            (random_pq(schema, disjuncts=2, atoms_per_disjunct=2, seed=seed), fresh_pq),
+        ):
+            before = (hash(evaluated), query_token(evaluated))
+            evaluate(evaluated, instance)
+            if isinstance(evaluated, ConjunctiveQuery):
+                evaluated.rest_plan(0)
+            assert pickle.dumps(evaluated) == pickle.dumps(fresh)
+            assert evaluated == fresh
+            assert (hash(evaluated), query_token(evaluated)) == before
+            assert (hash(fresh), query_token(fresh)) == before
+            assert roundtrip(evaluated) == fresh
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_random_configuration_roundtrip_keeps_fingerprint(self, seed):

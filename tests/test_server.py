@@ -137,6 +137,29 @@ class TestServerAgreement:
             )
 
 
+def test_containment_cq_on_the_bank_is_sound_but_misses_every_true_answer():
+    """What ``ltr_method="containment-cq"`` costs on the bank batch.
+
+    The Proposition 3.5 reduction decides only shape-1 witnesses (the first
+    access returns a subgoal), so it misses the ``EmpManAcc`` pattern: the
+    manager lookup returns no subgoal, only the value later accesses need.
+    Its answers stay sound, but none of the exhaustive strategy's true
+    answers is found.  The run also pins the join kernel on the containment
+    path (``decide_containment`` and the delta check's joins).
+    """
+    scenario = bank_multi_query_scenario()
+    with QueryServer(scenario.mediator()) as exhaustive:
+        reference = exhaustive.answer(scenario.queries, strategy="exhaustive")
+    with QueryServer(scenario.mediator(), ltr_method="containment-cq") as server:
+        result = server.answer(scenario.queries)
+    for answer, expected in zip(result.boolean_answers, reference.boolean_answers):
+        assert expected or not answer
+    assert sum(reference.boolean_answers) == 4
+    assert sum(result.boolean_answers) == 0
+    assert not any(outcome.certain for outcome in result.outcomes)
+    assert result.accesses_made == 8
+
+
 # --------------------------------------------------------------------------- #
 # Search workers: relevance searches run in-process
 # --------------------------------------------------------------------------- #
