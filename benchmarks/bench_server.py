@@ -190,6 +190,9 @@ def test_persistent_cache_warm_restart(benchmark, tmp_path):
     warm_counters = warm_metrics.snapshot()["counters"]
     assert warm.answers == cold.answers
     assert warm_counters.get("witness.revalidated", 0) > 0
+    # A witness this run already revalidated is re-checked on its
+    # truncation alone once the configuration has grown past that check.
+    assert warm_counters.get("witness.truncation_only", 0) > 0
     assert warm_counters.get("oracle.fresh_searches", 0) < cold_counters.get(
         "oracle.fresh_searches", 0
     )
@@ -198,6 +201,7 @@ def test_persistent_cache_warm_restart(benchmark, tmp_path):
             "cold_fresh_searches": cold_counters.get("oracle.fresh_searches", 0),
             "warm_fresh_searches": warm_counters.get("oracle.fresh_searches", 0),
             "warm_revalidated": warm_counters.get("witness.revalidated", 0),
+            "warm_truncation_only": warm_counters.get("witness.truncation_only", 0),
         }
     )
 

@@ -31,6 +31,7 @@ __all__ = [
     "AccessPath",
     "is_well_formed",
     "apply_access",
+    "merge_well_formed_prefix",
     "response_from_instance",
     "enumerate_well_formed_accesses",
 ]
@@ -142,6 +143,36 @@ def apply_access(
             f"access {response.access!r} is not well-formed at the configuration"
         )
     return configuration.extended_with(response.as_facts())
+
+
+def merge_well_formed_prefix(
+    configuration: Configuration,
+    steps: Sequence[AccessResponse],
+    added: List[Fact],
+) -> int:
+    """Merge the longest well-formed prefix of ``steps`` into ``configuration``.
+
+    Each step is checked at the configuration grown by the steps before it;
+    the first ill-formed step ends the prefix, and no later step is merged.
+    Every fact actually added is appended to ``added`` as it lands, so the
+    caller's undo log is complete even if a merge raises; removing those
+    facts in reverse order restores ``configuration`` exactly.  Returns how
+    many steps were merged.
+
+    This is the one implementation of the truncation rule:
+    :meth:`AccessPath.truncation_view` applies it to ``steps[1:]``, and
+    :meth:`~repro.runtime.witness.LtrWitness.revalidate` replays a witness
+    path through it once for both the truncation and the full path.
+    """
+    merged = 0
+    for response in steps:
+        if not is_well_formed(response.access, configuration):
+            break
+        for fact in response.as_facts():
+            if configuration.add_fact(fact):
+                added.append(fact)
+        merged += 1
+    return merged
 
 
 @dataclass
@@ -260,23 +291,20 @@ class AccessPath:
         (see the mediator's concurrency notes) — which is where every witness
         search and revalidation runs.
 
-        This is the *only* implementation of the truncation-replay semantics:
-        the fresh witness search and the incremental
-        :meth:`~repro.runtime.witness.LtrWitness.revalidate` both use it, so
-        the two engines cannot drift on how an ill-formed step truncates the
-        path (the longest well-formed prefix is kept; everything after the
-        first ill-formed step is dropped, even steps that do not depend on
-        the probed access).
+        The replay is :func:`merge_well_formed_prefix` over ``steps[1:]``,
+        the one loop behind the truncation rule: the fresh witness search
+        (through this view) and the incremental
+        :meth:`~repro.runtime.witness.LtrWitness.revalidate` and
+        :meth:`~repro.runtime.witness.LtrWitness.recheck_truncation` all
+        truncate through it, so the engines cannot drift on how an
+        ill-formed step truncates the path (the longest well-formed prefix
+        is kept; everything after the first ill-formed step is dropped, even
+        steps that do not depend on the probed access).
         """
         current = self.initial
         added: List[Fact] = []
         try:
-            for response in self.steps[1:]:
-                if not is_well_formed(response.access, current):
-                    break
-                for fact in response.as_facts():
-                    if current.add_fact(fact):
-                        added.append(fact)
+            merge_well_formed_prefix(current, self.steps[1:], added)
             yield current
         finally:
             for fact in reversed(added):

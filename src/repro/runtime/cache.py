@@ -17,8 +17,16 @@ search: long-term relevance goes through the incremental engine of
 1. the last verdict for the access is *inherited* when the configuration
    delta since it was computed provably cannot change it
    (:meth:`~repro.runtime.witness.ConfigurationSnapshot.delta_safe`);
-2. a stored positive witness path is *revalidated* in O(|path|)
-   (:meth:`~repro.runtime.witness.LtrWitness.revalidate`);
+2. a stored positive witness path is *revalidated* in one O(|path|) replay
+   (:meth:`~repro.runtime.witness.LtrWitness.revalidate`) — or, when this
+   oracle already accepted the same witness by revalidation at a
+   configuration the current one contains
+   (:meth:`~repro.runtime.witness.ConfigurationSnapshot.contained_in`), by
+   re-checking only its truncation
+   (:meth:`~repro.runtime.witness.LtrWitness.recheck_truncation`): the
+   queries are monotone and well-formedness reads only the active domain,
+   so nothing else can have broken.  A seeded, fresh or adopted witness
+   always gets one full revalidation first;
 3. only then does the direct search run — and when it proves relevance, its
    witness path is captured for the next round.
 
@@ -87,13 +95,24 @@ _MISSING = object()
 
 
 class _LtrHistory:
-    """The last LTR verdict for one access, with its dependency snapshot."""
+    """The last LTR verdict for one access, with its dependency snapshot.
 
-    __slots__ = ("verdict", "snapshot")
+    ``revalidated_witness`` is the witness whose path the oracle accepted
+    by revalidation at the snapshot (``None`` after a fresh search or an
+    adoption): only that witness may skip to the truncation-only check.
+    """
 
-    def __init__(self, verdict: bool, snapshot: ConfigurationSnapshot) -> None:
+    __slots__ = ("verdict", "snapshot", "revalidated_witness")
+
+    def __init__(
+        self,
+        verdict: bool,
+        snapshot: ConfigurationSnapshot,
+        revalidated_witness: Optional[LtrWitness] = None,
+    ) -> None:
         self.verdict = verdict
         self.snapshot = snapshot
+        self.revalidated_witness = revalidated_witness
 
 
 class RelevanceOracle:
@@ -312,16 +331,19 @@ class RelevanceOracle:
         """Long-term relevance of ``access`` at ``configuration``.
 
         Resolution order: exact fingerprint hit → sound delta inheritance of
-        the last verdict → O(|path|) revalidation of a stored witness →
-        fresh search (capturing the witness on a positive answer).
+        the last verdict → O(|path|) revalidation of a stored witness (its
+        truncation alone, when this oracle already accepted the witness at a
+        configuration the current one contains) → fresh search (capturing
+        the witness on a positive answer).
 
         Under an active tracer every call records an ``oracle`` span tagged
         with the ``outcome`` that resolved it (``exact-hit`` /
         ``delta-inherited`` / ``revalidated`` / ``fresh``)
         — the explain report's answer to *how* each verdict was obtained —
-        with ``witness-revalidate`` / ``fresh-search`` child spans around the
-        expensive stages.  Untraced, the exact-hit path costs one extra
-        thread-local read over the pre-tracing oracle.
+        with ``witness-revalidate`` (tagged ``check=full|truncation``) /
+        ``fresh-search`` child spans around the expensive stages.  Untraced,
+        the exact-hit path costs one extra thread-local read over the
+        pre-tracing oracle.
         """
         akey = access_key(access)
         key = ("ltr", akey, configuration.fingerprint())
@@ -361,21 +383,44 @@ class RelevanceOracle:
 
             witness = self._witnesses.get(akey)
             if witness is not None:
+                # A path this oracle accepted at a configuration the current
+                # one contains can only break in its truncation (monotone
+                # queries; well-formedness reads only the active domain).
+                truncation_only = (
+                    history is not None
+                    and history.revalidated_witness is witness
+                    and history.snapshot.contained_in(configuration)
+                )
                 with tracer.span("witness-revalidate") as wspan:
                     with self._metrics.timer("witness.revalidate"):
-                        revalidated = witness.revalidate(self._query, configuration)
+                        if truncation_only:
+                            revalidated = witness.recheck_truncation(
+                                self._query, configuration
+                            )
+                        else:
+                            revalidated = witness.revalidate(self._query, configuration)
                     if span is not None:
                         wspan.annotate(
                             ok=revalidated,
+                            check="truncation" if truncation_only else "full",
                             provenance=(
                                 "persisted"
                                 if akey in self._persist_seeded
                                 else "captured"
                             ),
                         )
+                if truncation_only:
+                    self._metrics.incr("witness.truncation_only")
                 if revalidated:
                     self._metrics.incr("witness.revalidated")
-                    self._record_ltr(akey, key, True, configuration, witness=None)
+                    self._record_ltr(
+                        akey,
+                        key,
+                        True,
+                        configuration,
+                        witness=None,
+                        revalidated_witness=witness,
+                    )
                     if span is not None:
                         span.annotate(outcome="revalidated", relevant=True)
                     return True
@@ -426,6 +471,7 @@ class RelevanceOracle:
         *,
         witness: Optional[LtrWitness],
         access: Optional[Access] = None,
+        revalidated_witness: Optional[LtrWitness] = None,
     ) -> None:
         self._cache.put(key, verdict)
         if not self._incremental:
@@ -433,7 +479,9 @@ class RelevanceOracle:
         self._ltr_history.put(
             akey,
             _LtrHistory(
-                verdict, ConfigurationSnapshot.capture(configuration, self._query_relations)
+                verdict,
+                ConfigurationSnapshot.capture(configuration, self._query_relations),
+                revalidated_witness,
             ),
         )
         if witness is not None:

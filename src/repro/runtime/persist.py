@@ -39,9 +39,12 @@ concurrent server processes sharing one store).  Design notes:
   the path to :meth:`~repro.runtime.witness.LtrWitness.revalidate`, which
   replays it step by step at the current configuration.  A corrupt, stale,
   or adversarial record can therefore cost a wasted revalidation, never a
-  wrong verdict; records that no longer decode against the schema (or carry
-  a newer :data:`~repro.runtime.serialize.RECORD_VERSION`) are skipped and
-  counted.
+  wrong verdict.  Revalidation checks a path, not which access it
+  certifies, so a record whose path is empty or does not start with the
+  access it is keyed by is skipped, as are records that no longer decode
+  against the schema (or carry a newer
+  :data:`~repro.runtime.serialize.RECORD_VERSION`); all are counted under
+  ``skipped_undecodable``.
 * **Value coverage.**  Only JSON-representable values (strings, numbers,
   booleans, ``None``, nested tuples) are persisted; a witness containing
   anything else is skipped and counted under ``skipped_unencodable``.
@@ -176,7 +179,8 @@ class PersistentWitnessCache:
         Returns a mapping from the in-memory access key (``(method name,
         binding)`` — the key the oracle's witness cache uses) to the decoded
         :class:`LtrWitness`.  Records whose payload no longer decodes
-        against ``schema`` are skipped and counted.  Buffered records are
+        against ``schema``, or whose path is empty or does not start with
+        the keyed access, are skipped and counted.  Buffered records are
         flushed first, so the result includes this cache's own writes.  The
         returned dict is a **copy** — callers may mutate it freely without
         corrupting the memo shared by every later oracle.
@@ -210,7 +214,14 @@ class PersistentWitnessCache:
                     self._stats["skipped_undecodable"] += 1
                     continue
                 method_name, binding = spec
-                decoded[(method_name, tuple(binding))] = LtrWitness(steps)
+                akey = (method_name, tuple(binding))
+                probed = steps[0].access if steps else None
+                # Revalidation checks the path, not which access it
+                # certifies: a record must key its own probed access.
+                if probed is None or (probed.method.name, tuple(probed.binding)) != akey:
+                    self._stats["skipped_undecodable"] += 1
+                    continue
+                decoded[akey] = LtrWitness(steps)
             self._stats["loaded"] += len(decoded)
             # The decoded accesses reference *a* schema's method objects;
             # any equal schema works with them (all comparisons are by

@@ -9,8 +9,13 @@ that work reusable, in both directions:
 * **positive verdicts** carry an explicit witness path.  A path found at
   configuration ``C`` usually stays a valid witness at a later configuration
   ``C' ⊇ C`` — the active domain only grew, so every step stays well-formed —
-  and checking that takes time linear in the path length
-  (:meth:`LtrWitness.revalidate`) instead of a fresh search;
+  and checking that takes one replay of the path
+  (:meth:`LtrWitness.revalidate`) instead of a fresh search.  Once a path
+  was checked at ``C``, only its truncation can break at a ``C'`` that
+  contains ``C``'s active domain and query-relation facts
+  (:meth:`ConfigurationSnapshot.contained_in`): well-formedness reads only
+  the active domain and the queries are monotone, so re-checking the
+  truncation suffices (:meth:`LtrWitness.recheck_truncation`);
 * **negative (and positive) verdicts** can be *inherited* across a
   configuration delta that provably cannot change them.  A verdict computed
   at ``C`` is a function of the query-relation facts of ``C``, of the active
@@ -26,9 +31,10 @@ back to a fresh search) lives in :class:`repro.runtime.cache.RelevanceOracle`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Mapping, Tuple
+from typing import FrozenSet, Iterable, List, Mapping, Tuple
 
-from repro.data import AccessPath, AccessResponse, Configuration, is_well_formed
+from repro.data import AccessPath, AccessResponse, Configuration, Fact, is_well_formed
+from repro.data.paths import merge_well_formed_prefix
 from repro.queries import evaluate_boolean
 from repro.schema import AbstractDomain, Access, Schema
 
@@ -122,6 +128,24 @@ class ConfigurationSnapshot:
                 return False
         return True
 
+    def contained_in(self, configuration: Configuration) -> bool:
+        """Whether ``configuration`` contains what this snapshot read.
+
+        True when the snapshot's active domain and each of its query
+        relations' fact sets are subsets of ``configuration``'s.  A path
+        :meth:`LtrWitness.revalidate` accepted at the snapshot then stays
+        well-formed, with the query true at its end, at ``configuration``,
+        so only its truncation needs re-checking
+        (:meth:`LtrWitness.recheck_truncation`).  Any removal of a value or
+        a query-relation fact the snapshot held makes this false.
+        """
+        if not self.active_domain <= configuration.active_domain():
+            return False
+        for name, facts in self.query_facts:
+            if not facts <= configuration.tuples(name):
+                return False
+        return True
+
 
 @dataclass(frozen=True)
 class LtrWitness:
@@ -131,7 +155,11 @@ class LtrWitness:
     of the witness (later accesses and their support chains).  By
     construction the query holds at the end of the path and fails on its
     truncation — that is exactly what :meth:`revalidate` re-checks against a
-    *different* configuration, in O(|path|) plus two query evaluations.
+    *different* configuration, in one replay of the path and at most two
+    query evaluations, and what :meth:`recheck_truncation` re-checks, for the
+    truncation half alone, once a configuration extends one the path was
+    checked at.  Both truncate through the one truncation loop,
+    :func:`~repro.data.paths.merge_well_formed_prefix`.
     """
 
     steps: Tuple[AccessResponse, ...]
@@ -151,38 +179,77 @@ class LtrWitness:
         separate check).  ``False`` only means the *stored* path no longer
         works; the caller decides whether to search afresh.
 
-        The truncation is replayed through
-        :meth:`~repro.data.paths.AccessPath.truncation_view` —
-        the same code the fresh search evaluates candidate paths with — so an
-        accepted revalidation certifies the path by *exactly* the criterion
-        :func:`~repro.core.longterm_dependent.find_ltr_witness_steps` uses:
-        the longest well-formed prefix after dropping the probed access (a
-        step that is only well-formed given the probed access's outputs ends
-        the truncation there, and later steps are dropped with it, whether or
-        not they depend on the probed access).
+        The path is replayed once, truncation first:
 
-        Cost: |path| well-formedness checks and fact merges, and two query
-        evaluations — with **zero configuration copies**.  Both replays
-        mutate ``configuration`` in place behind an undo log and restore it
-        exactly (content, fingerprint, cached views) before returning, so
+        1. the probed access (step 0) must be well-formed at
+           ``configuration``;
+        2. the truncation's steps are merged by
+           :func:`~repro.data.paths.merge_well_formed_prefix` — the loop
+           behind :meth:`~repro.data.paths.AccessPath.truncation_view`, so an
+           accepted revalidation certifies the path by *exactly* the
+           criterion :func:`~repro.core.longterm_dependent.find_ltr_witness_steps`
+           uses: the longest well-formed prefix after dropping the probed
+           access (a step that is only well-formed given the probed access's
+           outputs ends the truncation there, and later steps are dropped
+           with it, whether or not they depend on the probed access);
+        3. the query is evaluated: if the truncation satisfies it the answer
+           is ``False``;
+        4. step 0's facts are merged, then every step the truncation dropped,
+           each checked for well-formedness in turn;
+        5. the query is evaluated on the full path.
+
+        This equals checking the full path and then its truncation
+        separately: well-formedness only grows with the active domain, so
+        every step the truncation kept stays well-formed once step 0's facts
+        are added, and the merged fact set does not depend on the merge
+        order.
+
+        Cost: |path| well-formedness checks and fact merges, and at most two
+        query evaluations — with **zero configuration copies**.  The replay
+        mutates ``configuration`` in place behind one undo log and restores
+        it exactly (content, fingerprint, cached views) before returning, so
         revalidation is O(|path|) in allocations as well as steps.  Like the
         rest of the oracle's incremental machinery this runs on the
         strategy's dispatching thread, where the live configuration view
         only changes between callbacks.
         """
-        added = []
+        steps = self.steps
+        probed = steps[0]
+        if not is_well_formed(probed.access, configuration):
+            return False
+        added: List[Fact] = []
         try:
-            for step in self.steps:
-                if not is_well_formed(step.access, configuration):
-                    return False
-                for fact in step.as_facts():
-                    if configuration.add_fact(fact):
-                        added.append(fact)
-            if not evaluate_boolean(query, configuration):
+            kept = merge_well_formed_prefix(configuration, steps[1:], added)
+            if evaluate_boolean(query, configuration):
                 return False
+            for fact in probed.as_facts():
+                if configuration.add_fact(fact):
+                    added.append(fact)
+            dropped = steps[1 + kept :]
+            if merge_well_formed_prefix(configuration, dropped, added) < len(dropped):
+                return False
+            return evaluate_boolean(query, configuration)
         finally:
             for fact in reversed(added):
                 configuration.remove(fact.relation, fact.values)
+
+    def recheck_truncation(self, query, configuration: Configuration) -> bool:
+        """Whether the truncation still fails the query at ``configuration``.
+
+        The caller guarantees that the whole path was accepted — by
+        :meth:`revalidate`, or by this method under the same guarantee — at
+        a configuration whose active domain and query-relation facts
+        ``configuration`` contains
+        (:meth:`ConfigurationSnapshot.contained_in`).  The rest of the check
+        then holds by monotonicity: well-formedness reads only the active
+        domain, so every step stays well-formed, and evaluation reads only
+        the query-relation facts, so the (monotone) query still holds at the
+        end of the path.  Only the truncation can change — it may keep more
+        steps and see more facts — so this replays the truncation alone
+        through :meth:`~repro.data.paths.AccessPath.truncation_view` and
+        evaluates once.  The result equals :meth:`revalidate`'s at
+        ``configuration``.
+        """
         with AccessPath(configuration, list(self.steps)).truncation_view() as truncated:
             return not evaluate_boolean(query, truncated)
 

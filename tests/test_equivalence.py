@@ -14,7 +14,11 @@ identical* to the naive reference implementations they replaced:
 * the incremental relevance engine (fingerprint memoization, delta
   inheritance, witness revalidation, screening adoption) serves exactly the
   verdict a fresh, cache-free ``is_long_term_relevant`` run computes on the
-  same configuration, across arbitrary growth sequences;
+  same configuration, across arbitrary sequences of additions and removals;
+* the one-replay ``LtrWitness.revalidate`` and the truncation-only
+  ``LtrWitness.recheck_truncation`` answer what the copy-based ``AccessPath``
+  reference (``is_well_formed``, ``final_configuration``, ``truncation``)
+  answers, and leave the configuration exactly as they found it;
 * the ground-once witness kernel with first-fact pruning yields exactly the
   groundings of the dict-yielding reference enumerator it replaced, in
   order, and every decision procedure built on it keeps its verdicts and
@@ -57,6 +61,7 @@ from repro.core.assignments import (
     witnessable_atom_checker,
 )
 from repro.core.longterm_dependent import containment_cq_memo, find_ltr_witness_steps
+from repro.data import AccessPath, AccessResponse
 from repro.datalog import accessible_program
 from repro.datalog.engine import evaluate_program, evaluate_program_naive
 from repro.queries import (
@@ -67,7 +72,7 @@ from repro.queries import (
     has_homomorphism,
 )
 from repro.queries.terms import Variable, is_variable
-from repro.runtime import QueryServer, RelevanceOracle, RuntimeMetrics
+from repro.runtime import LtrWitness, QueryServer, RelevanceOracle, RuntimeMetrics
 from repro.workloads import (
     bank_multi_query_scenario,
     fanout_scenario,
@@ -292,26 +297,180 @@ _PROBES = [
 ]
 
 
+#: A move adds or removes one fact; all-"add" lists are the growth sequences.
+_MOVES = st.tuples(st.sampled_from(["add", "remove"]), _GROWTH_FACTS)
+
+
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(growth=st.lists(_GROWTH_FACTS, max_size=5))
-def test_incremental_ltr_verdicts_match_fresh_search(growth):
+@given(moves=st.lists(_MOVES, max_size=5))
+@example(
+    moves=[
+        ("add", ("Hub", ("start", "m0"))),
+        ("add", ("Hub", ("start", "m1"))),
+        ("remove", ("Hub", ("start", "m0"))),
+    ]
+)
+def test_incremental_ltr_verdicts_match_fresh_search(moves):
     """Every oracle answer — memoized, delta-inherited, or served by witness
-    revalidation — equals a fresh ``is_long_term_relevant`` run on the same
-    configuration content."""
+    revalidation (full or truncation-only) — equals a fresh
+    ``is_long_term_relevant`` run on the same configuration content, across
+    additions and removals.
+
+    The pinned example revalidates ``accB1(m0)``'s witness at
+    ``{Hub(start, m0), Hub(start, m1)}``, then removes ``Hub(start, m0)``:
+    the configuration no longer contains that revalidation's snapshot, so
+    the truncation-only check must not run (it would keep the now
+    ill-formed path)."""
     schema = _FANOUT.schema
     query = _FANOUT.query
     oracle = RelevanceOracle(query, schema, metrics=RuntimeMetrics())
     configuration = _FANOUT.configuration.copy()
-    steps = [None] + list(growth)
-    for step in steps:
-        if step is not None:
-            configuration.add(*step)
+    for move in [None] + list(moves):
+        if move is not None:
+            kind, (relation, values) = move
+            if kind == "add":
+                configuration.add(relation, values)
+            else:
+                configuration.remove(relation, values)
         for probe in _PROBES:
             incremental = oracle.long_term_relevant(probe, configuration)
             fresh = is_long_term_relevant(query, probe, configuration, schema)
             assert incremental == fresh
             # Asking again is an exact-fingerprint hit and must not flip.
             assert oracle.long_term_relevant(probe, configuration) == fresh
+
+
+def _fanout_step(method_name, binding, outputs):
+    method = _FANOUT.schema.access_method(method_name)
+    return AccessResponse(
+        Access(method, (binding,)), tuple((binding, value) for value in outputs)
+    )
+
+
+_MIDS = st.sampled_from(["m0", "m1", "m2"])
+#: One access and its response per step, over every ``_FANOUT`` method.  A
+#: binding may be missing from the active domain (an ill-formed step), may
+#: only enter it through an earlier step (e.g. ``accB1(m0)`` after
+#: ``accHub(start)`` returned ``m0``), or may not depend on earlier steps at
+#: all; responses may repeat configuration facts.
+_FANOUT_STEPS = st.one_of(
+    st.builds(
+        _fanout_step,
+        st.just("accHub"),
+        st.sampled_from(["start", "s1"]),
+        st.lists(_MIDS, max_size=2, unique=True),
+    ),
+    st.builds(
+        _fanout_step,
+        st.just("accB1"),
+        _MIDS,
+        st.lists(st.sampled_from(["p", "q"]), max_size=2, unique=True),
+    ),
+    st.builds(
+        _fanout_step,
+        st.just("accB2"),
+        _MIDS,
+        st.lists(st.sampled_from(["r", "t"]), max_size=2, unique=True),
+    ),
+    st.builds(_fanout_step, st.just("accAudit"), _MIDS, st.lists(st.just("n0"), max_size=1)),
+)
+
+
+@st.composite
+def _witness_shaped_paths(draw):
+    """``accHub(start)``, ``accB1(m)`` and ``accB2(m)`` for one ``m``, one
+    of them probed first, with up to two random steps inserted: the query
+    holds at the end of every well-formed one."""
+    mid = draw(st.sampled_from(["m0", "m1"]))
+    rest = [
+        _fanout_step("accHub", "start", [mid]),
+        _fanout_step("accB1", mid, ["p"]),
+        _fanout_step("accB2", mid, ["r"]),
+    ]
+    probed = rest.pop(draw(st.integers(min_value=0, max_value=2)))
+    for step in draw(st.lists(_FANOUT_STEPS, max_size=2)):
+        rest.insert(draw(st.integers(min_value=0, max_value=len(rest))), step)
+    return (probed, *rest)
+
+
+_FANOUT_PATHS = st.one_of(
+    st.lists(_FANOUT_STEPS, min_size=1, max_size=4).map(tuple),
+    _witness_shaped_paths(),
+)
+
+
+def _reference_witnesses(query, configuration, steps) -> bool:
+    """The copy-based reference: the path is well-formed, the query holds at
+    its end and fails on its truncation, each on a configuration copy."""
+    path = AccessPath(configuration, list(steps))
+    return (
+        path.is_well_formed()
+        and evaluate_boolean(query, path.final_configuration())
+        and not evaluate_boolean(query, path.truncation().final_configuration())
+    )
+
+
+def _observable_state(configuration):
+    return (
+        configuration.fingerprint(),
+        configuration.active_domain(),
+        {
+            relation.name: configuration.tuples(relation)
+            for relation in configuration.schema.relations
+        },
+    )
+
+
+#: A valid witness whose middle step is ill-formed without the probed
+#: access and whose later step does not depend on it: the truncation ends
+#: at the middle step and drops the later one with it.
+_TRUNCATED_WITNESS = (
+    _fanout_step("accHub", "start", ["m1", "m0"]),
+    _fanout_step("accB1", "m0", ["p"]),
+    _fanout_step("accB2", "m1", ["r"]),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    facts=st.lists(_GROWTH_FACTS, max_size=4),
+    steps=_FANOUT_PATHS,
+    extra=st.lists(_GROWTH_FACTS, min_size=1, max_size=3),
+)
+@example(
+    facts=[("Hub", ("start", "m1")), ("B1", ("m1", "q"))],
+    steps=_TRUNCATED_WITNESS,
+    extra=[("Hub", ("start", "m0"))],
+)
+@example(
+    facts=[("Hub", ("start", "m1")), ("B1", ("m1", "q"))],
+    steps=_TRUNCATED_WITNESS,
+    extra=[("Audit", ("m1", "n1"))],
+)
+def test_revalidation_matches_copy_based_reference(facts, steps, extra):
+    """The one-replay ``LtrWitness.revalidate`` answers what the copy-based
+    ``AccessPath`` reference answers and restores the configuration exactly;
+    on any ``C' ⊇ C`` of a path valid at ``C``, ``recheck_truncation`` at
+    ``C'`` answers what the reference answers at ``C'``."""
+    query = _FANOUT.query
+    configuration = _FANOUT.configuration.copy()
+    for relation, values in facts:
+        configuration.add(relation, values)
+    witness = LtrWitness(steps)
+    before = _observable_state(configuration)
+    expected = _reference_witnesses(query, configuration, steps)
+    assert witness.revalidate(query, configuration) == expected
+    assert _observable_state(configuration) == before
+    if not expected:
+        return
+    grown = configuration.copy()
+    for relation, values in extra:
+        grown.add(relation, values)
+    grown_before = _observable_state(grown)
+    assert witness.recheck_truncation(query, grown) == _reference_witnesses(
+        query, grown, steps
+    )
+    assert _observable_state(grown) == grown_before
 
 
 def test_fingerprint_distinguishes_minus_one_from_minus_two():

@@ -19,6 +19,10 @@ The load-bearing properties:
   in one ``append_many`` (one SQLite transaction, one generation bump) at
   ``flush``; a cache reads its own unflushed records, other readers see
   them after the flush.
+* **Records certify their own key** — a record whose path is empty or
+  does not start with the access it is keyed by is skipped at decode and
+  counted, so a forged key cannot turn another access's path into a
+  verdict.
 * **Multi-process sharing** — N concurrent processes appending to one
   SQLite store lose nothing, and a record landed by one process invalidates
   another's decode memo via the generation counter.
@@ -37,6 +41,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Access
+from repro.core import is_long_term_relevant
 from repro.runtime import (
     JsonlWitnessStore,
     PersistentWitnessCache,
@@ -47,8 +53,15 @@ from repro.runtime import (
     open_witness_store,
     serve_in_background,
 )
+from repro.runtime.cache import access_key
 from repro.runtime.executor import candidate_accesses
-from repro.runtime.serialize import record_digest, schema_token
+from repro.runtime.serialize import (
+    access_token,
+    encode_json_value,
+    query_token,
+    record_digest,
+    schema_token,
+)
 from repro.workloads import bank_multi_query_scenario, multi_query_scenario
 
 TOOLS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
@@ -558,6 +571,68 @@ class TestPersistentCacheLayer:
         assert "future-access" in JsonlWitnessStore(path).load_pair(
             query_token(query), schema_token(scenario.schema)
         )
+
+    def _bank_store_record(self, path):
+        """Seed ``path`` from one bank query's oracle on the initial
+        configuration; return what a forged record needs."""
+        scenario = bank_multi_query_scenario()
+        configuration = scenario.mediator().configuration_view
+        cache = PersistentWitnessCache(path)
+        oracle = RelevanceOracle(scenario.queries[0], scenario.schema, persist=cache)
+        relevant = [
+            access
+            for access in candidate_accesses(
+                scenario.schema, configuration, lambda _key: False
+            )
+            if oracle.long_term_relevant(access, configuration)
+        ]
+        assert relevant
+        cache.flush()
+        tokens = (query_token(oracle.query), schema_token(scenario.schema))
+        record = cache.store.load_pair(*tokens)[access_token(relevant[0])]
+        return scenario, oracle.query, configuration, cache, relevant[0], record
+
+    def test_record_keyed_by_another_access_is_skipped(self, tmp_path):
+        """Revalidation checks a path, not which access it certifies: a
+        record whose key is not its path's probed access must not decide
+        the keyed access."""
+        path = os.fspath(tmp_path / "w.sqlite")
+        scenario, query, configuration, cache, _access, record = self._bank_store_record(
+            path
+        )
+        forged_access = Access(scenario.schema.access_method("StateApprAcc"), ("State1",))
+        cache.store.append(
+            dict(
+                record,
+                method="StateApprAcc",
+                binding=[encode_json_value("State1")],
+                access=access_token(forged_access),
+            )
+        )
+        cache.close()
+        expected = is_long_term_relevant(
+            query, forged_access, configuration, scenario.schema
+        )
+        assert not expected
+        reader = PersistentWitnessCache(path)
+        oracle = RelevanceOracle(query, scenario.schema, persist=reader)
+        assert oracle.long_term_relevant(forged_access, configuration) == expected
+        assert reader.stats["skipped_undecodable"] == 1
+        reader.close()
+
+    def test_record_with_empty_path_is_skipped(self, tmp_path):
+        path = os.fspath(tmp_path / "w.sqlite")
+        scenario, query, configuration, cache, access, record = self._bank_store_record(
+            path
+        )
+        cache.store.append(dict(record, steps=[]))
+        cache.close()
+        reader = PersistentWitnessCache(path)
+        assert access_key(access) not in reader.witnesses_for(query, scenario.schema)
+        assert reader.stats["skipped_undecodable"] == 1
+        oracle = RelevanceOracle(query, scenario.schema, persist=reader)
+        assert oracle.long_term_relevant(access, configuration)
+        reader.close()
 
     def test_healthz_reports_persistence(self, tmp_path, scenario):
         import urllib.request

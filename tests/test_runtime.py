@@ -20,7 +20,13 @@ from repro import (
     is_immediately_relevant,
     is_long_term_relevant,
 )
-from repro.runtime import AccessExecutor, CandidateScreen, LRUCache
+from repro.runtime import (
+    AccessExecutor,
+    CandidateScreen,
+    LRUCache,
+    Tracer,
+    activate_tracer,
+)
 from repro.sources import DataSource, Mediator
 from repro.workloads import fanout_scenario, random_cq
 
@@ -302,9 +308,10 @@ def test_revalidate_truncation_matches_fresh_search_exactly():
     that is only well-formed given the probed access's outputs ends the
     truncation there, and every later step is dropped with it — even one
     that does not depend on the probed access.  ``revalidate`` must apply the
-    identical rule (it now literally shares the implementation through
-    ``AccessPath.truncation_final_configuration``); a skip-the-ill-formed-step
-    variant would keep the later step and flip the verdict on this path.
+    identical rule (it shares the truncation loop of
+    ``AccessPath.truncation_view``, ``merge_well_formed_prefix``); a
+    skip-the-ill-formed-step variant would keep the later step and flip the
+    verdict on this path.
     """
     from repro import AccessResponse, parse_cq
     from repro.core import find_ltr_witness_steps
@@ -407,6 +414,48 @@ def test_delta_inheritance_refuses_consumable_values():
     # m0 enters the active domain: the old verdict must not transfer.
     configuration.add("Hub", ("start", "m0"))
     assert oracle.long_term_relevant(probe, configuration)
+
+
+def test_truncation_only_check_needs_a_prior_full_check_on_a_contained_snapshot():
+    """The oracle re-checks only the truncation of a witness it already
+    revalidated at a configuration the current one contains; a freshly found
+    witness, and any configuration after a removal, get the full check."""
+    scenario = fanout_scenario(2)
+    metrics = RuntimeMetrics()
+    oracle = RelevanceOracle(scenario.query, scenario.schema, metrics=metrics)
+    configuration = scenario.configuration.copy()
+    probe = Access(scenario.schema.access_method("accB1"), ("m0",))
+    tracer = Tracer()
+    # Each move adds a dependent-input value, so no verdict is inherited.
+    moves = [
+        ("add", "m0", "fresh", None),
+        ("add", "m1", "revalidated", "full"),
+        ("add", "m2", "revalidated", "truncation"),
+        ("remove", "m0", "fresh", "full"),
+    ]
+    with activate_tracer(tracer):
+        for kind, mid, outcome, check in moves:
+            if kind == "add":
+                configuration.add("Hub", ("start", mid))
+            else:
+                configuration.remove("Hub", ("start", mid))
+            tracer.reset()
+            verdict = oracle.long_term_relevant(probe, configuration)
+            assert verdict == is_long_term_relevant(
+                oracle.query, probe, configuration, scenario.schema
+            )
+            (span,) = [span for span in tracer.spans() if span.name == "oracle"]
+            assert span.tags["outcome"] == outcome
+            checks = [
+                span.tags["check"]
+                for span in tracer.spans()
+                if span.name == "witness-revalidate"
+            ]
+            assert checks == ([check] if check else [])
+    counters = metrics.snapshot()["counters"]
+    assert counters["witness.truncation_only"] == 1
+    assert counters["witness.revalidated"] == 2
+    assert counters["witness.revalidation_failed"] == 1
 
 
 def test_screen_prefilter_drops_unfeedable_relations():
