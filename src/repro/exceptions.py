@@ -33,12 +33,12 @@ class AccessError(ReproError):
     value that is not in the active domain of the current configuration, or
     when a response contains tuples that do not match the binding.
 
-    When raised out of a batch (``Mediator.perform_many``), the error carries
-    the failing :class:`~repro.sources.accesses.Access` in ``access``, the
-    ``(access, duration)`` pairs merged before the failure in ``timings``, and
-    the number of source-call attempts spent on the failing access in
-    ``attempts``, so callers and spans can report *which* access failed and
-    what the batch had already accomplished.
+    When raised out of a batch (``AccessExecutor.execute_batch``), the error
+    carries the failing :class:`~repro.sources.accesses.Access` in
+    ``access``, the ``(access, duration)`` pairs merged before the failure in
+    ``timings``, and the number of source-call attempts spent on the failing
+    access in ``attempts``, so callers and spans can report *which* access
+    failed and what the batch had already accomplished.
     """
 
     access = None

@@ -14,11 +14,12 @@ needs around the paper's decision procedures:
 * :class:`~repro.runtime.screening.CandidateScreen` — batched pre-oracle
   screening: the relevant-relation-closure prefilter and structural
   equivalence grouping of candidate bindings;
-* :class:`~repro.runtime.executor.AccessExecutor` — deduplicating, batched
-  access execution against a :class:`~repro.sources.service.Mediator`, with
-  ``max_concurrency`` overlapping a batch's source latency;
-* :mod:`~repro.runtime.shards` — lock-protected and sharded LRU caches plus
-  the :class:`~repro.runtime.shards.SharedVerdictStore` that pools LTR
+* :class:`~repro.runtime.executor.AccessExecutor` — the one batch loop:
+  deduplicating access execution against a
+  :class:`~repro.sources.service.Mediator`, with ``max_concurrency``
+  overlapping a batch's source latency;
+* :mod:`~repro.runtime.shards` — the lock-protected LRU cache plus the
+  :class:`~repro.runtime.shards.SharedVerdictStore` that pools LTR
   history and witnesses across oracles for one (query, schema);
 * :class:`~repro.runtime.persist.PersistentWitnessCache` — witness paths on
   disk, so a warm restart revalidates instead of searching fresh;
@@ -27,9 +28,10 @@ needs around the paper's decision procedures:
   (safe for N concurrent server processes sharing one store);
 * :mod:`~repro.runtime.serialize` — the record formats and process-stable
   digests the persistent cache is built on;
-* :class:`~repro.runtime.server.QueryServer` — the multi-query answering
-  runtime: a batch of Boolean queries over one shared configuration, every
-  performed access advancing every query's strategy;
+* :class:`~repro.runtime.server.QueryServer` — the answering kernel: a
+  batch of Boolean queries over one shared configuration, every performed
+  access advancing every query's strategy (the single-query strategies of
+  :mod:`repro.planner.dynamic` run it with one query);
 * :class:`~repro.runtime.metrics.RuntimeMetrics` — thread-safe counters,
   timers (with call counts), latency histograms (p50/p95/p99), and cache
   gauges the other components record into;
@@ -79,7 +81,7 @@ from repro.runtime.retry import (
 from repro.runtime.screening import CandidateScreen, relevant_relation_closure
 from repro.runtime.server import QueryOutcome, QueryServer, ServerResult
 from repro.runtime.service import AnsweringService, ServiceHandle, serve_in_background
-from repro.runtime.shards import ShardedLRUCache, SharedVerdictStore
+from repro.runtime.shards import SharedVerdictStore
 from repro.runtime.storage import (
     CompactionResult,
     JsonlWitnessStore,
@@ -129,7 +131,6 @@ __all__ = [
     "RuntimeMetrics",
     "ServerResult",
     "ServiceHandle",
-    "ShardedLRUCache",
     "SharedVerdictStore",
     "Span",
     "SqliteWitnessStore",

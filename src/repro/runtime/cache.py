@@ -41,23 +41,20 @@ buffers every newly captured path.  The caller owns the cache: it flushes
 the buffer (the server and the guided strategy do so after every round)
 and closes it.
 
-Concurrency: every cache the oracle reads or writes is an
-:class:`~repro.runtime.shards.LRUCache` (lock-protected) or a
-:class:`~repro.runtime.shards.ShardedLRUCache` (per-shard locks keyed by
-``hash(key) % n_shards``).  Within one answering run all oracle calls stay
-on the strategy's dispatching thread (see the mediator's concurrency notes);
-the locks and sharding matter for the *cross-run* surfaces — oracles in
-concurrent answering threads pooling a :class:`SharedVerdictStore`, or any
-caller probing one oracle from several threads — where they prevent
-corruption and keep unrelated access keys from serialising on one dict.
-Verdicts are deterministic functions of configuration content; two threads
-racing on the same miss compute the same value, so no compute-level lock is
-needed.
+Concurrency: every cache the oracle reads or writes is a lock-protected
+:class:`~repro.runtime.shards.LRUCache`.  All oracle calls of an answering
+run stay on its dispatching thread (the executor runs only source round
+trips on pool threads), so the locks are safety code for the *cross-run*
+surfaces — oracles in concurrent answering threads pooling a
+:class:`SharedVerdictStore`, or any caller probing one oracle from several
+threads — where they prevent corruption.  Verdicts are deterministic
+functions of configuration content; two threads racing on the same miss
+compute the same value, so no compute-level lock is needed.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Hashable, Optional, Tuple
 
 from repro.core import (
     ContainmentOptions,
@@ -65,13 +62,13 @@ from repro.core import (
     long_term_relevance_with_witness,
 )
 from repro.core.longterm_dependent import containment_cq_memo
-from repro.data import Configuration, Fact
+from repro.data import Configuration
 from repro.exceptions import QueryError
 from repro.queries import is_certain
 from repro.queries.certain import CertaintyFixpoint
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.serialize import query_token, schema_token
-from repro.runtime.shards import LRUCache, ShardedLRUCache, SharedVerdictStore
+from repro.runtime.shards import LRUCache, SharedVerdictStore
 from repro.runtime.tracing import current_tracer
 from repro.runtime.witness import (
     ConfigurationSnapshot,
@@ -140,7 +137,6 @@ class RelevanceOracle:
         incremental: bool = True,
         certainty_fixpoint: bool = True,
         fixpoint_max_facts: int = 1_000_000,
-        n_shards: int = 1,
         store: Optional[SharedVerdictStore] = None,
         persist: Optional["PersistentWitnessCache"] = None,
     ) -> None:
@@ -154,11 +150,7 @@ class RelevanceOracle:
             # The cache counts ``persist.recorded`` when it flushes.
             persist.attach_metrics(self._metrics)
             self._persist_tokens = (query_token(self._query), schema_token(schema))
-        self._cache: Union[LRUCache, ShardedLRUCache] = (
-            ShardedLRUCache(max_entries, n_shards=n_shards)
-            if n_shards > 1
-            else LRUCache(max_entries)
-        )
+        self._cache = LRUCache(max_entries)
         self._incremental = incremental
         if store is not None:
             store.check_compatible(self._query, schema)
@@ -170,9 +162,6 @@ class RelevanceOracle:
                 )
             self._witnesses = store.witnesses
             self._ltr_history = store.ltr_history
-        elif n_shards > 1:
-            self._witnesses = ShardedLRUCache(max_entries, n_shards=n_shards)
-            self._ltr_history = ShardedLRUCache(max_entries, n_shards=n_shards)
         else:
             self._witnesses = LRUCache(max_entries)
             self._ltr_history = LRUCache(max_entries)
@@ -511,11 +500,6 @@ class RelevanceOracle:
         """
         if self._fixpoint is not None:
             self._fixpoint.absorb(response.as_facts())
-
-    def absorb_facts(self, facts: Sequence[Fact]) -> None:
-        """Advance the certainty fixpoint by already-merged facts."""
-        if self._fixpoint is not None:
-            self._fixpoint.absorb(facts)
 
     @property
     def certainty_fixpoint(self) -> Optional[CertaintyFixpoint]:

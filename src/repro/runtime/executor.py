@@ -1,15 +1,16 @@
 """Batched access execution against a mediator.
 
-The answering strategies of :mod:`repro.planner.dynamic` used to interleave
-bookkeeping (which accesses were already made, how many facts each returned)
-with strategy logic.  :class:`AccessExecutor` centralises that bookkeeping:
+:class:`AccessExecutor` owns the runtime's one batch loop and its
+bookkeeping; the mediator contributes only the single-access round trip
+(:meth:`~repro.sources.service.Mediator.respond`) and the merge
+(:meth:`~repro.sources.service.Mediator.merge`):
 
 * it deduplicates accesses, so an access performed once is never re-sent to a
   source;
-* it executes *batches* — for the exhaustive strategy, a whole round of
-  candidate accesses is dispatched in one call, and with ``max_concurrency``
-  the batch's independent accesses overlap their source latency through
-  :meth:`~repro.sources.service.Mediator.perform_many`;
+* it executes *batches* — a whole answering round of accesses in one call,
+  with prechecks, stop checks, merges and failure handling on the calling
+  thread, and with ``max_concurrency`` the batch's round trips overlapping
+  their source latency in a thread pool;
 * it records per-run metrics (accesses performed, skipped, facts retrieved,
   *new* facts merged).
 
@@ -22,16 +23,20 @@ strategies would run a provably idle extra round).
 from __future__ import annotations
 
 import itertools
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor
+from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.data import AccessResponse, Configuration, Fact
-from repro.exceptions import DeadlineExceeded
+from repro.data import AccessResponse, Configuration
+from repro.exceptions import AccessError, CircuitOpenError, DeadlineExceeded
 from repro.runtime.cache import access_key
 from repro.runtime.metrics import RuntimeMetrics
+from repro.runtime.retry import Deadline
 from repro.runtime.tracing import current_tracer
 from repro.schema import Access, Schema
-from repro.sources.service import Mediator
+from repro.sources.service import Mediator, annotate_error
 
 __all__ = ["AccessExecutor", "BatchResult", "candidate_accesses"]
 
@@ -43,10 +48,10 @@ def candidate_accesses(
 ) -> List[Access]:
     """Well-formed accesses (dependent bindings from the active domain) not yet made.
 
-    This is the per-round enumeration every answering strategy starts from —
-    the single-query strategies of :mod:`repro.planner.dynamic` and the
-    multi-query rounds of :class:`~repro.runtime.server.QueryServer` (which
-    enumerates once per round and shares the list across all its queries).
+    This is the per-round enumeration the answering kernel of
+    :class:`~repro.runtime.server.QueryServer` starts from (once per round,
+    shared across all its queries; the strategies of
+    :mod:`repro.planner.dynamic` run the same kernel).
     ``performed_key`` is usually :meth:`AccessExecutor.has_performed_key`.
     """
     candidates: List[Access] = []
@@ -106,25 +111,6 @@ class BatchResult:
         """
         return self.new_facts > 0
 
-    def delta_facts(self) -> List[Fact]:
-        """The batch's merged facts, deduplicated across responses.
-
-        Responses are merged all-or-nothing before being recorded, so the
-        post-batch configuration is exactly the pre-batch one plus these
-        facts; consumers maintaining incremental state (the certainty
-        fixpoint) can advance by this delta instead of re-reading the
-        configuration.  May still include facts the configuration already
-        had before the batch — sound for any dedup-on-absorb consumer.
-        """
-        seen: Set[Fact] = set()
-        delta: List[Fact] = []
-        for response in self.responses:
-            for fact in response.as_facts():
-                if fact not in seen:
-                    seen.add(fact)
-                    delta.append(fact)
-        return delta
-
 
 class AccessExecutor:
     """Deduplicating, metric-recording executor over one mediator."""
@@ -177,116 +163,221 @@ class AccessExecutor:
         max_concurrency: int = 1,
         annotate_access: Optional[Callable[[Access], Optional[Dict[str, object]]]] = None,
         on_response: Optional[Callable[[AccessResponse], None]] = None,
-        deadline=None,
+        deadline: Optional[Deadline] = None,
         tolerate_failures: bool = False,
     ) -> BatchResult:
         """Perform every not-yet-performed access of the batch.
 
-        ``precheck`` is consulted immediately before each dispatch, against
-        whatever state earlier completions of the batch merged — the
-        relevance-guided strategy passes its oracle here, so an access
-        screened relevant at the top of the round is re-validated (cheaply,
-        through the incremental engine) at the configuration it actually
-        executes against.  ``stop`` ends the batch between completions (e.g.
-        the query became certain); responses already in flight are still
-        merged, so the performed set always equals the dispatched set.
-        ``on_response`` is invoked on the calling thread for each response,
-        immediately after its facts are merged into the configuration and
-        before any subsequent ``stop`` or ``precheck`` evaluation — the
-        ordering incremental consumers (the certainty fixpoint) rely on to
-        stay in lineage with the live configuration mid-batch.
+        This is the runtime's one batch loop.  Before each dispatch it
+        checks, on the calling thread and in this order: ``stop`` (e.g. the
+        query became certain) and the ``deadline`` end the batch;
+        ``precheck`` skips the access — the answering kernel re-validates an
+        access screened relevant at the top of the round, cheaply through
+        the incremental engine, against the configuration it actually
+        executes against; a known-open circuit breaker and an ill-formed
+        binding fail the access without a source call.  It then dispatches
+        the access's round trip (:meth:`Mediator.respond`) and merges each
+        completed response on the calling thread (:meth:`Mediator.merge`).
+        ``on_response`` runs right after each merge, before the next
+        ``stop`` or ``precheck`` — the ordering incremental consumers (the
+        certainty fixpoint) rely on to stay in lineage with the live
+        configuration mid-batch.
 
-        With ``max_concurrency > 1`` the batch overlaps source latency
-        through :meth:`Mediator.perform_many`; prechecks, stop checks, and
-        merges all stay on the calling thread (see the mediator's concurrency
-        notes), so the semantics match the sequential path except that up to
-        ``max_concurrency`` accesses dispatched before a stop may complete.
+        Up to ``max_concurrency`` round trips overlap in a thread pool
+        (values below 1 count as 1).  Responses already in flight when
+        ``stop`` fires are still merged, so the performed set equals the
+        dispatched set, and up to ``max_concurrency`` accesses dispatched
+        before a stop may complete.  Without concurrency or a deadline there
+        is no pool: each round trip runs inline, strictly in order.
 
-        When tracing is active the batch runs under an ``access-batch`` span
-        (each performed access's ``source-call`` span parents under it, even
-        from pool worker threads), and ``annotate_access`` — evaluated at
-        dispatch time — supplies extra tags for each access's span; the
-        query server passes the screening layer's why-was-this-performed
-        annotations here.  Per-access latency always lands in the
-        ``access.latency`` and ``access.latency.<method>`` histograms.
+        When tracing is active the batch runs under an ``access-batch`` span;
+        each performed access's ``source-call`` span parents under it, even
+        from pool threads, and ``annotate_access`` — evaluated at dispatch
+        time — supplies extra tags for it (the query server passes the
+        screening layer's why-was-this-performed annotations here).
+        Per-access latency always lands in the ``access.latency`` and
+        ``access.latency.<method>`` histograms.
 
-        Fault tolerance: with ``tolerate_failures=True`` a failing access
-        does not abort the batch — it lands in ``result.failed`` as
-        ``(access, error, attempts)`` and its batchmates proceed; the access
-        is *not* marked performed, so a later round (or ``answer`` call) may
-        retry it.  ``deadline`` bounds the batch through
-        :meth:`Mediator.perform_many`: after expiry nothing new is
-        dispatched, hung in-flight work is abandoned unmerged, and
-        ``result.deadline_expired`` is set.  With both left at their
-        defaults the batch is bit-identical to the pre-fault-tolerance
-        behavior (first failure raises, enriched with ``error.access`` and
-        partial ``error.timings``).
+        Failures: by default the first failing access aborts the batch —
+        responses already in flight are merged, then the error is raised
+        carrying the failing access in ``error.access``, the ``(access,
+        duration)`` pairs merged before the failure in ``error.timings``,
+        and the source-call attempts in ``error.attempts``.  With
+        ``tolerate_failures=True`` a failing access lands in
+        ``result.failed`` as ``(access, error, attempts)`` and its
+        batchmates proceed.  Either way a failed access is *not* marked
+        performed, so a later round (or ``answer`` call) may retry it.
+        ``deadline`` bounds the batch: after expiry nothing new is
+        dispatched, retries never back off past it, work still in flight is
+        abandoned unmerged (reported as
+        :class:`~repro.exceptions.DeadlineExceeded`; its pool threads finish
+        in the background), and ``result.deadline_expired`` is set.  A batch
+        with a deadline always runs on a pool, so a hung source cannot block
+        it past expiry.
         """
         result = BatchResult()
-
-        deduplicated: List[Access] = []
+        pending: Deque[Access] = deque()
         seen: Set[Tuple[str, Tuple[object, ...]]] = set()
         for access in accesses:
-            key = self.key(access)
+            key = access_key(access)
             if key in self._performed or key in seen:
                 result.skipped += 1
                 self._metrics.incr("executor.skipped")
                 continue
             seen.add(key)
-            deduplicated.append(access)
+            pending.append(access)
 
-        def should_perform(access: Access) -> bool:
-            if precheck is not None and not precheck(access):
-                result.skipped += 1
-                self._metrics.incr("executor.precheck_skipped")
-                return False
-            return True
+        mediator = self._mediator
+        board = mediator.breakers
+        window = max(1, max_concurrency)
+        in_flight: Dict[Future, Access] = {}
+        timings: List[Tuple[Access, float]] = []
+        errors: List[BaseException] = []
+        stopped = False
 
-        def on_performed(access: Access, response: AccessResponse, new_facts: int) -> None:
-            # Recorded per merge, not after the batch: accesses performed
-            # before a mid-batch failure stay deduplicated on a retry.
-            self._performed.add(self.key(access))
-            self._metrics.incr("executor.performed")
-            self._metrics.incr("executor.facts", len(response))
-            result.performed += 1
-            result.responses.append(response)
-            result.new_facts += new_facts
-            if on_response is not None:
-                on_response(response)
-
-        def on_timing(access: Access, duration: float) -> None:
-            self._metrics.observe("access.latency", duration)
-            self._metrics.observe(f"access.latency.{access.method.name}", duration)
-
-        def on_attempts(access: Access, attempts: int) -> None:
-            result.attempts_by_key[self.key(access)] = attempts
-
-        def on_failure(access: Access, error: BaseException, attempts: int) -> None:
+        def fail(access: Access, error: BaseException, attempts: int) -> None:
+            nonlocal stopped
+            if not tolerate_failures:
+                errors.append(annotate_error(error, access, timings=tuple(timings)))
+                stopped = True
+                return
             result.failed.append((access, error, attempts))
             if attempts:
-                result.attempts_by_key[self.key(access)] = attempts
+                result.attempts_by_key[access_key(access)] = attempts
             if isinstance(error, DeadlineExceeded):
                 result.deadline_expired = True
             self._metrics.incr("executor.failed")
 
+        def refuse(access: Access, error: BaseException) -> None:
+            """Fail an access that made no source call."""
+            fail(access, annotate_error(error, access, attempts=0), 0)
+
         tracer = current_tracer()
         with tracer.span(
-            "access-batch",
-            candidates=len(deduplicated),
-            max_concurrency=max_concurrency,
+            "access-batch", candidates=len(pending), max_concurrency=max_concurrency
         ) as batch_span:
-            self._mediator.perform_many(
-                deduplicated,
-                max_concurrency=max_concurrency,
-                stop=stop,
-                should_perform=should_perform if precheck is not None else None,
-                on_performed=on_performed,
-                on_timing=on_timing,
-                on_attempts=on_attempts,
-                on_failure=on_failure if tolerate_failures else None,
-                tags_for=annotate_access,
-                deadline=deadline,
+            # Captured once: pool threads record their source-call spans
+            # under this explicit parent (thread-locals stay behind).
+            parent = tracer.context() if tracer.enabled else None
+            pool = (
+                ThreadPoolExecutor(max_workers=window)
+                if window > 1 or deadline is not None
+                else None
             )
+
+            def dispatch(access: Access) -> Future:
+                tags = (
+                    annotate_access(access)
+                    if annotate_access is not None and tracer.enabled
+                    else None
+                )
+                call = (access, tracer, parent, tags, deadline)
+                if pool is not None:
+                    return pool.submit(mediator.respond, *call)
+                future = Future()
+                try:
+                    future.set_result(mediator.respond(*call))
+                except Exception as error:
+                    future.set_exception(error)
+                return future
+
+            abandoned = False
+            try:
+                while True:
+                    while pending and len(in_flight) < window and not stopped:
+                        if (stop is not None and stop()) or (
+                            deadline is not None and deadline.expired()
+                        ):
+                            stopped = True
+                            break
+                        access = pending.popleft()
+                        if precheck is not None and not precheck(access):
+                            result.skipped += 1
+                            self._metrics.incr("executor.precheck_skipped")
+                            continue
+                        if board is not None and board.breaker_for(
+                            access.method.name
+                        ).fail_fast():
+                            if mediator.metrics is not None:
+                                mediator.metrics.incr("breaker.fast_fail")
+                            refuse(
+                                access,
+                                CircuitOpenError(
+                                    "circuit breaker open for source "
+                                    f"{access.method.name!r}"
+                                ),
+                            )
+                            continue
+                        if not mediator.can_perform(access):
+                            refuse(
+                                access,
+                                AccessError(
+                                    f"access {access!r} is not well-formed at the "
+                                    "current configuration"
+                                ),
+                            )
+                            continue
+                        in_flight[dispatch(access)] = access
+                    if not in_flight:
+                        break
+                    timeout = None
+                    if deadline is not None and not deadline.unlimited:
+                        timeout = max(0.0, deadline.remaining())
+                    done, _ = futures_wait(
+                        in_flight, timeout=timeout, return_when=FIRST_COMPLETED
+                    )
+                    if not done:
+                        # The deadline expired with work still hung in
+                        # flight: abandon it.  Queued futures are cancelled;
+                        # running ones finish in the background, unmerged.
+                        abandoned = True
+                        if mediator.metrics is not None:
+                            mediator.metrics.incr("deadline.abandoned", len(in_flight))
+                        for future, access in in_flight.items():
+                            future.cancel()
+                            refuse(
+                                access,
+                                DeadlineExceeded(
+                                    f"deadline expired with access {access!r} in flight"
+                                ),
+                            )
+                        break
+                    for future in done:
+                        access = in_flight.pop(future)
+                        try:
+                            response, duration, span, attempts = future.result()
+                        except Exception as error:
+                            fail(access, error, getattr(error, "attempts", 1))
+                            continue
+                        try:
+                            new_facts = mediator.merge(access, response)
+                        except Exception as error:
+                            fail(access, error, attempts)
+                            continue
+                        if span is not None:
+                            span.annotate(new_facts=new_facts)
+                        # Recorded per merge, not after the batch: accesses
+                        # merged before a failure stay deduplicated on a retry.
+                        key = access_key(access)
+                        self._performed.add(key)
+                        timings.append((access, duration))
+                        result.attempts_by_key[key] = attempts
+                        result.performed += 1
+                        result.responses.append(response)
+                        result.new_facts += new_facts
+                        self._metrics.incr("executor.performed")
+                        self._metrics.incr("executor.facts", len(response))
+                        self._metrics.observe("access.latency", duration)
+                        self._metrics.observe(
+                            f"access.latency.{access.method.name}", duration
+                        )
+                        if on_response is not None:
+                            on_response(response)
+            finally:
+                if pool is not None:
+                    pool.shutdown(wait=not abandoned, cancel_futures=abandoned)
+            if errors:
+                raise errors[0]
             if deadline is not None and deadline.expired():
                 result.deadline_expired = True
             batch_span.annotate(

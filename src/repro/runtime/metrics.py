@@ -18,9 +18,7 @@ wall-clock.  To keep that interpretable every timer also counts its calls
 the overlap.
 
 Components may additionally :meth:`register_cache` their LRU caches; a
-:meth:`snapshot` then includes each cache's hit/miss gauges — including the
-per-shard breakdown of a :class:`~repro.runtime.shards.ShardedLRUCache`, so
-shard imbalance is visible without poking at internals.
+:meth:`snapshot` then includes each cache's hit/miss gauges.
 
 Cumulative timers answer *how much* total time a component consumed; they
 cannot answer "what latency does the p99 query see", which is the number a
@@ -29,9 +27,9 @@ latency samples into bounded :class:`LatencyHistogram` buckets (geometric,
 microseconds to minutes, fixed memory regardless of sample count), and
 :meth:`quantile` / the snapshot's ``histograms`` section report p50/p95/p99
 from them.  The runtime records three families: per-query latency
-(``server.query_latency`` / ``query.latency``), per-round latency
-(``server.round_latency`` / ``round.latency``), and per-source access
-latency (``access.latency`` plus ``access.latency.<method>``).
+(``server.query_latency``), per-round latency (``server.round_latency``),
+and per-source access latency (``access.latency`` plus
+``access.latency.<method>``).
 """
 
 from __future__ import annotations

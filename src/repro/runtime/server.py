@@ -1,12 +1,12 @@
-"""The multi-query answering server.
+"""The multi-query answering server: the runtime's one round kernel.
 
-Everything below :mod:`repro.planner.dynamic` answers *one* query per run: a
-private oracle, a private screen, rounds that stop at that query's certainty.
 A traffic-serving mediator is asked many queries about the *same* sources at
-once, and the single-query loop wastes what the queries could share: an
-access performed for one query grows the one configuration every other query
-reads, so a fact retrieved once should advance every query's strategy (and an
-access wanted by three queries should be performed exactly once).
+once, and answering them one by one would waste what the queries could
+share: an access performed for one query grows the one configuration every
+other query reads, so a fact retrieved once should advance every query's
+strategy (and an access wanted by three queries should be performed exactly
+once).  The single-query strategies of :mod:`repro.planner.dynamic` are
+this kernel run with one query and the oracle the caller supplied or built.
 
 :class:`QueryServer` is that runtime.  It owns one
 :class:`~repro.sources.service.Mediator` and, per distinct Boolean query, a
@@ -438,6 +438,43 @@ class QueryServer:
                 Deadline.after(seconds) if seconds is not None else None
                 for seconds in deadlines
             ]
+        return self._run(
+            queries,
+            strategy,
+            max_rounds,
+            round_budgets=round_budgets,
+            access_budgets=access_budgets,
+            deadlines=query_deadlines,
+        )
+
+    # ------------------------------------------------------------------ #
+    # Internals
+    # ------------------------------------------------------------------ #
+    def _run(
+        self,
+        queries: Sequence[object],
+        strategy: str,
+        max_rounds: int,
+        *,
+        oracles: Optional[Sequence[RelevanceOracle]] = None,
+        round_budgets: Optional[Sequence[Optional[int]]] = None,
+        access_budgets: Optional[Sequence[Optional[int]]] = None,
+        deadlines: Optional[Sequence[Optional[Deadline]]] = None,
+        tolerate_failures: bool = True,
+    ) -> ServerResult:
+        """The answering kernel behind :meth:`answer` and the single-query
+        strategies of :mod:`repro.planner.dynamic`.
+
+        Inside one ``answer`` span it builds the per-query states, runs the
+        guided or exhaustive rounds, and evaluates every query at the final
+        configuration.  ``queries`` is non-empty and the arguments are
+        validated.  ``oracles``, aligned with ``queries``, replace the
+        oracles built from the store registry (a strategy passes the one it
+        was given or built); ``deadlines`` are absolute.  With
+        ``tolerate_failures=False`` an access failing past its retries
+        raises out of the batch instead of degrading the queries that
+        wanted it.
+        """
         executor = self._executor
         accesses_before = self._mediator.access_count
         facts_before = len(self._mediator.configuration_view)
@@ -446,17 +483,16 @@ class QueryServer:
         with activate_tracer(tracer) as active:
             with active.span("answer", queries=len(queries), strategy=strategy) as span:
                 if strategy == "exhaustive":
-                    states, rounds, exhausted = self._exhaustive_rounds(
-                        queries, executor, max_rounds
+                    states = self._make_states(queries, oracles)
+                    rounds, exhausted = self._exhaustive_rounds(
+                        states, executor, max_rounds
                     )
                 else:
-                    states, rounds, exhausted = self._guided_rounds(
-                        queries,
-                        executor,
-                        max_rounds,
-                        round_budgets=round_budgets,
-                        access_budgets=access_budgets,
-                        deadlines=query_deadlines,
+                    states = self._make_states(
+                        queries, oracles, round_budgets, access_budgets, deadlines
+                    )
+                    rounds, exhausted = self._guided_rounds(
+                        states, executor, max_rounds, tolerate_failures
                     )
                 outcomes = self._finalize(states)
                 result = ServerResult(
@@ -476,12 +512,10 @@ class QueryServer:
         self._metrics.observe("server.query_latency", time.perf_counter() - started)
         return result
 
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
     def _make_states(
         self,
         queries: Sequence[object],
+        oracles: Optional[Sequence[RelevanceOracle]] = None,
         round_budgets: Optional[Sequence[Optional[int]]] = None,
         access_budgets: Optional[Sequence[Optional[int]]] = None,
         deadlines: Optional[Sequence[Optional[Deadline]]] = None,
@@ -489,21 +523,27 @@ class QueryServer:
         states: List[_QueryState] = []
         schema = self._mediator.schema
         for index, query in enumerate(queries):
-            store = self.store_for(query)
-            # The store's query equals this one's Boolean closure; deciding
-            # with it reuses the joins it compiled for earlier requests.
-            boolean = store.query
-            oracle = RelevanceOracle(
-                boolean,
-                schema,
-                ltr_method=self._ltr_method,
-                metrics=self._metrics,
-                max_entries=self._max_entries,
-                store=store,
-                persist=self._persist,
-            )
-            screen = CandidateScreen(boolean, schema, metrics=self._metrics)
-            prefilter_ltr = self._use_long_term and self._ltr_method in (
+            if oracles is not None:
+                oracle = oracles[index]
+            else:
+                store = self.store_for(query)
+                # The store's query equals this one's Boolean closure;
+                # deciding with it reuses the joins it compiled for earlier
+                # requests.
+                oracle = RelevanceOracle(
+                    store.query,
+                    schema,
+                    ltr_method=self._ltr_method,
+                    metrics=self._metrics,
+                    max_entries=self._max_entries,
+                    store=store,
+                    persist=self._persist,
+                )
+            screen = CandidateScreen(oracle.query, schema, metrics=self._metrics)
+            # The closure prefilter mirrors the bounded witness searches; the
+            # containment-reduction procedures do not share that structure,
+            # so an oracle dispatching to them opts out of prefiltering.
+            prefilter_ltr = self._use_long_term and oracle.ltr_method in (
                 "auto",
                 "direct",
                 "independent",
@@ -551,16 +591,13 @@ class QueryServer:
 
     def _guided_rounds(
         self,
-        queries: Sequence[object],
+        states: List[_QueryState],
         executor: AccessExecutor,
         max_rounds: int,
-        round_budgets: Optional[Sequence[Optional[int]]] = None,
-        access_budgets: Optional[Sequence[Optional[int]]] = None,
-        deadlines: Optional[Sequence[Optional[Deadline]]] = None,
-    ) -> Tuple[List[_QueryState], int, bool]:
+        tolerate_failures: bool,
+    ) -> Tuple[int, bool]:
         mediator = self._mediator
         schema = mediator.schema
-        states = self._make_states(queries, round_budgets, access_budgets, deadlines)
         rounds = 0
         progressed_out = False
         tracer = current_tracer()
@@ -574,7 +611,7 @@ class QueryServer:
             try:
                 with tracer.span("round", index=rounds - 1) as round_span:
                     result = self._one_guided_round(
-                        states, executor, tracer, round_span
+                        states, executor, tracer, round_span, tolerate_failures
                     )
             finally:
                 if self._persist is not None:
@@ -586,7 +623,7 @@ class QueryServer:
                 exhausted_any = result[1] or any(
                     state.exhausted for state in states
                 )
-                return states, rounds, exhausted_any
+                return rounds, exhausted_any
         # Budget ran out while rounds were still progressing: conservatively
         # flag the still-open queries, unless nothing is left to try.
         final = mediator.configuration_view
@@ -598,7 +635,7 @@ class QueryServer:
                     progressed_out = True
             if progressed_out:
                 self._metrics.incr("server.rounds_exhausted")
-        return states, rounds, progressed_out or any(s.exhausted for s in states)
+        return rounds, progressed_out or any(s.exhausted for s in states)
 
     def _one_guided_round(
         self,
@@ -606,6 +643,7 @@ class QueryServer:
         executor: AccessExecutor,
         tracer: TracerLike,
         round_span,
+        tolerate_failures: bool,
     ) -> Optional[Tuple[bool, bool]]:
         """One shared round.  Returns ``(done, exhausted)`` when the rounds
         should stop, ``None`` to continue with the next round."""
@@ -782,7 +820,7 @@ class QueryServer:
             annotate_access=annotate_access if tracer.enabled else None,
             on_response=on_response if absorbers else None,
             deadline=batch_deadline,
-            tolerate_failures=True,
+            tolerate_failures=tolerate_failures,
         )
         # Attribute the batch's failures and retry effort to the queries
         # that wanted each access.  Failed accesses stay un-performed (the
@@ -804,13 +842,12 @@ class QueryServer:
 
     def _exhaustive_rounds(
         self,
-        queries: Sequence[object],
+        states: List[_QueryState],
         executor: AccessExecutor,
         max_rounds: int,
-    ) -> Tuple[List[_QueryState], int, bool]:
+    ) -> Tuple[int, bool]:
         mediator = self._mediator
         schema = mediator.schema
-        states = self._make_states(queries)
         rounds = 0
         tracer = current_tracer()
         for _round in range(max_rounds):
@@ -830,7 +867,7 @@ class QueryServer:
                     "server.round_latency", time.perf_counter() - round_started
                 )
             if not batch.progressed:
-                return states, rounds, False
+                return rounds, False
         exhausted = bool(
             candidate_accesses(
                 schema, mediator.configuration_view, executor.has_performed_key
@@ -840,7 +877,7 @@ class QueryServer:
             for state in states:
                 state.exhausted = True
             self._metrics.incr("server.rounds_exhausted")
-        return states, rounds, exhausted
+        return rounds, exhausted
 
     def _finalize(self, states: List[_QueryState]) -> Tuple[QueryOutcome, ...]:
         """Evaluate every query at the final configuration."""

@@ -14,18 +14,21 @@ module simulates that setting:
   access log, so answering strategies (see :mod:`repro.planner.dynamic`) can
   be compared by the number of accesses they make.
 
-Concurrency model (see also the README section): the mediator can overlap
-independent accesses with :meth:`Mediator.perform_many`.  Worker threads
-(``concurrent.futures.ThreadPoolExecutor``) call only
-:meth:`DataSource.respond` — a pure read of the immutable hidden instance
-plus the simulated latency sleep.  Threads are the right tool here (rather
-than asyncio): source latency is I/O-shaped waiting, which the GIL releases,
-and the entire planner/oracle stack stays synchronous — an async path would
-force ``await`` contagion through every relevance procedure for no extra
-overlap.  All configuration mutation, access logging, and caller callbacks
-(``stop``, ``should_perform``) stay on the *dispatching* thread, serialised
-by the mediator's single writer lock, so relevance oracles and certainty
-checks never observe a configuration mid-merge.
+Concurrency model (see also the README section): the mediator splits an
+access into two halves.  :meth:`Mediator.respond` is the round trip — the
+source call under the retry policy, breaker and deadline — and is safe on
+worker threads: it reaches only :meth:`DataSource.respond`, a pure read of
+the immutable hidden instance plus the simulated latency sleep.
+:meth:`Mediator.merge` adds a response to the configuration and the access
+log under the mediator's single writer lock.  The batch loop of
+:meth:`~repro.runtime.executor.AccessExecutor.execute_batch` overlaps the
+round trips of a batch in a thread pool and runs every merge, and every
+caller callback, on the *dispatching* thread, so relevance oracles and
+certainty checks never observe a configuration mid-merge.  Threads are the
+right tool here (rather than asyncio): source latency is I/O-shaped waiting,
+which the GIL releases, and the entire planner/oracle stack stays
+synchronous — an async path would force ``await`` contagion through every
+relevance procedure for no extra overlap.
 """
 
 from __future__ import annotations
@@ -34,32 +37,14 @@ import hashlib
 import random
 import threading
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor
-from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runtime imports us)
     from repro.runtime.metrics import RuntimeMetrics
-    from repro.runtime.retry import BreakerBoard, Deadline, RetryPolicy
+    from repro.runtime.retry import BreakerBoard, RetryPolicy
 
-from repro.data import (
-    AccessResponse,
-    Configuration,
-    Instance,
-    is_well_formed,
-    response_from_instance,
-)
+from repro.data import AccessResponse, Configuration, Instance, is_well_formed
 from repro.exceptions import (
     AccessError,
     CircuitOpenError,
@@ -91,6 +76,24 @@ def _current_tracer():
 
 
 _current_tracer_impl = None
+
+
+def annotate_error(error: BaseException, access: Access, **attributes) -> BaseException:
+    """Attach the failing access (unless already set) and ``attributes``.
+
+    Best effort: an exotic exception without a ``__dict__`` is returned
+    unchanged.  The mediator sets ``attempts`` on the errors its round trip
+    raises; :class:`~repro.runtime.executor.AccessExecutor` adds the
+    ``timings`` of the batch an error aborts.
+    """
+    try:
+        if getattr(error, "access", None) is None:
+            error.access = access
+        for name, value in attributes.items():
+            setattr(error, name, value)
+    except Exception:  # pragma: no cover - exotic exception without __dict__
+        pass
+    return error
 
 
 @dataclass(frozen=True)
@@ -322,7 +325,7 @@ class Mediator:
     it.  Accesses that are not well-formed (a dependent binding value not yet
     known) are rejected, mirroring the paper's semantics.
 
-    Ordering guarantees under :meth:`perform_many`: responses are merged and
+    Ordering guarantees under a concurrent batch: responses are merged and
     logged one at a time under the writer lock, in completion order — the
     *set* of performed accesses and the final configuration are deterministic
     for exact sources, while the log *order* within a concurrent batch is
@@ -380,10 +383,9 @@ class Mediator:
         Unlike :attr:`configuration` this does not copy; the returned object
         changes as accesses are performed.  Callers must not mutate it — the
         answering strategies use it to avoid per-candidate deep copies.
-        During a :meth:`perform_many` batch the view only changes on the
-        dispatching thread (merges happen between, not during, caller
-        callbacks), so strategies reading it from that thread never observe a
-        partial merge.
+        During a concurrent batch the view only changes on the dispatching
+        thread (merges happen between, not during, caller callbacks), so
+        strategies reading it from that thread never observe a partial merge.
         """
         return self._configuration
 
@@ -419,6 +421,11 @@ class Mediator:
         """The per-source circuit-breaker board, if any (``/healthz`` reads it)."""
         return self._breakers
 
+    @property
+    def metrics(self) -> Optional["RuntimeMetrics"]:
+        """The metrics sink the mediator records into, if any."""
+        return self._metrics
+
     # ------------------------------------------------------------------ #
     # Access execution
     # ------------------------------------------------------------------ #
@@ -426,12 +433,13 @@ class Mediator:
         """Whether the access is well-formed at the current configuration."""
         return is_well_formed(access, self._configuration)
 
-    def _merge_response(self, access: Access, response: AccessResponse) -> int:
+    def merge(self, access: Access, response: AccessResponse) -> int:
         """Merge one response under the writer lock; return the new-fact count.
 
-        All-or-nothing: if a response tuple fails validation part-way
-        (possible with duck-typed sources), the merged prefix is rolled back
-        so the configuration never keeps facts from a failed access.
+        Runs on the dispatching thread.  All-or-nothing: if a response tuple
+        fails validation part-way (possible with duck-typed sources), the
+        merged prefix is rolled back so the configuration never keeps facts
+        from a failed access.
         """
         relation_name = access.relation.name
         with self._merge_lock:
@@ -483,36 +491,6 @@ class Mediator:
             self._metrics.observe("source.latency", duration)
         return response, duration, span
 
-    @staticmethod
-    def _annotate_error(exc: BaseException, access: Access, attempts: int) -> BaseException:
-        """Attach the failing access and attempt count to an error, best effort."""
-        try:
-            if getattr(exc, "access", None) is None:
-                exc.access = access
-            exc.attempts = attempts
-        except Exception:  # pragma: no cover - exotic exception without __dict__
-            pass
-        return exc
-
-    @staticmethod
-    def _attach_batch_context(
-        exc: BaseException, access: Access, timings: Sequence[Tuple[Access, float]]
-    ) -> BaseException:
-        """Enrich a batch-aborting error with the access and partial timings.
-
-        The all-or-nothing raise of :meth:`perform_many` used to discard
-        *which* access failed; callers now find it in ``error.access`` and
-        the ``(access, duration)`` pairs merged before the failure in
-        ``error.timings``.
-        """
-        try:
-            if getattr(exc, "access", None) is None:
-                exc.access = access
-            exc.timings = tuple(timings)
-        except Exception:  # pragma: no cover - exotic exception without __dict__
-            pass
-        return exc
-
     def _failure_span(
         self, tracer, parent, access: Access, tags, start, duration, error, attempt, gave_up,
         breaker_state=None,
@@ -534,14 +512,18 @@ class Mediator:
             "source-call", start=start, duration=duration, parent=parent, tags=span_tags
         )
 
-    def _respond_resilient(self, access: Access, tracer, parent, tags=None, deadline=None):
+    def respond(self, access: Access, tracer, parent, tags=None, deadline=None):
         """Answer ``access`` under the retry policy, breaker, and deadline.
 
-        Returns ``(response, duration, span, attempts)``.  Runs on worker
-        threads: retries (and their backoff sleeps) overlap in the pool while
-        merges stay on the dispatch thread.  With no policy, board, or
-        deadline configured this is a pass-through to :meth:`_respond_timed`
-        — the fault-free path is bit-identical to the pre-resilience code.
+        The mediator's round trip, safe on worker threads: it reads the
+        configuration not at all, so a batch may run several at once and
+        :meth:`merge` each result on the dispatching thread.  ``tracer`` and
+        ``parent`` are the tracer and span context the ``source-call`` spans
+        record under (thread-locals do not follow work into a pool), and
+        ``tags`` extra tags for those spans.  Returns ``(response, duration,
+        span, attempts)``; a failure raises with ``error.access`` and
+        ``error.attempts`` set.  With no policy, board, or deadline
+        configured this is a pass-through to :meth:`_respond_timed`.
         """
         policy = self._retry
         board = self._breakers
@@ -553,12 +535,12 @@ class Mediator:
         attempts = 0
         while True:
             if deadline is not None and deadline.expired():
-                raise self._annotate_error(
+                raise annotate_error(
                     DeadlineExceeded(
                         f"deadline expired before access {access!r} could be attempted"
                     ),
                     access,
-                    attempts,
+                    attempts=attempts,
                 )
             if breaker is not None and not breaker.allow():
                 if metrics is not None:
@@ -570,7 +552,7 @@ class Mediator:
                     tracer, parent, access, tags, time.time(), 0.0, exc,
                     attempts + 1, True, breaker_state="open",
                 )
-                raise self._annotate_error(exc, access, attempts)
+                raise annotate_error(exc, access, attempts=attempts)
             attempts += 1
             start = time.time()
             t0 = time.perf_counter()
@@ -602,7 +584,7 @@ class Mediator:
                 if not retryable:
                     if metrics is not None and policy is not None:
                         metrics.incr("retry.gave_up")
-                    raise self._annotate_error(exc, access, attempts)
+                    raise annotate_error(exc, access, attempts=attempts)
                 if metrics is not None:
                     metrics.incr("retry.attempts")
                 if backoff > 0.0:
@@ -617,26 +599,6 @@ class Mediator:
                     span.annotate(attempt=attempts)
             return response, duration, span, attempts
 
-    def _perform_counted_traced(
-        self, access: Access, tracer, parent, tags=None, deadline=None
-    ) -> Tuple[AccessResponse, int, float, int]:
-        """The :meth:`perform_counted` body with explicit trace plumbing."""
-        if not self.can_perform(access):
-            raise self._annotate_error(
-                AccessError(
-                    f"access {access!r} is not well-formed at the current configuration"
-                ),
-                access,
-                0,
-            )
-        response, duration, span, attempts = self._respond_resilient(
-            access, tracer, parent, tags, deadline
-        )
-        new_facts = self._merge_response(access, response)
-        if span is not None:
-            span.annotate(new_facts=new_facts)
-        return response, new_facts, duration, attempts
-
     def perform_counted(self, access: Access) -> Tuple[AccessResponse, int]:
         """Perform a well-formed access; return ``(response, new facts merged)``.
 
@@ -644,11 +606,20 @@ class Mediator:
         already contain — the progress measure the answering strategies use
         (a response full of already-known tuples is not progress).
         """
+        if not self.can_perform(access):
+            raise annotate_error(
+                AccessError(
+                    f"access {access!r} is not well-formed at the current configuration"
+                ),
+                access,
+                attempts=0,
+            )
         tracer = _current_tracer()
         parent = tracer.context() if tracer.enabled else None
-        response, new_facts, _duration, _attempts = self._perform_counted_traced(
-            access, tracer, parent
-        )
+        response, _duration, span, _attempts = self.respond(access, tracer, parent)
+        new_facts = self.merge(access, response)
+        if span is not None:
+            span.annotate(new_facts=new_facts)
         return response, new_facts
 
     def perform(self, access: Access) -> AccessResponse:
@@ -659,245 +630,6 @@ class Mediator:
         via :attr:`configuration` are unaffected.
         """
         return self.perform_counted(access)[0]
-
-    def perform_many(
-        self,
-        accesses: Iterable[Access],
-        *,
-        max_concurrency: int = 1,
-        stop: Optional[Callable[[], bool]] = None,
-        should_perform: Optional[Callable[[Access], bool]] = None,
-        on_performed: Optional[Callable[[Access, AccessResponse, int], None]] = None,
-        on_timing: Optional[Callable[[Access, float], None]] = None,
-        on_attempts: Optional[Callable[[Access, int], None]] = None,
-        on_failure: Optional[Callable[[Access, BaseException, int], None]] = None,
-        tags_for: Optional[Callable[[Access], Optional[Dict[str, object]]]] = None,
-        deadline: Optional["Deadline"] = None,
-    ) -> List[Tuple[Access, AccessResponse, int]]:
-        """Perform a batch of accesses, overlapping their source latency.
-
-        Up to ``max_concurrency`` accesses are in flight at once; worker
-        threads only call :meth:`DataSource.respond` (wrapped in the
-        mediator's retry policy and breaker, when configured), while this
-        (the dispatching) thread checks well-formedness, consults
-        ``should_perform`` immediately before each dispatch, merges completed
-        responses one at a time under the writer lock, and evaluates ``stop``
-        between completions.  Once ``stop`` returns true no further access is
-        dispatched; accesses already in flight were genuinely sent to their
-        sources, so their responses are still merged and logged (the
-        performed set equals the dispatched set — except under an expired
-        ``deadline``, which abandons in-flight work unmerged).
-
-        ``on_performed`` is invoked on this thread right after each merge —
-        callers tracking which accesses were performed (the executor's
-        deduplication set) see every merge even if a later access of the
-        batch fails and the call raises.  ``on_timing`` likewise runs on this
-        thread after each merge with the access's measured source round-trip,
-        so callers can feed per-access latency histograms, and
-        ``on_attempts`` reports how many source-call attempts the access
-        took (1 unless the retry policy kicked in).  ``tags_for`` is
-        evaluated at dispatch time (on this thread) and its tags land on the
-        access's ``source-call`` trace span — the hook the executor uses to
-        attach why-was-this-access-performed annotations.
-
-        Failure semantics: with ``on_failure`` *unset*, the first failing
-        access aborts the batch — remaining in-flight work is drained, then
-        the error is re-raised carrying the failing ``Access`` in
-        ``error.access``, the ``(access, duration)`` pairs merged before the
-        failure in ``error.timings``, and the attempt count in
-        ``error.attempts``.  With ``on_failure`` set, each failure is
-        reported on this thread as ``on_failure(access, error, attempts)``
-        and the rest of the batch proceeds — the degraded mode the answering
-        runtime uses so one flaky source cannot wedge its batchmates.
-
-        ``deadline`` bounds the whole batch: no new access is dispatched
-        after expiry, retries never back off past it, and if it expires with
-        work still hung in flight those accesses are abandoned (reported as
-        :class:`~repro.exceptions.DeadlineExceeded`; the worker threads
-        finish in the background and their responses are discarded, never
-        merged).  A batch with a deadline runs on the pooled path even at
-        ``max_concurrency=1`` so a hung source cannot block past expiry.
-
-        Tracing note: the tracer active on *this* thread at entry, and its
-        innermost open span, are captured once — worker threads record their
-        ``source-call`` spans against that explicit parent, since
-        thread-locals do not follow work into the pool.
-
-        Returns ``(access, response, new facts merged)`` triples in merge
-        (completion) order.  With ``max_concurrency <= 1`` (and no deadline)
-        the batch runs strictly sequentially on this thread with identical
-        semantics.
-        """
-        pending = deque(accesses)
-        performed: List[Tuple[Access, AccessResponse, int]] = []
-        completed_timings: List[Tuple[Access, float]] = []
-        tracer = _current_tracer()
-        batch_parent = tracer.context() if tracer.enabled else None
-
-        def dispatch_tags(access: Access) -> Optional[Dict[str, object]]:
-            if tags_for is None or not tracer.enabled:
-                return None
-            return tags_for(access)
-
-        def record(access: Access, response: AccessResponse, new_facts: int) -> None:
-            performed.append((access, response, new_facts))
-            if on_performed is not None:
-                on_performed(access, response, new_facts)
-
-        if max_concurrency <= 1 and deadline is None:
-            while pending:
-                if stop is not None and stop():
-                    break
-                access = pending.popleft()
-                if should_perform is not None and not should_perform(access):
-                    continue
-                try:
-                    response, new_facts, duration, attempts = self._perform_counted_traced(
-                        access, tracer, batch_parent, dispatch_tags(access)
-                    )
-                except Exception as exc:
-                    if on_failure is not None:
-                        on_failure(access, exc, getattr(exc, "attempts", 1))
-                        continue
-                    raise self._attach_batch_context(exc, access, completed_timings)
-                completed_timings.append((access, duration))
-                if on_timing is not None:
-                    on_timing(access, duration)
-                if on_attempts is not None:
-                    on_attempts(access, attempts)
-                record(access, response, new_facts)
-            return performed
-
-        board = self._breakers
-        errors: List[BaseException] = []
-        stopped = False
-        abandoned = False
-        pool = ThreadPoolExecutor(max_workers=max(1, max_concurrency))
-        try:
-            in_flight: Dict[object, Access] = {}
-
-            def fail(access: Access, exc: BaseException, attempts: int) -> bool:
-                """Report one failure; return True if the batch must stop."""
-                nonlocal stopped
-                if on_failure is not None:
-                    on_failure(access, exc, attempts)
-                    return False
-                errors.append(self._attach_batch_context(exc, access, completed_timings))
-                stopped = True
-                return True
-
-            def dispatch_more() -> None:
-                nonlocal stopped
-                while pending and len(in_flight) < max_concurrency and not stopped:
-                    if stop is not None and stop():
-                        stopped = True
-                        break
-                    if deadline is not None and deadline.expired():
-                        stopped = True
-                        break
-                    access = pending.popleft()
-                    if should_perform is not None and not should_perform(access):
-                        continue
-                    if board is not None and board.breaker_for(
-                        access.method.name
-                    ).fail_fast():
-                        # Known-open breaker: fail fast on the dispatch thread
-                        # instead of queueing doomed work into the pool.
-                        if self._metrics is not None:
-                            self._metrics.incr("breaker.fast_fail")
-                        exc = self._annotate_error(
-                            CircuitOpenError(
-                                f"circuit breaker open for source "
-                                f"{access.method.name!r}"
-                            ),
-                            access,
-                            0,
-                        )
-                        if fail(access, exc, 0):
-                            break
-                        continue
-                    if not self.can_perform(access):
-                        exc = self._annotate_error(
-                            AccessError(
-                                f"access {access!r} is not well-formed at the "
-                                f"current configuration"
-                            ),
-                            access,
-                            0,
-                        )
-                        if fail(access, exc, 0):
-                            break
-                        continue
-                    in_flight[
-                        pool.submit(
-                            self._respond_resilient,
-                            access,
-                            tracer,
-                            batch_parent,
-                            dispatch_tags(access),
-                            deadline,
-                        )
-                    ] = access
-
-            dispatch_more()
-            while in_flight:
-                timeout = None
-                if deadline is not None:
-                    remaining = deadline.remaining()
-                    if remaining != float("inf"):
-                        timeout = max(0.0, remaining)
-                done, _ = futures_wait(
-                    in_flight, timeout=timeout, return_when=FIRST_COMPLETED
-                )
-                if not done:
-                    # The deadline expired with work still hung in flight:
-                    # abandon it.  Queued-but-unstarted futures are
-                    # cancelled; running workers finish in the background
-                    # and their responses are discarded, never merged.
-                    abandoned = True
-                    stopped = True
-                    if self._metrics is not None:
-                        self._metrics.incr("deadline.abandoned", len(in_flight))
-                    for future, access in list(in_flight.items()):
-                        future.cancel()
-                        exc = self._annotate_error(
-                            DeadlineExceeded(
-                                f"deadline expired with access {access!r} in flight"
-                            ),
-                            access,
-                            0,
-                        )
-                        fail(access, exc, 0)
-                    in_flight.clear()
-                    break
-                for future in done:
-                    access = in_flight.pop(future)
-                    try:
-                        response, duration, span, attempts = future.result()
-                    except BaseException as exc:  # drain remaining in-flight work
-                        fail(access, exc, getattr(exc, "attempts", 1))
-                        continue
-                    try:
-                        new_facts = self._merge_response(access, response)
-                    except BaseException as exc:
-                        fail(access, exc, attempts)
-                        continue
-                    if span is not None:
-                        span.annotate(new_facts=new_facts)
-                    completed_timings.append((access, duration))
-                    if on_timing is not None:
-                        on_timing(access, duration)
-                    if on_attempts is not None:
-                        on_attempts(access, attempts)
-                    record(access, response, new_facts)
-                if stop is not None and not stopped and stop():
-                    stopped = True
-                dispatch_more()
-        finally:
-            pool.shutdown(wait=not abandoned, cancel_futures=abandoned)
-        if errors:
-            raise errors[0]
-        return performed
 
     def seed_constants(self, constants: Iterable[Tuple[object, object]]) -> None:
         """Make constants (e.g. query constants) available for dependent bindings."""

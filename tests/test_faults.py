@@ -349,7 +349,7 @@ class TestResilientMediator:
         good = Access(SCHEMA.access_method("mS"), ("a",))
         bad = Access(SCHEMA.access_method("mR"), ("b",))
         with pytest.raises(AccessError) as excinfo:
-            mediator.perform_many([good, bad])
+            AccessExecutor(mediator).execute_batch([good, bad])
         error = excinfo.value
         assert error.access == bad
         assert [access for access, _duration in error.timings] == [good]

@@ -1,15 +1,17 @@
 """Tests for the parallel answering runtime.
 
 Covers the concurrency layer end to end: the source latency model, the
-mediator's windowed ``perform_many``, thread-safe metrics and (sharded) LRU
-caches, the shared verdict store, the ``rounds_exhausted`` /
-new-facts-progress bookkeeping, and — the load-bearing property — that a
-parallel relevance-guided run is observationally equivalent to the
-sequential one: same answers, and on fanout workloads the same access set.
+executor's windowed batch loop, thread-safe metrics and LRU caches, oracle
+work staying on the dispatching thread, the shared verdict store, the
+``rounds_exhausted`` / new-facts-progress bookkeeping, and — the
+load-bearing property — that a parallel relevance-guided run is
+observationally equivalent to the sequential one: same answers, and on
+fanout workloads the same access set.
 """
 
 from __future__ import annotations
 
+import inspect
 import threading
 import time
 
@@ -19,13 +21,23 @@ from repro import Access, Configuration, Instance, RelevanceOracle, RuntimeMetri
 from repro.core import is_long_term_relevant
 from repro.exceptions import AccessError, QueryError, SchemaError
 from repro.planner import exhaustive_strategy, relevance_guided_strategy
-from repro.runtime import AccessExecutor, LRUCache, ShardedLRUCache, SharedVerdictStore
+from repro.runtime import (
+    AccessExecutor,
+    CandidateScreen,
+    Deadline,
+    LRUCache,
+    QueryServer,
+    SharedVerdictStore,
+)
+from repro.runtime.executor import candidate_accesses
 from repro.schema import SchemaBuilder
 from repro.sources import DataSource, Mediator
 from repro.workloads import (
+    bank_multi_query_scenario,
     chain_query,
     chain_schema,
     fanout_scenario,
+    multi_query_scenario,
     wide_fanout_scenario,
 )
 
@@ -102,9 +114,11 @@ class TestLatencyModel:
 
 
 # --------------------------------------------------------------------------- #
-# Mediator.perform_many
+# The batch loop: AccessExecutor.execute_batch
 # --------------------------------------------------------------------------- #
 class TestPerformMany:
+    """The executor's batch loop (it replaced ``Mediator.perform_many``)."""
+
     def _fanout_round(self, scenario, mediator, *, branches=8, mids=4):
         mediator.perform(Access(scenario.schema.access_method("accHub"), ("start",)))
         accesses = []
@@ -119,16 +133,16 @@ class TestPerformMany:
         sequential = scenario.mediator()
         parallel = scenario.mediator()
         batch = self._fanout_round(scenario, sequential)
-        sequential.perform_many(batch, max_concurrency=1)
+        AccessExecutor(sequential).execute_batch(batch, max_concurrency=1)
         self._fanout_round(scenario, parallel)
-        results = parallel.perform_many(batch, max_concurrency=8)
-        assert len(results) == len(batch)
+        result = AccessExecutor(parallel).execute_batch(batch, max_concurrency=8)
+        assert result.performed == len(batch)
         assert parallel.configuration_view.fingerprint() == (
             sequential.configuration_view.fingerprint()
         )
         assert _access_set(parallel) == _access_set(sequential)
         # New-fact counts agree in aggregate (merge order may differ).
-        assert sum(n for _a, _r, n in results) == len(
+        assert result.new_facts == len(
             parallel.configuration_view
         ) - 4  # the 4 hub rows merged before the batch
 
@@ -141,7 +155,7 @@ class TestPerformMany:
         def stop():
             return mediator.access_count - before >= 1
 
-        mediator.perform_many(accesses, max_concurrency=2, stop=stop)
+        AccessExecutor(mediator).execute_batch(accesses, max_concurrency=2, stop=stop)
         made = mediator.access_count - before
         # At least one completed; only the <= 2 dispatched before the stop
         # check could complete — nothing else was sent to a source.
@@ -158,7 +172,9 @@ class TestPerformMany:
             seen.append(threading.get_ident())
             return True
 
-        mediator.perform_many(accesses, max_concurrency=4, should_perform=should)
+        AccessExecutor(mediator).execute_batch(
+            accesses, max_concurrency=4, precheck=should
+        )
         assert seen and set(seen) == {dispatch_thread}
 
     def test_parallel_merge_stays_all_or_nothing(self):
@@ -180,7 +196,7 @@ class TestPerformMany:
         mediator = Mediator(schema, [RogueSource(schema.access_method("mR"))])
         before = mediator.configuration_view.fingerprint()
         with pytest.raises(SchemaError):
-            mediator.perform_many(
+            AccessExecutor(mediator).execute_batch(
                 [Access(schema.access_method("mR"), ("b",))], max_concurrency=4
             )
         assert mediator.configuration_view.fingerprint() == before
@@ -191,13 +207,42 @@ class TestPerformMany:
         instance = Instance(schema, {"L1": [("a", "b")]})
         mediator = Mediator(schema, [DataSource(schema.access_method("accL1"), instance)])
         with pytest.raises(AccessError):
-            mediator.perform_many(
+            AccessExecutor(mediator).execute_batch(
                 [Access(schema.access_method("accL1"), ("a",))], max_concurrency=4
             )
 
+    def test_parallelism_below_one_counts_as_one(self):
+        """``max_concurrency=0`` with a deadline used to dispatch nothing and
+        report neither a skip nor a failure, and the guided strategy passed
+        ``parallelism`` through unclamped, so it answered wrongly without
+        flagging the run degraded."""
+        scenario = bank_multi_query_scenario()
+        mediator = scenario.mediator()
+        executor = AccessExecutor(mediator)
+        candidates = candidate_accesses(
+            scenario.schema, mediator.configuration_view, executor.has_performed_key
+        )
+        assert len(candidates) == 8
+        batch = executor.execute_batch(
+            candidates, max_concurrency=0, deadline=Deadline.after(30)
+        )
+        assert batch.performed == 8 and not batch.failed
+        assert mediator.access_count == 8
+
+        query = scenario.queries[0]
+        reference_mediator = scenario.mediator()
+        reference = relevance_guided_strategy(reference_mediator, query, parallelism=1)
+        zero_mediator = scenario.mediator()
+        zero = relevance_guided_strategy(
+            zero_mediator, query, parallelism=0, deadline_s=30
+        )
+        assert reference.boolean_answer
+        assert zero == reference
+        assert zero_mediator.access_log == reference_mediator.access_log
+
 
 # --------------------------------------------------------------------------- #
-# Thread safety: metrics, LRU caches, sharded oracle
+# Thread safety: metrics, LRU caches, the oracle's thread
 # --------------------------------------------------------------------------- #
 class TestThreadSafety:
     def test_concurrent_incr_loses_no_counts(self):
@@ -242,27 +287,10 @@ class TestThreadSafety:
         assert not errors
         assert len(cache) <= 64
 
-    def test_sharded_lru_routes_and_accounts(self):
-        cache = ShardedLRUCache(max_entries=400, n_shards=4)
-        assert cache.n_shards == 4
-        for i in range(100):
-            cache.put(("k", i), i)
-        assert len(cache) == 100
-        for i in range(100):
-            assert cache.get(("k", i)) == i
-            assert ("k", i) in cache
-        assert cache.hits == 100
-        assert cache.get("absent") is None
-        assert cache.misses == 1
-        cache.discard(("k", 0))
-        assert ("k", 0) not in cache
-        with pytest.raises(ValueError):
-            ShardedLRUCache(n_shards=0)
-
     def test_sharded_oracle_concurrent_verdicts_match_fresh_search(self):
         scenario = fanout_scenario(3)
         schema = scenario.schema
-        oracle = RelevanceOracle(scenario.query, schema, n_shards=4)
+        oracle = RelevanceOracle(scenario.query, schema)
         base = scenario.configuration.copy()
         grown = base.copy()
         grown.add("Hub", ("start", "m0"))
@@ -295,6 +323,33 @@ class TestThreadSafety:
             assert all(
                 results[(t, p_index)] == fresh for t in range(6)
             ), f"probe {p_index} diverged from the fresh search"
+
+    def test_oracle_work_stays_on_the_dispatching_thread(self, monkeypatch):
+        """Pool threads only run source round trips: every oracle and
+        screening call of a concurrent server batch and of a concurrent
+        guided run happens on the calling thread."""
+        threads = []
+
+        def recording(method):
+            def wrapper(*args, **kwargs):
+                threads.append(threading.get_ident())
+                return method(*args, **kwargs)
+
+            return wrapper
+
+        for cls in (RelevanceOracle, CandidateScreen):
+            for name, member in list(vars(cls).items()):
+                if not name.startswith("_") and inspect.isfunction(member):
+                    monkeypatch.setattr(cls, name, recording(member))
+
+        batch = multi_query_scenario(16, 8, 8)
+        with QueryServer(batch.mediator(latency_s=0.002), parallelism=8) as server:
+            server.answer(batch.queries)
+        served = len(threads)
+        fanout = fanout_scenario(4, mids=2)
+        relevance_guided_strategy(fanout.mediator(), fanout.query, parallelism=4)
+        assert 0 < served < len(threads)
+        assert set(threads) == {threading.get_ident()}
 
 
 # --------------------------------------------------------------------------- #
@@ -385,7 +440,7 @@ class TestProgressBookkeeping:
         # Round 1 merges R(a,b); round 2 only re-retrieves it through the
         # overlapping method and stops.  Counting returned-but-known tuples
         # as progress used to buy a third, provably idle round.
-        assert metrics.count("strategy.rounds") == 2
+        assert metrics.count("server.rounds") == 2
         assert not result.rounds_exhausted
 
     def _deep_chain(self, length=3):
@@ -407,7 +462,7 @@ class TestProgressBookkeeping:
             starved = strategy(make_mediator(), query, max_rounds=1, metrics=metrics)
             assert starved.rounds_exhausted, strategy.__name__
             assert not starved.boolean_answer
-            assert metrics.count("strategy.rounds_exhausted") == 1
+            assert metrics.count("server.rounds_exhausted") == 1
 
             completed = strategy(make_mediator(), query, metrics=RuntimeMetrics())
             assert not completed.rounds_exhausted
@@ -516,7 +571,7 @@ class TestParallelDeterminism:
         configuration equals a fresh, cache-free search."""
         scenario = wide_fanout_scenario(4, 2)
         schema = scenario.schema
-        oracle = RelevanceOracle(scenario.query, schema, n_shards=4)
+        oracle = RelevanceOracle(scenario.query, schema)
         mediator = scenario.mediator(latency_s=0.001)
         relevance_guided_strategy(
             mediator, scenario.query, oracle=oracle, parallelism=4

@@ -253,6 +253,14 @@ def test_lru_cache_evicts_oldest():
     assert cache.get("a") == 1
     assert cache.get("c") == 3
     assert len(cache) == 2
+    assert cache.get("b") is None
+    stats = cache.stats()
+    assert (stats["hits"], stats["misses"], stats["entries"]) == (3, 1, 2)
+    assert stats["hit_rate"] == 0.75
+    # An unprobed cache reports an unknown (None) rate, not zero.
+    assert LRUCache().stats()["hit_rate"] is None
+    cache.discard("a")
+    assert "a" not in cache and len(cache) == 1
 
 
 def test_metrics_counters_and_timers():

@@ -4,8 +4,8 @@ Covers the multi-query mediator end to end: agreement with the single-query
 strategies, access sharing across a batch, the in-process-only
 ``search_workers`` surface, the persistent witness cache across simulated
 restarts (and its closing with the server), the store registry across
-``answer`` calls, and the new metrics surfaces (timer call counts, per-shard
-cache gauges).
+``answer`` calls, and the metrics surfaces (timer call counts, cache
+gauges).
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ import pytest
 from repro.exceptions import QueryError
 from repro.planner import exhaustive_strategy, relevance_guided_strategy
 from repro.runtime import (
+    LRUCache,
     PersistentWitnessCache,
     QueryServer,
     RuntimeMetrics,
-    ShardedLRUCache,
 )
 from repro.workloads import (
     bank_multi_query_scenario,
@@ -377,7 +377,7 @@ class TestStoreRegistry:
 
 
 # --------------------------------------------------------------------------- #
-# Metrics satellites: timer call counts and per-shard cache gauges
+# Metrics surfaces: timer call counts and cache gauges
 # --------------------------------------------------------------------------- #
 class TestMetricsSurfaces:
     def test_timer_calls_are_counted(self):
@@ -392,35 +392,24 @@ class TestMetricsSurfaces:
         metrics.reset()
         assert metrics.timer_calls("t") == 0
 
-    def test_sharded_cache_stats_expose_per_shard_rates(self):
-        cache = ShardedLRUCache(max_entries=64, n_shards=4)
-        for index in range(32):
-            cache.put(("k", index), index)
-            cache.get(("k", index))
-        cache.get("absent")
-        stats = cache.stats()
-        assert stats["hits"] == 32 and stats["misses"] == 1
-        assert 0.9 < stats["hit_rate"] < 1.0
-        assert len(stats["per_shard"]) == 4
-        assert sum(shard["hits"] for shard in stats["per_shard"]) == 32
-        assert sum(shard["entries"] for shard in stats["per_shard"]) == 32
-        # An unprobed cache reports an unknown (None) rate, not zero.
-        assert ShardedLRUCache(n_shards=2).stats()["hit_rate"] is None
-
     def test_server_metrics_include_cache_gauges(self, scenario):
         metrics = RuntimeMetrics()
         with QueryServer(scenario.mediator(), metrics=metrics) as server:
             server.answer(scenario.queries)
             snap = metrics.snapshot()
         # The store-backed caches outlive the per-call oracles and stay
-        # visible, sharded with per-shard gauges.
-        sharded = [
+        # visible with their hit/miss gauges.
+        stores = [
             stats
             for name, stats in snap["caches"].items()
             if name.startswith("oracle.witnesses")
             or name.startswith("oracle.ltr_history")
         ]
-        assert sharded and all("per_shard" in stats for stats in sharded)
+        assert stores and all(
+            {"hits", "misses", "entries", "hit_rate"} <= set(stats)
+            for stats in stores
+        )
+        assert any(stats["entries"] for stats in stores)
         assert snap["timer_calls"].get("oracle.certain", 0) > 0
 
     def test_cache_registry_stays_bounded_across_answer_calls(self, scenario):
@@ -438,7 +427,7 @@ class TestMetricsSurfaces:
 
     def test_dead_cache_registrations_are_pruned(self):
         metrics = RuntimeMetrics()
-        cache = ShardedLRUCache(n_shards=2)
+        cache = LRUCache()
         name = metrics.register_cache("probe", cache)
         assert name in metrics.snapshot()["caches"]
         del cache
@@ -447,5 +436,5 @@ class TestMetricsSurfaces:
         gc.collect()
         assert "probe" not in metrics.snapshot()["caches"]
         # The name is reusable once the old cache is gone.
-        keep = ShardedLRUCache(n_shards=2)
+        keep = LRUCache()
         assert metrics.register_cache("probe", keep) == "probe"
