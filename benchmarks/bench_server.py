@@ -168,7 +168,7 @@ def test_tracing_overhead_guided_batch():
 def test_persistent_cache_warm_restart(benchmark, tmp_path):
     """Warm restart: revalidations fire, fresh searches strictly drop."""
     scenario = _cpu_scenario()
-    path = os.fspath(tmp_path / "witness.jsonl")
+    path = os.fspath(tmp_path / "witness.sqlite")
 
     cold_metrics = RuntimeMetrics()
     with QueryServer(
@@ -215,9 +215,7 @@ def _mp_worker(path: str, out_path: str) -> None:
     """
     scenario = _cpu_scenario()
     metrics = RuntimeMetrics()
-    with QueryServer(
-        scenario.mediator(), cache_path=path, cache_backend="sqlite", metrics=metrics
-    ) as server:
+    with QueryServer(scenario.mediator(), cache_path=path, metrics=metrics) as server:
         result = server.answer(scenario.queries)
     counters = metrics.snapshot()["counters"]
     with open(out_path, "w", encoding="utf-8") as handle:
@@ -255,7 +253,7 @@ def test_sqlite_multiprocess_shared_store_warm_restart(tmp_path):
     """Acceptance gate: 4 concurrent server processes write one SQLite
     store; a cold process then warm-starts with the *same* fresh-search
     count as the single-process warm restart — multi-process sharing loses
-    nothing relative to the one-writer contract the JSONL backend has.
+    nothing relative to one writer process.
     """
     ctx = multiprocessing.get_context("spawn")
     shared = os.fspath(tmp_path / "shared.sqlite")

@@ -19,11 +19,11 @@ working directory).
 
 Run with:  python examples/serve_demo.py
 
-``--backend sqlite`` runs the same demo over the SQLite witness store
-(WAL mode, safe for concurrent server processes), and ``--multiproc N``
-demonstrates exactly that: N *processes*, each a full server, answer the
-batch concurrently against one shared SQLite store, after which a cold
-process warm-starts from the corpus the fleet built.
+The witness cache is one SQLite file (WAL mode, safe for concurrent server
+processes), and ``--multiproc N`` demonstrates exactly that: N
+*processes*, each a full server, answer the batch concurrently against one
+shared store, after which a cold process warm-starts from the corpus the
+fleet built.
 
 Two service modes ride along (see docs/operations.md):
 
@@ -33,7 +33,9 @@ Two service modes ride along (see docs/operations.md):
 * ``--service-smoke`` is the CI job body: starts the service on a free
   port, submits the bank batch over real HTTP, scrapes ``/metrics``, and
   asserts the served answers equal a direct in-process
-  :meth:`QueryServer.answer` on the same scenario.
+  :meth:`QueryServer.answer` on the same scenario, and that a request
+  declaring an oversized body and one with a bad Content-Length answer
+  413 and 400, not 500.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import argparse
 import json
 import multiprocessing
 import os
+import socket
 import tempfile
 import time
 import urllib.request
@@ -62,7 +65,7 @@ from repro.runtime import (
 from repro.workloads import bank_multi_query_scenario, flaky_scenario
 
 
-def main(backend: str = "jsonl") -> None:
+def main() -> None:
     scenario = bank_multi_query_scenario(8, employees=6, offices=3, states=4)
     print(f"Scenario {scenario.name}: {len(scenario.queries)} queries")
     for query in scenario.queries:
@@ -83,21 +86,18 @@ def main(backend: str = "jsonl") -> None:
     print()
 
     with tempfile.TemporaryDirectory() as tmp:
-        cache_path = os.path.join(tmp, f"witness.{backend}")
+        cache_path = os.path.join(tmp, "witness.sqlite")
 
         # -- 2. One server call over the shared configuration ----------- #
         metrics = RuntimeMetrics()
         with QueryServer(
-            scenario.mediator(),
-            cache_path=cache_path,
-            cache_backend=backend,
-            metrics=metrics,
+            scenario.mediator(), cache_path=cache_path, metrics=metrics
         ) as server:
             started = time.perf_counter()
             result = server.answer(scenario.queries)
             server_wall = time.perf_counter() - started
         counters = metrics.snapshot()["counters"]
-        print(f"QueryServer batch (backend={backend}):")
+        print("QueryServer batch:")
         print("  answers:        ", list(result.boolean_answers))
         print("  accesses:       ", result.accesses_made, "(shared across the batch)")
         print("  rounds:         ", result.rounds)
@@ -117,7 +117,6 @@ def main(backend: str = "jsonl") -> None:
         with QueryServer(
             scenario.mediator(),
             cache_path=cache_path,
-            cache_backend=backend,
             metrics=warm_metrics,
             tracer=tracer,
         ) as restarted:
@@ -176,10 +175,7 @@ def _fleet_worker(cache_path: str, out_path: str) -> None:
     scenario = bank_multi_query_scenario(8, employees=6, offices=3, states=4)
     metrics = RuntimeMetrics()
     with QueryServer(
-        scenario.mediator(),
-        cache_path=cache_path,
-        cache_backend="sqlite",
-        metrics=metrics,
+        scenario.mediator(), cache_path=cache_path, metrics=metrics
     ) as server:
         started = time.perf_counter()
         result = server.answer(scenario.queries)
@@ -260,6 +256,19 @@ def _post_json_status(url: str, document: dict) -> tuple:
     )
     with urllib.request.urlopen(request, timeout=120) as response:
         return response.status, json.loads(response.read().decode("utf-8"))
+
+
+def _raw_status(port: int, head: bytes) -> int:
+    """Send a raw request head; the status code of the reply."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(head)
+        reply = b""
+        while b"\r\n" not in reply:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            reply += chunk
+    return int(reply.split(b" ", 2)[1])
 
 
 def serve(port: int, rate: float, round_budget: int) -> None:
@@ -345,6 +354,21 @@ def service_smoke() -> None:
         ):
             assert family in families, f"missing metric family {family}"
         print(f"/metrics exposition OK ({len(families)} families)")
+
+        # Malformed requests are the client's errors, never handler crashes.
+        # The first declares a body one byte over the default bound.
+        oversized = _raw_status(
+            handle.port,
+            b"POST /queries HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+            % ((1 << 20) + 1),
+        )
+        bad_length = _raw_status(
+            handle.port, b"POST /queries HTTP/1.1\r\nContent-Length: ten\r\n\r\n"
+        )
+        assert (oversized, bad_length) == (413, 400), (oversized, bad_length)
+        http_errors = server.metrics.count("service.http_errors")
+        assert http_errors == 0, f"service.http_errors = {http_errors}"
+        print("oversized body 413, bad Content-Length 400, 0 handler errors")
     finally:
         handle.shutdown()
         server.close()
@@ -457,12 +481,6 @@ if __name__ == "__main__":
         "chaos smoke)",
     )
     parser.add_argument(
-        "--backend",
-        choices=("jsonl", "sqlite"),
-        default="jsonl",
-        help="witness store backend for the main demo (default: jsonl)",
-    )
-    parser.add_argument(
         "--multiproc",
         type=int,
         default=0,
@@ -493,4 +511,4 @@ if __name__ == "__main__":
     elif arguments.multiproc > 0:
         multiproc_demo(arguments.multiproc)
     else:
-        main(arguments.backend)
+        main()

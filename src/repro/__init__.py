@@ -70,8 +70,6 @@ from repro.runtime import (
     RuntimeMetrics,
     ServerResult,
     SharedVerdictStore,
-    WitnessStore,
-    open_witness_store,
 )
 from repro.schema import (
     AbstractDomain,
@@ -139,8 +137,6 @@ __all__ = [
     "RuntimeMetrics",
     "ServerResult",
     "SharedVerdictStore",
-    "WitnessStore",
-    "open_witness_store",
     # exceptions
     "ReproError",
     "SchemaError",

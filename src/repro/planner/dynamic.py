@@ -134,7 +134,6 @@ def relevance_guided_strategy(
     parallelism: int = 1,
     store: Optional[SharedVerdictStore] = None,
     cache_path: Optional[str] = None,
-    cache_backend: str = "auto",
     tracer: Optional[TracerLike] = None,
     deadline_s: Optional[float] = None,
     tolerate_failures: bool = False,
@@ -171,11 +170,10 @@ def relevance_guided_strategy(
     certainty is reached may additionally complete.
 
     ``cache_path`` attaches a :class:`~repro.runtime.persist.PersistentWitnessCache`
-    (``cache_backend`` selects ``"auto"`` / ``"jsonl"`` / ``"sqlite"``
-    storage — see :mod:`repro.runtime.storage`): witness paths captured by
-    this run are recorded, and paths from earlier runs (even earlier
-    *processes*) are seeded so this run revalidates instead of searching
-    fresh.  It configures the run's own oracle, and the run closes the
+    over that SQLite store file (see :mod:`repro.runtime.storage`): witness
+    paths captured by this run are recorded, and paths from earlier runs
+    (even earlier *processes*) are seeded so this run revalidates instead of
+    searching fresh.  It configures the run's own oracle, and the run closes the
     cache before it returns.  With a pre-built ``oracle`` attach the cache
     (``persist=``) at its construction instead (supplying both is rejected,
     like ``options``); the run then only flushes it.  Either way each
@@ -243,7 +241,6 @@ def relevance_guided_strategy(
         parallelism=parallelism,
         tracer=tracer,
         cache_path=cache_path or None,
-        cache_backend=cache_backend,
         persist=oracle.persist if oracle is not None else None,
     ) as server:
         if oracle is None:

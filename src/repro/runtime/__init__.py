@@ -23,9 +23,9 @@ needs around the paper's decision procedures:
   history and witnesses across oracles for one (query, schema);
 * :class:`~repro.runtime.persist.PersistentWitnessCache` — witness paths on
   disk, so a warm restart revalidates instead of searching fresh;
-* :mod:`~repro.runtime.storage` — the pluggable storage backends under the
-  persistent cache: compacting JSONL (single writer) and WAL-mode SQLite
-  (safe for N concurrent server processes sharing one store);
+* :mod:`~repro.runtime.storage` — the witness store under the persistent
+  cache: one WAL-mode SQLite file, safe for N concurrent server processes
+  sharing it;
 * :mod:`~repro.runtime.serialize` — the record formats and process-stable
   digests the persistent cache is built on;
 * :class:`~repro.runtime.server.QueryServer` — the answering kernel: a
@@ -82,13 +82,7 @@ from repro.runtime.screening import CandidateScreen, relevant_relation_closure
 from repro.runtime.server import QueryOutcome, QueryServer, ServerResult
 from repro.runtime.service import AnsweringService, ServiceHandle, serve_in_background
 from repro.runtime.shards import SharedVerdictStore
-from repro.runtime.storage import (
-    CompactionResult,
-    JsonlWitnessStore,
-    SqliteWitnessStore,
-    WitnessStore,
-    open_witness_store,
-)
+from repro.runtime.storage import CompactionResult, SqliteWitnessStore
 from repro.runtime.tracing import (
     NO_TRACER,
     NullTracer,
@@ -117,7 +111,6 @@ __all__ = [
     "CompactionResult",
     "ConfigurationSnapshot",
     "Deadline",
-    "JsonlWitnessStore",
     "LRUCache",
     "LatencyHistogram",
     "LtrWitness",
@@ -137,7 +130,6 @@ __all__ = [
     "SpanContext",
     "TokenBucket",
     "Tracer",
-    "WitnessStore",
     "access_key",
     "activate_tracer",
     "chrome_trace_events",
@@ -146,7 +138,6 @@ __all__ = [
     "encode_spans",
     "explain_trace",
     "json_snapshot",
-    "open_witness_store",
     "prometheus_text",
     "relevant_relation_closure",
     "serve_in_background",

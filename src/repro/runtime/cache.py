@@ -34,7 +34,7 @@ Entries are evicted least-recently-used beyond ``max_entries`` so a
 long-running mediator cannot grow the cache without bound.
 
 An optional :class:`~repro.runtime.persist.PersistentWitnessCache`
-(``persist=``; JSONL or SQLite, see :mod:`repro.runtime.storage`) extends
+(``persist=``; one SQLite store, see :mod:`repro.runtime.storage`) extends
 the oracle beyond one process: it seeds stored witness paths at
 construction — a warm restart revalidates instead of searching — and
 buffers every newly captured path.  The caller owns the cache: it flushes

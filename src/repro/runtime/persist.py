@@ -4,16 +4,14 @@ The incremental engine's biggest win — serving a long-term relevance verdict
 by revalidating a stored witness path in O(|path|) — previously died with
 the process: every restart paid the full search cost again before the
 in-memory caches warmed up.  :class:`PersistentWitnessCache` writes captured
-witness paths to a :class:`~repro.runtime.storage.WitnessStore` backend and
+witness paths to a :class:`~repro.runtime.storage.SqliteWitnessStore` and
 seeds them back into a fresh oracle (or
 :class:`~repro.runtime.shards.SharedVerdictStore`), so a *warm restart*
 revalidates instead of searching.
 
 The cache is a thin layer: **encoding, decoding, memoization, seeding**.
-Bytes live in the backend — :class:`~repro.runtime.storage.JsonlWitnessStore`
-(single writer, compacting, human-greppable) or
-:class:`~repro.runtime.storage.SqliteWitnessStore` (WAL mode, safe for N
-concurrent server processes sharing one store).  Design notes:
+Bytes live in the store, one SQLite file in WAL mode that N concurrent
+server processes may share.  Design notes:
 
 * **Keying.**  Records are keyed by the process-stable digests of
   :mod:`repro.runtime.serialize`: ``(query token, schema token, access
@@ -24,15 +22,15 @@ concurrent server processes sharing one store).  Design notes:
   revalidated at the *probe* configuration regardless, so a stale stamp
   costs nothing but a failed revalidation).
 * **Batched writes.**  :meth:`record` only encodes a witness and buffers
-  it; :meth:`flush` hands the buffer to the backend in one
-  :meth:`~repro.runtime.storage.WitnessStore.append_many` call (one SQLite
+  it; :meth:`flush` hands the buffer to the store in one
+  :meth:`~repro.runtime.storage.SqliteWitnessStore.append_many` call (one
   transaction, one generation bump).  The answering round is the batch:
   the server and the guided strategy flush at the end of every round,
   :meth:`witnesses_for` flushes first (a cache reads its own writes), and
   :meth:`close` flushes last.  A crash loses at most the round in flight,
   which only costs the fresh searches that would have found it again.
 * **Cross-process invalidation.**  The per-(query, schema) decode memo is
-  tagged with the backend's generation token and re-pulled when the token
+  tagged with the store's generation token and re-pulled when the token
   moves — a record landed by worker process A seeds worker B's next
   :meth:`witnesses_for` miss without B restarting.
 * **Soundness.**  A loaded witness is never *trusted*: seeding only hands
@@ -65,15 +63,15 @@ from repro.runtime.serialize import (
     query_token,
     schema_token,
 )
-from repro.runtime.storage import CompactionResult, WitnessStore, open_witness_store
+from repro.runtime.storage import CompactionResult, SqliteWitnessStore
 from repro.runtime.tracing import current_tracer
 from repro.runtime.witness import LtrWitness
 from repro.schema import Access, Schema
 
 __all__ = ["PersistentWitnessCache"]
 
-#: Store counters mirrored into ``persist.<backend>.*`` metric counters.
-_MIRRORED_COUNTERS = ("appends", "dedup_skips", "compactions", "reloads")
+#: Store counters mirrored into ``persist.sqlite.*`` metric counters.
+_MIRRORED_COUNTERS = ("appends", "dedup_skips", "compactions")
 
 
 class PersistentWitnessCache:
@@ -81,48 +79,35 @@ class PersistentWitnessCache:
 
     One store may hold records for any number of (query, schema) pairs;
     loads and seeds are scoped to one pair.  The cache is safe to share
-    across the oracles of one process (all mutation is lock-protected).
-    Whether *concurrent processes* may share the underlying file is the
-    backend's call: JSONL supports sequential processes only (last record
-    per key wins), SQLite supports N concurrent writers.
+    across the oracles of one process (all mutation is lock-protected), and
+    N concurrent processes may share the store file.
 
     Parameters
     ----------
     path:
-        Store file to open (mutually exclusive with ``store``).  The
-        backend is inferred from ``backend`` — ``"auto"`` picks SQLite for
-        ``.sqlite`` / ``.sqlite3`` / ``.db`` suffixes or files bearing the
-        SQLite magic, JSONL otherwise.
-    backend:
-        ``"auto"`` (default), ``"jsonl"``, or ``"sqlite"``.
+        The SQLite store file to open, whatever its suffix (mutually
+        exclusive with ``store``).
     store:
-        A prebuilt :class:`~repro.runtime.storage.WitnessStore` to use
+        An open :class:`~repro.runtime.storage.SqliteWitnessStore` to use
         instead of opening one from ``path``.
     metrics:
         An optional :class:`~repro.runtime.metrics.RuntimeMetrics`; when
         attached, the cache counts ``persist.recorded`` at each flush,
-        mirrors backend counters as ``persist.<backend>.appends`` /
-        ``dedup_skips`` / ``compactions`` / ``reloads`` and gauges
-        ``persist.<backend>.records`` / ``bytes``.
-    store_options:
-        Extra keyword arguments for the backend constructor (compaction
-        triggers for JSONL, busy timeout for SQLite).
+        mirrors the store's counters as ``persist.sqlite.appends`` /
+        ``dedup_skips`` / ``compactions`` and gauges
+        ``persist.sqlite.records`` / ``bytes``.
     """
 
     def __init__(
         self,
         path: Optional[str] = None,
         *,
-        backend: str = "auto",
-        store: Optional[WitnessStore] = None,
+        store: Optional[SqliteWitnessStore] = None,
         metrics=None,
-        store_options: Optional[dict] = None,
     ) -> None:
         if (path is None) == (store is None):
             raise ValueError("pass exactly one of path or store")
-        if store is None:
-            store = open_witness_store(path, backend, **(store_options or {}))
-        self._store = store
+        self._store = store if store is not None else SqliteWitnessStore(path)
         self._metrics = metrics
         self._lock = threading.Lock()
         #: (query token, schema token) -> (store generation at decode time,
@@ -150,19 +135,14 @@ class PersistentWitnessCache:
         }
 
     @property
-    def path(self) -> Optional[str]:
-        """The file backing the cache (None for pathless stores)."""
-        return getattr(self._store, "path", None)
+    def path(self) -> str:
+        """The store file backing the cache."""
+        return self._store.path
 
     @property
-    def store(self) -> WitnessStore:
-        """The storage backend."""
+    def store(self) -> SqliteWitnessStore:
+        """The witness store."""
         return self._store
-
-    @property
-    def backend(self) -> str:
-        """The backend name (``jsonl`` / ``sqlite``)."""
-        return self._store.backend
 
     def attach_metrics(self, metrics) -> None:
         """Adopt a metrics sink if none is attached yet (idempotent)."""
@@ -249,7 +229,7 @@ class PersistentWitnessCache:
                     witness_cache.put(akey, witness)
                     seeded.append(akey)
             if tracer.enabled:
-                span.annotate(seeded=len(seeded), backend=self._store.backend)
+                span.annotate(seeded=len(seeded))
         with self._lock:
             self._stats["seeded"] += len(seeded)
             self._sync_metrics()
@@ -277,7 +257,7 @@ class PersistentWitnessCache:
         with tracer.span("persist.record") as span:
             buffered = self._record(tokens, access, witness, configuration)
             if tracer.enabled:
-                span.annotate(method=access.method.name, backend=self._store.backend)
+                span.annotate(method=access.method.name)
         return buffered
 
     def _record(self, tokens, access, witness, configuration) -> bool:
@@ -305,11 +285,12 @@ class PersistentWitnessCache:
         return True
 
     def flush(self) -> int:
-        """Write the buffered records with one backend call; the count written.
+        """Write the buffered records in one transaction; the count written.
 
         Each record is deduplicated against the record stored when it is
         written, in capture order, so a batch writes exactly what one
-        :meth:`~repro.runtime.storage.WitnessStore.append` per record would.
+        :meth:`~repro.runtime.storage.SqliteWitnessStore.append` per record
+        would.
         """
         with self._lock:
             return self._flush_locked()
@@ -329,16 +310,14 @@ class PersistentWitnessCache:
                     self._metrics.incr("persist.recorded", written)
             self._sync_metrics()
             if tracer.enabled:
-                span.annotate(
-                    records=len(pending), written=written, backend=self._store.backend
-                )
+                span.annotate(records=len(pending), written=written)
         return written
 
     # ------------------------------------------------------------------ #
     # Maintenance and observability
     # ------------------------------------------------------------------ #
     def compact(self) -> CompactionResult:
-        """Flush, then compact the backend (see :meth:`WitnessStore.compact`)."""
+        """Flush, then compact the store (see :meth:`SqliteWitnessStore.compact`)."""
         with self._lock:
             self._flush_locked()
             result = self._store.compact()
@@ -348,11 +327,11 @@ class PersistentWitnessCache:
 
     @property
     def stats(self) -> Dict[str, object]:
-        """Cache counters merged with the backend's, as a plain dict.
+        """Cache counters merged with the store's, as a plain dict.
 
         ``skipped_undecodable`` sums the cache's decode failures with the
-        store's (truncated lines, corrupt rows); the raw backend counters
-        are nested under ``"store"``.
+        store's (rows that are not JSON, a file that is not a database);
+        the raw store counters are nested under ``"store"``.
         """
         store_stats = self._store.stats()
         with self._lock:
@@ -360,12 +339,12 @@ class PersistentWitnessCache:
         merged["skipped_undecodable"] = int(merged["skipped_undecodable"]) + int(
             store_stats.get("skipped_undecodable", 0)
         )
-        merged["backend"] = store_stats.get("backend", self._store.backend)
+        merged["backend"] = store_stats["backend"]
         merged["store"] = store_stats
         return merged
 
     def _sync_metrics(self) -> None:
-        """Mirror backend counters/gauges into the attached metrics sink.
+        """Mirror the store's counters/gauges into the attached metrics sink.
 
         Called with the lock held, once per seed, flush and compaction: the
         store's ``stats()`` costs a ``COUNT(*)`` and a ``stat`` call.
@@ -374,18 +353,16 @@ class PersistentWitnessCache:
         if metrics is None:
             return
         snapshot = self._store.stats()
-        backend = snapshot.get("backend", self._store.backend)
         for name in _MIRRORED_COUNTERS:
-            value = int(snapshot.get(name, 0))
-            delta = value - self._mirrored.get(name, 0)
+            delta = snapshot[name] - self._mirrored.get(name, 0)
             if delta > 0:
-                metrics.incr(f"persist.{backend}.{name}", delta)
-                self._mirrored[name] = value
-        metrics.set_gauge(f"persist.{backend}.records", int(snapshot.get("records", 0)))
-        metrics.set_gauge(f"persist.{backend}.bytes", int(snapshot.get("bytes", 0)))
+                metrics.incr(f"persist.sqlite.{name}", delta)
+                self._mirrored[name] = snapshot[name]
+        metrics.set_gauge("persist.sqlite.records", snapshot["records"])
+        metrics.set_gauge("persist.sqlite.bytes", snapshot["bytes"])
 
     def close(self) -> None:
-        """Flush the buffered records, then close the backend (idempotent)."""
+        """Flush the buffered records, then close the store (idempotent)."""
         with self._lock:
             self._flush_locked()
         self._store.close()

@@ -19,8 +19,8 @@ module adds what pickle cannot give:
   ``(method name, binding, facts)`` triples, decodable against *any* equal
   schema (in particular a restarted process's own schema objects);
 * **a JSON value codec** — witness facts restricted to JSON-representable
-  values (strings, numbers, booleans, ``None``, nested tuples/lists) so the
-  persistent cache is a plain-text artifact; values outside that set raise
+  values (strings, numbers, booleans, ``None``, nested tuples/lists) so a
+  stored record is plain JSON text; values outside that set raise
   :class:`UnencodableValueError` and the caller skips persisting them.
 """
 
@@ -208,18 +208,30 @@ def encode_json_value(value: object) -> object:
     )
 
 
+#: The exact payload type of each scalar tag (so ``"i"`` rejects a bool).
+_SCALAR_TAGS = {"b": bool, "s": str, "i": int, "f": float}
+
+
 def decode_json_value(payload: object) -> object:
-    """Invert :func:`encode_json_value` (tuples come back as tuples)."""
-    if not isinstance(payload, list) or not payload:
-        raise UnencodableValueError(f"malformed value payload {payload!r}")
-    tag = payload[0]
-    if tag == "n":
-        return None
-    if tag in ("b", "s", "i", "f"):
-        return payload[1]
-    if tag == "t":
-        return tuple(decode_json_value(item) for item in payload[1])
-    raise UnencodableValueError(f"unknown value tag {tag!r}")
+    """Invert :func:`encode_json_value` (tuples come back as tuples).
+
+    Every tag's payload is checked: ``["n"]`` carries nothing, a scalar tag
+    exactly one value of its type, ``"t"`` exactly one list.  Anything else
+    raises :class:`UnencodableValueError`, so a corrupt stored value (say,
+    an object under ``"s"``) never reaches a configuration as an unhashable
+    fact value.
+    """
+    if isinstance(payload, list) and payload:
+        tag = payload[0]
+        if tag == "n" and len(payload) == 1:
+            return None
+        if len(payload) == 2:
+            value = payload[1]
+            if tag == "t" and isinstance(value, list):
+                return tuple(decode_json_value(item) for item in value)
+            if isinstance(tag, str) and type(value) is _SCALAR_TAGS.get(tag):
+                return value
+    raise UnencodableValueError(f"malformed value payload {payload!r}")
 
 
 def encode_json_steps(specs: Sequence[Sequence[object]]) -> List[List[object]]:

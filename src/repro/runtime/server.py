@@ -41,7 +41,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.data import Configuration
 from repro.exceptions import QueryError
@@ -50,7 +50,6 @@ from repro.runtime.cache import RelevanceOracle, access_key
 from repro.runtime.executor import AccessExecutor, candidate_accesses
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.persist import PersistentWitnessCache
-from repro.runtime.storage import WitnessStore
 from repro.runtime.retry import Deadline
 from repro.runtime.screening import (
     CandidateScreen,
@@ -208,15 +207,13 @@ class QueryServer:
         (same semantics as :func:`repro.planner.dynamic.relevance_guided_strategy`).
     search_workers:
         Only ``1`` is accepted: relevance searches run in-process.
-    cache_path / cache_backend / persist:
-        A :class:`PersistentWitnessCache` path (``cache_backend`` selects
-        ``"auto"`` / ``"jsonl"`` / ``"sqlite"`` storage — see
-        :mod:`repro.runtime.storage`), or a prebuilt cache or
-        :class:`~repro.runtime.storage.WitnessStore` instance: witness paths
-        captured by any query are recorded, and every store warms up from it,
-        so a restarted server revalidates instead of searching fresh.  With
-        the SQLite backend one store file may be shared by N concurrent
-        server processes; the backend's generation counter invalidates each
+    cache_path / persist:
+        The SQLite witness store file of a :class:`PersistentWitnessCache`
+        (see :mod:`repro.runtime.storage`), or a prebuilt cache: witness
+        paths captured by any query are recorded, and every store warms up
+        from it, so a restarted server revalidates instead of searching
+        fresh.  One store file may be shared by N concurrent server
+        processes; the store's generation counter invalidates each
         process's decode memo, so worker A's records seed worker B.  A cache
         opened from ``cache_path`` is closed by :meth:`close`; a supplied
         ``persist`` is left open for its owner.  Each guided round's
@@ -256,8 +253,7 @@ class QueryServer:
         metrics: Optional[RuntimeMetrics] = None,
         search_workers: int = 1,
         cache_path: Optional[str] = None,
-        cache_backend: str = "auto",
-        persist: Optional[Union[PersistentWitnessCache, WitnessStore]] = None,
+        persist: Optional[PersistentWitnessCache] = None,
         parallelism: int = 1,
         max_entries: Optional[int] = 65536,
         max_stores: int = 64,
@@ -278,12 +274,8 @@ class QueryServer:
         self._use_long_term = use_long_term
         self._ltr_method = ltr_method
         self._metrics = metrics if metrics is not None else RuntimeMetrics()
-        if isinstance(persist, WitnessStore):
-            persist = PersistentWitnessCache(store=persist)
         self._persist = (
-            PersistentWitnessCache(
-                cache_path, backend=cache_backend, metrics=self._metrics
-            )
+            PersistentWitnessCache(cache_path, metrics=self._metrics)
             if cache_path is not None
             else persist
         )

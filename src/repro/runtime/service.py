@@ -378,13 +378,11 @@ class AnsweringService:
     # ------------------------------------------------------------------ #
     async def _handle_connection(self, reader, writer) -> None:
         try:
-            request = await self._read_request(reader)
-            if request is None:
-                return
-            method, path, params, headers, body = request
-            self._metrics.incr("service.http_requests")
             try:
-                await self._route(writer, method, path, params, headers, body)
+                request = await self._read_request(reader)
+                if request is None:
+                    return
+                await self._route(writer, *request)
             except _BadRequest as exc:
                 await self._send_json(
                     writer, exc.status, {"error": exc.message}
@@ -414,6 +412,7 @@ class AnsweringService:
         request_line = await reader.readline()
         if not request_line:
             return None
+        self._metrics.incr("service.http_requests")
         parts = request_line.decode("latin-1").strip().split()
         if len(parts) != 3:
             raise _BadRequest(400, "malformed request line")
@@ -429,6 +428,8 @@ class AnsweringService:
         try:
             length = int(length_text)
         except ValueError:
+            length = -1
+        if length < 0:
             raise _BadRequest(400, f"bad Content-Length: {length_text!r}")
         if length > self._max_body:
             raise _BadRequest(413, f"body exceeds {self._max_body} bytes")
@@ -456,7 +457,7 @@ class AnsweringService:
             if persist is not None:
                 store_stats = persist.store.stats()
                 health["persistence"] = {
-                    "backend": persist.backend,
+                    "backend": store_stats["backend"],
                     "records": store_stats.get("records", 0),
                     "bytes": store_stats.get("bytes", 0),
                 }

@@ -641,7 +641,7 @@ class Mediator:
 
         Convenience entry point for the multi-query runtime::
 
-            with mediator.serve(cache_path="witness.jsonl") as server:
+            with mediator.serve(cache_path="witness.sqlite") as server:
                 result = server.answer([q1, q2, q3])
 
         All keyword arguments are forwarded to the server's constructor.

@@ -1,22 +1,23 @@
-"""Persistence layer tests: storage backends, compaction, crash consistency,
-cross-process sharing, and the decode/memo cache over them.
+"""Persistence layer tests: the SQLite witness store, crash consistency,
+cross-process sharing, the legacy JSONL import, and the decode/memo cache
+over the store.
 
 The load-bearing properties:
 
-* **Compaction bounds the JSONL file** — repeated record/compact cycles
-  leave at most one line per ``(query, schema, access)`` key, and online
-  triggers fire without operator intervention.
-* **Dedup is against the currently stored record** — an A→B→A witness churn
-  re-lands A as the live record (an ever-appended digest set would leave a
-  stale B winning after compaction).
-* **Crash consistency** — truncated JSONL tails, killed-writer SQLite
-  journals, and outright garbage files load cleanly, skipped records
-  counted, never an exception.
-* **Cross-backend equivalence** — the same record stream produces identical
-  decoded record sets through JSONL and SQLite, and through per-record
-  ``append`` and chunked ``append_many`` (Hypothesis properties).
+* **The store matches its model** — an in-test dict holding the last record
+  per key, where an append lands exactly when its digest differs from the
+  current record's: per-record ``append`` and chunked ``append_many``,
+  with ``compact()`` interleaved, both agree with it (Hypothesis
+  properties).  So an A→B→A witness churn re-lands A as the live record.
+* **Crash consistency** — killed-writer journals, rows that are not JSON
+  and outright garbage files load cleanly, skipped records counted, never
+  an exception.
+* **Stored values are checked, never trusted** — mutated records (values,
+  list shapes, versions, raw payload text) never raise out of decoding or
+  the oracle, and the verdicts still equal the fresh search's (a
+  Hypothesis property over real bank records).
 * **Batched writes** — the cache buffers a round's records and writes them
-  in one ``append_many`` (one SQLite transaction, one generation bump) at
+  in one ``append_many`` (one transaction, one generation bump) at
   ``flush``; a cache reads its own unflushed records, other readers see
   them after the flush.
 * **Records certify their own key** — a record whose path is empty or
@@ -24,33 +25,36 @@ The load-bearing properties:
   counted, so a forged key cannot turn another access's path into a
   verdict.
 * **Multi-process sharing** — N concurrent processes appending to one
-  SQLite store lose nothing, and a record landed by one process invalidates
+  store lose nothing, and a record landed by one process invalidates
   another's decode memo via the generation counter.
+* **Legacy import** — ``tools/compact_cache.py migrate`` reads a JSONL
+  cache of earlier versions (last line per key wins, undecodable lines
+  skipped and counted) into the store.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import multiprocessing
 import os
+import shutil
 import sqlite3
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import Access
 from repro.core import is_long_term_relevant
 from repro.runtime import (
-    JsonlWitnessStore,
     PersistentWitnessCache,
     QueryServer,
     RelevanceOracle,
     RuntimeMetrics,
     SqliteWitnessStore,
-    open_witness_store,
     serve_in_background,
 )
 from repro.runtime.cache import access_key
@@ -105,9 +109,50 @@ def _buffer_witnesses(cache, scenario):
             oracle.long_term_relevant(access, configuration)
 
 
-def _file_lines(path):
-    with open(path, "rb") as handle:
-        return [line for line in handle.read().split(b"\n") if line.strip()]
+def _digests(store):
+    """Every live record's content digest, keyed by its token triple."""
+    return {
+        key + (atoken,): record_digest(payload)
+        for key, pair in store.load_all().items()
+        for atoken, payload in pair.items()
+    }
+
+
+def _model_append(model, payload):
+    """The store's contract on a dict of digests: an append lands exactly
+    when its digest differs from the current record's for its key."""
+    key = (payload["query"], payload["schema"], payload["access"])
+    digest = record_digest(payload)
+    if model.get(key) == digest:
+        return False
+    model[key] = digest
+    return True
+
+
+def _write_legacy(path, payloads, tail=""):
+    """A JSONL witness cache as earlier versions wrote it: one JSON object
+    per line, the last line per key live; ``tail`` is appended raw."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for payload in payloads:
+            handle.write(json.dumps(payload, sort_keys=True) + "\n")
+        handle.write(tail)
+
+
+def _compact_cache_tool():
+    """``tools/compact_cache.py`` as a module (its legacy JSONL reader)."""
+    spec = importlib.util.spec_from_file_location(
+        "compact_cache", os.path.join(TOOLS_DIR, "compact_cache.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _import_legacy(src, dst):
+    """Import a legacy JSONL cache as ``migrate`` does; the count written."""
+    records, _skipped = _compact_cache_tool().read_legacy_jsonl(src)
+    with SqliteWitnessStore(dst) as store:
+        return store.append_many(records.values())
 
 
 @pytest.fixture
@@ -116,105 +161,73 @@ def scenario():
 
 
 # --------------------------------------------------------------------------- #
-# JSONL backend
+# Legacy JSONL caches
 # --------------------------------------------------------------------------- #
 class TestJsonlStore:
+    """JSONL witness caches as earlier versions wrote them, read by
+    ``tools/compact_cache.py migrate`` into the SQLite store."""
+
     def test_dedup_is_against_current_record(self, tmp_path):
-        store = JsonlWitnessStore(os.fspath(tmp_path / "w.jsonl"))
+        """An import deduplicates against the record stored now: re-running
+        it writes nothing, and an A→B→A churn across imports re-lands A."""
         a, b = _payload(variant=0), _payload(variant=1)
-        assert store.append(a)
-        assert not store.append(a)  # identical to the stored record
-        assert store.append(b)  # supersedes it
-        # A→B→A churn: A differs from the *current* record (B), so it must
-        # land again — otherwise compaction would leave stale B winning.
-        assert store.append(a)
-        store.compact()
-        (line,) = _file_lines(store.path)
-        assert record_digest(json.loads(line)) == record_digest(a)
+        legacy = os.fspath(tmp_path / "w.jsonl")
+        dst = os.fspath(tmp_path / "w.sqlite")
+        # The last line per key wins, so [b, a] imports a.
+        for lines, written in (([a], 1), ([a], 0), ([b], 1), ([b, a], 1)):
+            _write_legacy(legacy, lines)
+            assert _import_legacy(legacy, dst) == written
+        with SqliteWitnessStore(dst) as store:
+            (payload,) = store.load_pair("q", "s").values()
+        assert record_digest(payload) == record_digest(a)
 
     def test_repeated_record_compact_cycles_bound_the_file(self, tmp_path):
-        """Acceptance: ≤ one line per (query, schema, access) key survives."""
-        path = os.fspath(tmp_path / "w.jsonl")
-        store = JsonlWitnessStore(path, auto_compact=False)
+        """Acceptance: ≤ one row per (query, schema, access) key survives an
+        uncompacted legacy file and every later compaction."""
+        legacy = os.fspath(tmp_path / "w.jsonl")
         keys = [(f"q{i}", "s", f"a{j}") for i in range(3) for j in range(4)]
-        for cycle in range(5):
-            for q, s, a in keys:
-                store.append(_payload(q, s, a, variant=cycle))
-            result = store.compact()
-            assert result.records_after == len(keys)
-            assert len(_file_lines(path)) == len(keys)
-        # The live set is the last variant per key.
-        for pair in store.load_all().values():
-            for payload in pair.values():
-                assert payload["binding"] == [["i", 4]]
-
-    def test_online_compaction_trigger(self, tmp_path):
-        path = os.fspath(tmp_path / "w.jsonl")
-        store = JsonlWitnessStore(path, compact_min_records=8, compact_ratio=2.0)
-        for variant in range(32):
-            store.append(_payload(variant=variant))
-        stats = store.stats()
-        assert stats["compactions"] >= 1
-        # One live key: the compacted file holds far fewer lines than the
-        # 32 appends would have left.
-        assert len(_file_lines(path)) <= 8
+        _write_legacy(
+            legacy,
+            [_payload(q, s, a, variant=cycle) for cycle in range(5) for q, s, a in keys],
+        )
+        assert _import_legacy(legacy, os.fspath(tmp_path / "w.sqlite")) == len(keys)
+        with SqliteWitnessStore(os.fspath(tmp_path / "w.sqlite")) as store:
+            for _cycle in range(2):
+                assert store.compact().records == len(keys)
+                assert store.stats()["records"] == len(keys)
+            # The live set is the last variant per key.
+            for pair in store.load_all().values():
+                for payload in pair.values():
+                    assert payload["binding"] == [["i", 4]]
 
     def test_truncated_tail_and_garbage_are_skipped(self, tmp_path):
-        path = os.fspath(tmp_path / "w.jsonl")
-        store = JsonlWitnessStore(path)
-        store.append(_payload())
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"query": "x"}\n')  # parseable, wrong shape
-            handle.write('{"v": 1, "query": "trunc')  # interrupted append
-        fresh = JsonlWitnessStore(path)
-        assert set(fresh.load_pair("q", "s")) == {"a"}
-        assert fresh.stats()["skipped_undecodable"] >= 2
-
-    def test_append_after_truncated_tail_stays_parseable(self, tmp_path):
-        path = os.fspath(tmp_path / "w.jsonl")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write('{"v": 1, "query": "trunc')  # no trailing newline
-        store = JsonlWitnessStore(path)
-        store.append(_payload())
-        fresh = JsonlWitnessStore(path)
-        assert set(fresh.load_pair("q", "s")) == {"a"}
-
-    def test_tail_refresh_sees_external_appends(self, tmp_path):
-        path = os.fspath(tmp_path / "w.jsonl")
-        writer = JsonlWitnessStore(path)
-        reader = JsonlWitnessStore(path)
-        writer.append(_payload(access="a1"))
-        assert set(reader.load_pair("q", "s")) == {"a1"}
-        generation = reader.generation()
-        writer.append(_payload(access="a2"))
-        assert reader.generation() != generation
-        assert set(reader.load_pair("q", "s")) == {"a1", "a2"}
-
-    def test_external_compaction_triggers_full_reload(self, tmp_path):
-        path = os.fspath(tmp_path / "w.jsonl")
-        writer = JsonlWitnessStore(path, auto_compact=False)
-        reader = JsonlWitnessStore(path)
-        for variant in range(10):
-            writer.append(_payload(variant=variant))
-        assert len(reader.load_pair("q", "s")) == 1
-        writer.compact()  # the file shrinks under the reader
-        assert set(reader.load_pair("q", "s")) == {"a"}
-        assert reader.stats()["reloads"] >= 1
+        legacy = os.fspath(tmp_path / "w.jsonl")
+        _write_legacy(
+            legacy,
+            [_payload()],
+            # parseable but keyless, then an interrupted append
+            tail='{"query": "x"}\n[1, 2]\n{"v": 1, "query": "trunc',
+        )
+        records, skipped = _compact_cache_tool().read_legacy_jsonl(legacy)
+        assert list(records) == [("q", "s", "a")]
+        assert skipped == 3
 
     def test_unknown_record_versions_survive_compaction_opaquely(self, tmp_path):
-        path = os.fspath(tmp_path / "w.jsonl")
-        store = JsonlWitnessStore(path)
-        store.append(_payload(access="old"))
+        legacy = os.fspath(tmp_path / "w.jsonl")
         future = _payload(access="future")
         future["v"] = 99
-        store.append(future)
-        store.compact()
-        kept = {json.loads(line)["access"] for line in _file_lines(path)}
-        assert kept == {"old", "future"}
+        _write_legacy(legacy, [_payload(access="old"), future])
+        path = os.fspath(tmp_path / "w.sqlite")
+        assert _import_legacy(legacy, path) == 2
+        with SqliteWitnessStore(path) as store:
+            store.compact()
+            kept = store.load_pair("q", "s")
+        assert set(kept) == {"old", "future"}
+        assert kept["future"]["v"] == 99
 
 
 # --------------------------------------------------------------------------- #
-# SQLite backend
+# The SQLite store
 # --------------------------------------------------------------------------- #
 class TestSqliteStore:
     def test_upsert_keeps_one_row_per_key(self, tmp_path):
@@ -303,7 +316,7 @@ class TestSqliteStore:
 
 
 # --------------------------------------------------------------------------- #
-# Cross-backend equivalence
+# The store against references: its model, and the legacy format
 # --------------------------------------------------------------------------- #
 _record_stream = st.lists(
     st.tuples(
@@ -316,40 +329,34 @@ _record_stream = st.lists(
 
 
 class TestCrossBackendEquivalence:
+    """The store agrees with two references: a dict model of its contract
+    (last record per key; an append lands exactly when its digest differs
+    from the current record's), and the legacy JSONL format it imports."""
+
     @settings(max_examples=25, deadline=None)
     @given(stream=_record_stream, compact_every=st.integers(min_value=0, max_value=7))
     def test_same_stream_same_decoded_records(self, tmp_path_factory, stream, compact_every):
-        tmp = tmp_path_factory.mktemp("xbackend")
-        jsonl = JsonlWitnessStore(os.fspath(tmp / "w.jsonl"))
-        sqlite_store = SqliteWitnessStore(os.fspath(tmp / "w.sqlite"))
-        results = []
+        store = SqliteWitnessStore(os.fspath(tmp_path_factory.mktemp("model") / "w.sqlite"))
+        model = {}
         for step, (qi, ai, variant) in enumerate(stream):
             payload = _payload(f"q{qi}", "s", f"a{ai}", variant)
-            results.append(
-                (jsonl.append(dict(payload)), sqlite_store.append(dict(payload)))
-            )
+            # Append outcomes agree with the model record by record.
+            assert store.append(dict(payload)) == _model_append(model, payload)
             if compact_every and step % compact_every == compact_every - 1:
-                jsonl.compact()
-        # Append outcomes agree record by record, and the final decoded sets
-        # are identical.
-        assert all(j == s for j, s in results)
-
-        def digests(store):
-            return {
-                key + (atoken,): record_digest(payload)
-                for key, pair in store.load_all().items()
-                for atoken, payload in pair.items()
-            }
-
-        assert digests(jsonl) == digests(sqlite_store)
-        sqlite_store.close()
+                store.compact()
+        assert _digests(store) == model
+        store.close()
 
     @settings(max_examples=25, deadline=None)
-    @given(stream=_record_stream, cuts=st.lists(st.integers(min_value=0, max_value=40)))
+    @given(
+        stream=_record_stream,
+        cuts=st.lists(st.integers(min_value=0, max_value=40)),
+        compact_after=st.lists(st.booleans()),
+    )
     def test_append_many_in_chunks_matches_per_record_appends(
-        self, tmp_path_factory, stream, cuts
+        self, tmp_path_factory, stream, cuts, compact_after
     ):
-        tmp = tmp_path_factory.mktemp("batched")
+        store = SqliteWitnessStore(os.fspath(tmp_path_factory.mktemp("batched") / "w.sqlite"))
         payloads = [
             _payload(f"q{qi}", "s", f"a{ai}", variant) for qi, ai, variant in stream
         ]
@@ -357,60 +364,51 @@ class TestCrossBackendEquivalence:
         chunks = [
             payloads[start:end] for start, end in zip(bounds, bounds[1:] + [len(payloads)])
         ]
-
-        def digests(store):
-            return {
-                key + (atoken,): record_digest(payload)
-                for key, pair in store.load_all().items()
-                for atoken, payload in pair.items()
-            }
-
-        outcomes = []
-        for store_class in (JsonlWitnessStore, SqliteWitnessStore):
-            single = store_class(os.fspath(tmp / f"single-{store_class.backend}"))
-            batched = store_class(os.fspath(tmp / f"batched-{store_class.backend}"))
-            written = sum(single.append(dict(p)) for p in payloads)
-            assert written == sum(
-                batched.append_many([dict(p) for p in chunk]) for chunk in chunks
-            )
-            assert digests(batched) == digests(single)
-            outcomes.append((written, digests(single)))
-            single.close()
-            batched.close()
-        assert outcomes[0] == outcomes[1]
+        model = {}
+        for index, chunk in enumerate(chunks):
+            # A chunk writes what per-record appends would, A→B→A included.
+            expected = sum(_model_append(model, payload) for payload in chunk)
+            assert store.append_many([dict(p) for p in chunk]) == expected
+            if index < len(compact_after) and compact_after[index]:
+                store.compact()
+        assert _digests(store) == model
+        store.close()
 
     def test_real_witness_stream_through_both_backends(self, tmp_path, scenario):
-        jsonl_path = os.fspath(tmp_path / "w.jsonl")
-        with QueryServer(scenario.mediator(), cache_path=jsonl_path) as server:
-            server.answer(scenario.queries)
         sqlite_path = os.fspath(tmp_path / "w.sqlite")
-        src = JsonlWitnessStore(jsonl_path)
-        dst = SqliteWitnessStore(sqlite_path)
-        for pair in src.load_all().values():
-            for payload in pair.values():
-                dst.append(payload)
-        jsonl_cache = PersistentWitnessCache(jsonl_path)
-        sqlite_cache = PersistentWitnessCache(sqlite_path)
-        assert sqlite_cache.backend == "sqlite"
+        with QueryServer(scenario.mediator(), cache_path=sqlite_path) as server:
+            server.answer(scenario.queries)
+        # The same records as a legacy JSONL cache, each key first written
+        # with a superseded payload, imported into a second store.
+        with SqliteWitnessStore(sqlite_path) as store:
+            payloads = [p for pair in store.load_all().values() for p in pair.values()]
+        legacy_path = os.fspath(tmp_path / "w.jsonl")
+        _write_legacy(legacy_path, [dict(p, steps=[]) for p in payloads] + payloads)
+        imported_path = os.fspath(tmp_path / "imported.sqlite")
+        assert _import_legacy(legacy_path, imported_path) == len(payloads)
+        native_cache = PersistentWitnessCache(sqlite_path)
+        imported_cache = PersistentWitnessCache(imported_path)
         total = 0
         for query in scenario.queries:
-            via_jsonl = jsonl_cache.witnesses_for(query, scenario.schema)
-            via_sqlite = sqlite_cache.witnesses_for(query, scenario.schema)
-            assert set(via_jsonl) == set(via_sqlite)
-            for akey, witness in via_jsonl.items():
-                assert witness.steps == via_sqlite[akey].steps
-            total += len(via_jsonl)
+            native = native_cache.witnesses_for(query, scenario.schema)
+            imported = imported_cache.witnesses_for(query, scenario.schema)
+            assert set(native) == set(imported)
+            for akey, witness in native.items():
+                assert witness.steps == imported[akey].steps
+            total += len(native)
         assert total > 0
+        native_cache.close()
+        imported_cache.close()
 
 
 # --------------------------------------------------------------------------- #
-# The cache layer over the backends
+# The cache layer over the store
 # --------------------------------------------------------------------------- #
 class TestPersistentCacheLayer:
     def test_witnesses_for_returns_a_copy(self, tmp_path, scenario):
         """Regression: mutating the returned dict must not corrupt the memo
         shared by every later oracle."""
-        path = os.fspath(tmp_path / "w.jsonl")
+        path = os.fspath(tmp_path / "w.sqlite")
         with QueryServer(scenario.mediator(), cache_path=path) as server:
             server.answer(scenario.queries)
         cache = PersistentWitnessCache(path)
@@ -453,7 +451,7 @@ class TestPersistentCacheLayer:
         cache = PersistentWitnessCache(os.fspath(tmp_path / "w.sqlite"))
         oracle = RelevanceOracle(scenario.queries[0], scenario.schema, persist=cache)
         assert oracle.persist is cache
-        assert oracle.persist.backend == "sqlite"
+        assert oracle.persist.stats["backend"] == "sqlite"
         cache.close()
 
     def test_witnesses_for_reads_unflushed_records(self, tmp_path, scenario):
@@ -511,8 +509,10 @@ class TestPersistentCacheLayer:
 
     def test_server_accepts_store_instance(self, tmp_path, scenario):
         store = SqliteWitnessStore(os.fspath(tmp_path / "w.sqlite"))
-        with QueryServer(scenario.mediator(), persist=store) as server:
+        cache = PersistentWitnessCache(store=store)
+        with QueryServer(scenario.mediator(), persist=cache) as server:
             server.answer(scenario.queries)
+        assert cache.store is store
         assert store.stats()["records"] > 0
 
     def test_sqlite_warm_restart_revalidates(self, tmp_path, scenario):
@@ -545,14 +545,13 @@ class TestPersistentCacheLayer:
     def test_record_version_roundtrip_and_future_versions_skipped(
         self, tmp_path, scenario
     ):
-        path = os.fspath(tmp_path / "w.jsonl")
+        path = os.fspath(tmp_path / "w.sqlite")
         with QueryServer(scenario.mediator(), cache_path=path) as server:
             server.answer(scenario.queries)
-        for line in _file_lines(path):
-            assert json.loads(line)["v"] == 1
+        store = server.persist.store
+        payloads = [p for pair in store.load_all().values() for p in pair.values()]
+        assert payloads and all(payload["v"] == 1 for payload in payloads)
         # A record from a future writer is skipped at decode, not crashed on.
-        from repro.runtime.serialize import query_token
-
         query = scenario.queries[0]
         future = _payload(
             query=query_token(query),
@@ -560,17 +559,18 @@ class TestPersistentCacheLayer:
             access="future-access",
         )
         future["v"] = 99
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(future) + "\n")
+        assert store.append(future)
+        store.close()
         cache = PersistentWitnessCache(path)
         decoded = cache.witnesses_for(query, scenario.schema)
         assert ("m", (0,)) not in decoded  # the future record did not decode
         assert cache.stats["skipped_undecodable"] >= 1
         # The store still carries the record opaquely (a rollback would
         # re-read it); only the decode layer skips it.
-        assert "future-access" in JsonlWitnessStore(path).load_pair(
+        assert "future-access" in cache.store.load_pair(
             query_token(query), schema_token(scenario.schema)
         )
+        cache.close()
 
     def _bank_store_record(self, path):
         """Seed ``path`` from one bank query's oracle on the initial
@@ -634,6 +634,36 @@ class TestPersistentCacheLayer:
         assert oracle.long_term_relevant(access, configuration)
         reader.close()
 
+    def test_corrupt_fact_value_is_skipped_not_raised(self, tmp_path):
+        """Regression: a stored fact value ``["s", {}]`` decoded to a dict,
+        and revalidation raised ``TypeError: unhashable type`` out of the
+        warm ``answer`` call.  Such a record is now skipped and counted."""
+        scenario = bank_multi_query_scenario()
+        path = os.fspath(tmp_path / "bank.sqlite")
+        with QueryServer(scenario.mediator(), cache_path=path) as server:
+            cold = server.answer(scenario.queries)
+        corrupted = 0
+        conn = sqlite3.connect(path)
+        with conn:
+            rows = conn.execute("SELECT rowid, payload FROM witnesses").fetchall()
+            for rowid, text in rows:
+                payload = json.loads(text)
+                facts = payload["steps"][0][2]
+                if facts:
+                    facts[0][-1] = ["s", {}]
+                    corrupted += 1
+                conn.execute(
+                    "UPDATE witnesses SET payload = ? WHERE rowid = ?",
+                    (json.dumps(payload), rowid),
+                )
+        conn.close()
+        assert corrupted > 0
+        with QueryServer(scenario.mediator(), cache_path=path) as server:
+            warm = server.answer(scenario.queries)
+            skipped = server.persist.stats["skipped_undecodable"]
+        assert warm.answers == cold.answers
+        assert skipped == corrupted
+
     def test_healthz_reports_persistence(self, tmp_path, scenario):
         import urllib.request
 
@@ -648,6 +678,142 @@ class TestPersistentCacheLayer:
                 handle.shutdown()
         assert health["persistence"]["backend"] == "sqlite"
         assert health["persistence"]["records"] > 0
+
+
+# --------------------------------------------------------------------------- #
+# Fuzzing the record decoder
+# --------------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def bank_records(tmp_path_factory):
+    """A store of real bank records, and the fresh-search verdicts no stored
+    record may change: the default bank's first query on its initial
+    configuration."""
+    scenario = bank_multi_query_scenario()
+    configuration = scenario.mediator().configuration_view
+    candidates = candidate_accesses(scenario.schema, configuration, lambda _key: False)
+    path = os.fspath(tmp_path_factory.mktemp("bank-records") / "pristine.sqlite")
+    with PersistentWitnessCache(path) as cache:
+        oracle = RelevanceOracle(scenario.queries[0], scenario.schema, persist=cache)
+        verdicts = [oracle.long_term_relevant(a, configuration) for a in candidates]
+    query = oracle.query
+    fresh = [
+        is_long_term_relevant(query, access, configuration, scenario.schema)
+        for access in candidates
+    ]
+    assert verdicts == fresh and any(fresh)
+    return scenario.schema, query, configuration, candidates, fresh, path
+
+
+_json = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+_tagged = st.builds(
+    lambda tag, rest: [tag, *rest],
+    st.sampled_from(["n", "b", "s", "i", "f", "t", "?"]),
+    st.lists(_json, max_size=2),
+)
+_mutation = st.one_of(
+    # replace the n-th tagged value (binding or fact value)
+    st.tuples(st.just("value"), st.integers(0, 63), _tagged | _json),
+    # reshape the n-th list of the record
+    st.tuples(
+        st.just("shape"),
+        st.integers(0, 63),
+        st.sampled_from(["drop", "dup", "clear", "scalar", "object"]),
+    ),
+    st.tuples(
+        st.just("version"),
+        st.integers(-2, 3)
+        | st.none()
+        | st.booleans()
+        | st.text(max_size=2)
+        | st.floats(allow_nan=False),
+    ),
+    # raw payload text: a prefix of the real text, then junk
+    st.tuples(st.just("text"), st.integers(0, 1 << 16), st.text(max_size=8)),
+)
+
+
+def _tagged_slots(payload):
+    """``(container, index)`` of every tagged value in a record."""
+    slots = [(payload["binding"], i) for i in range(len(payload["binding"]))]
+    for _method, binding, facts in payload["steps"]:
+        slots += [(binding, i) for i in range(len(binding))]
+        slots += [(row, i) for row in facts for i in range(len(row))]
+    return slots
+
+
+def _list_slots(parent, key, out):
+    """``(parent, key)`` of every list in a record, outermost first."""
+    node = parent[key]
+    if isinstance(node, list):
+        out.append((parent, key))
+    if isinstance(node, (list, dict)):
+        for child in (range(len(node)) if isinstance(node, list) else list(node)):
+            _list_slots(node, child, out)
+    return out
+
+
+def _mutate(text, mutation):
+    """Apply one drawn mutation to a stored record's payload text."""
+    kind, *args = mutation
+    if kind == "text":
+        cut, junk = args
+        return text[: cut % (len(text) + 1)] + junk
+    payload = json.loads(text)
+    if kind == "version":
+        payload["v"] = args[0]
+    elif kind == "value":
+        slots = _tagged_slots(payload)
+        container, index = slots[args[0] % len(slots)]
+        container[index] = args[1]
+    else:
+        slots = _list_slots({"": payload}, "", [])
+        parent, key = slots[args[0] % len(slots)]
+        node, op = parent[key], args[1]
+        if op == "drop" and node:
+            node.pop()
+        elif op == "dup" and node:
+            node.append(node[0])
+        elif op == "clear":
+            node.clear()
+        elif op in ("scalar", "object"):
+            parent[key] = 0 if op == "scalar" else {}
+    return json.dumps(payload)
+
+
+class TestRecordDecoderFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(mutation=_mutation)
+    @example(mutation=("value", 3, ["s", {}]))
+    def test_mutated_records_never_raise_or_change_verdicts(
+        self, tmp_path_factory, bank_records, mutation
+    ):
+        schema, query, configuration, candidates, fresh, pristine = bank_records
+        path = os.fspath(tmp_path_factory.mktemp("fuzz") / "w.sqlite")
+        shutil.copyfile(pristine, path)
+        conn = sqlite3.connect(path)
+        with conn:
+            rows = conn.execute("SELECT rowid, payload FROM witnesses").fetchall()
+            for rowid, text in rows:
+                conn.execute(
+                    "UPDATE witnesses SET payload = ? WHERE rowid = ?",
+                    (_mutate(text, mutation), rowid),
+                )
+        conn.close()
+        with PersistentWitnessCache(path) as cache:
+            for akey, witness in cache.witnesses_for(query, schema).items():
+                assert access_key(witness.steps[0].access) == akey
+            oracle = RelevanceOracle(query, schema, persist=cache)
+            verdicts = [oracle.long_term_relevant(a, configuration) for a in candidates]
+        assert verdicts == fresh
 
 
 # --------------------------------------------------------------------------- #
@@ -667,34 +833,43 @@ class TestCompactCacheCli:
         )
 
     def test_compact_in_place(self, tmp_path):
-        path = os.fspath(tmp_path / "w.jsonl")
-        store = JsonlWitnessStore(path, auto_compact=False)
-        for variant in range(10):
-            store.append(_payload(variant=variant))
-        assert len(_file_lines(path)) == 10
+        path = os.fspath(tmp_path / "w.sqlite")
+        with SqliteWitnessStore(path) as store:
+            for variant in range(10):
+                store.append(_payload(access=f"a{variant}", variant=variant))
+            assert store.stats()["records"] == 10
         proc = self._run("compact", path)
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
-        assert report["records_before"] == 10
-        assert report["records_after"] == 1
-        assert len(_file_lines(path)) == 1
+        assert report["records"] == 10
+        assert 0 < report["bytes_after"] <= report["bytes_before"]
+        with SqliteWitnessStore(path) as store:
+            assert store.stats()["records"] == 10
 
     def test_migrate_with_verify(self, tmp_path):
         src = os.fspath(tmp_path / "w.jsonl")
         dst = os.fspath(tmp_path / "w.sqlite")
-        store = JsonlWitnessStore(src)
-        for index in range(6):
-            store.append(_payload(access=f"a{index}", variant=index))
+        # Six live records behind superseded lines, then a truncated tail.
+        _write_legacy(
+            src,
+            [_payload(access=f"a{index}", variant=index + 1) for index in range(6)]
+            + [_payload(access=f"a{index}", variant=index) for index in range(6)],
+            tail='{"v": 1, "query": "trunc',
+        )
         proc = self._run("migrate", src, dst, "--verify")
         assert proc.returncode == 0, proc.stderr
         assert "all 6 record(s) match" in proc.stdout
-        migrated = SqliteWitnessStore(dst)
-        assert migrated.stats()["records"] == 6
+        assert '"skipped_undecodable": 1' in proc.stdout
+        with SqliteWitnessStore(dst) as migrated:
+            assert migrated.stats()["records"] == 6
+            for index in range(6):
+                payload = migrated.load_pair("q", "s")[f"a{index}"]
+                assert payload["binding"] == [["i", index]]
 
     def test_verify_detects_lost_records(self, tmp_path):
         src = os.fspath(tmp_path / "w.jsonl")
         dst = os.fspath(tmp_path / "w.sqlite")
-        JsonlWitnessStore(src).append(_payload())
+        _write_legacy(src, [_payload()])
         # A destination that silently drops writes (a corrupt non-database
         # file): migration appears to run, verify catches the loss.
         with open(dst, "wb") as handle:
@@ -702,6 +877,15 @@ class TestCompactCacheCli:
         proc = self._run("migrate", src, dst, "--verify")
         assert proc.returncode == 1
         assert "differ or are missing" in proc.stderr
+
+    def test_migrate_rejects_a_source_without_records(self, tmp_path):
+        src = os.fspath(tmp_path / "w.sqlite")
+        with SqliteWitnessStore(src) as store:
+            store.append(_payload())
+        proc = self._run("migrate", src, os.fspath(tmp_path / "dst.sqlite"))
+        assert proc.returncode == 1
+        assert "is a witness record" in proc.stderr
+        assert not os.path.exists(tmp_path / "dst.sqlite")
 
     def test_stats_outputs_json(self, tmp_path):
         path = os.fspath(tmp_path / "w.sqlite")

@@ -11,6 +11,7 @@ gauges).
 from __future__ import annotations
 
 import os
+import sqlite3
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.runtime import (
     QueryServer,
     RuntimeMetrics,
 )
+from repro.runtime.serialize import query_token, schema_token
 from repro.workloads import (
     bank_multi_query_scenario,
     multi_query_scenario,
@@ -194,7 +196,7 @@ class TestSearchWorkerDeterminism:
         oracle = RelevanceOracle(query, mediator.schema)
         with pytest.raises(QueryError):
             relevance_guided_strategy(
-                mediator, query, oracle=oracle, cache_path="unused.jsonl"
+                mediator, query, oracle=oracle, cache_path="unused.sqlite"
             )
 
 
@@ -203,7 +205,7 @@ class TestSearchWorkerDeterminism:
 # --------------------------------------------------------------------------- #
 class TestPersistentCache:
     def test_warm_restart_revalidates_instead_of_searching(self, tmp_path, scenario):
-        path = os.fspath(tmp_path / "witness.jsonl")
+        path = os.fspath(tmp_path / "witness.sqlite")
         cold_metrics = RuntimeMetrics()
         with QueryServer(
             scenario.mediator(), cache_path=path, metrics=cold_metrics
@@ -214,7 +216,7 @@ class TestPersistentCache:
         assert os.path.exists(path)
 
         # A fresh server (fresh stores, fresh oracles) simulates a restart:
-        # nothing in memory survives except the JSONL file.
+        # nothing in memory survives except the store file.
         warm_metrics = RuntimeMetrics()
         with QueryServer(
             scenario.mediator(), cache_path=path, metrics=warm_metrics
@@ -227,11 +229,12 @@ class TestPersistentCache:
             "oracle.fresh_searches", 0
         )
 
-    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-    def test_warm_restart_on_guided_strategy(self, tmp_path, backend):
+    @pytest.mark.parametrize("suffix", ["jsonl", "sqlite"])
+    def test_warm_restart_on_guided_strategy(self, tmp_path, suffix):
+        """Any ``cache_path`` opens the SQLite store, whatever its suffix."""
         scenario = bank_multi_query_scenario(2, employees=5, offices=3, states=3)
         query = scenario.queries[0]
-        path = os.fspath(tmp_path / f"bank.{backend}")
+        path = os.fspath(tmp_path / f"bank.{suffix}")
         cold_metrics = RuntimeMetrics()
         cold = relevance_guided_strategy(
             scenario.mediator(), query, cache_path=path, metrics=cold_metrics
@@ -251,46 +254,56 @@ class TestPersistentCache:
         ].get("oracle.fresh_searches", 0)
 
     def test_appends_are_deduplicated_across_runs(self, tmp_path, scenario):
-        path = os.fspath(tmp_path / "witness.jsonl")
+        path = os.fspath(tmp_path / "witness.sqlite")
         for _ in range(2):
             with QueryServer(scenario.mediator(), cache_path=path) as server:
                 server.answer(scenario.queries)
         first_size = os.path.getsize(path)
-        with QueryServer(scenario.mediator(), cache_path=path) as server:
+        metrics = RuntimeMetrics()
+        with QueryServer(scenario.mediator(), cache_path=path, metrics=metrics) as server:
             server.answer(scenario.queries)
         # A warm run re-derives the same witnesses; identical paths are not
-        # appended again (the file may still gain *new* paths, but a fully
+        # written again (the store may still gain *new* paths, but a fully
         # warmed run adds nothing).
+        assert metrics.count("persist.recorded") == 0
+        assert metrics.count("persist.sqlite.dedup_skips") > 0
         assert os.path.getsize(path) == first_size
 
     def test_corrupt_lines_are_skipped_not_fatal(self, tmp_path, scenario):
-        path = os.fspath(tmp_path / "witness.jsonl")
+        path = os.fspath(tmp_path / "witness.sqlite")
         with QueryServer(scenario.mediator(), cache_path=path) as server:
             server.answer(scenario.queries)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write("{truncated\n")
-            handle.write('{"query": "x"}\n')
-        cache = PersistentWitnessCache(path)
         query = scenario.queries[0]
+        qtoken, stoken = query_token(query), schema_token(scenario.schema)
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.executemany(
+                "INSERT INTO witnesses VALUES (?, ?, ?, 'd', ?)",
+                [
+                    (qtoken, stoken, "truncated", "{truncated"),
+                    (qtoken, stoken, "wrong-shape", '{"query": "x"}'),
+                ],
+            )
+        conn.close()
+        cache = PersistentWitnessCache(path)
         witnesses = cache.witnesses_for(query, scenario.schema)
-        assert cache.stats["skipped_undecodable"] >= 1
+        assert cache.stats["skipped_undecodable"] == 2
         # The well-formed records still load.
         with QueryServer(scenario.mediator(), persist=cache) as server:
             result = server.answer(scenario.queries)
         assert len(result.outcomes) == len(scenario.queries)
         assert isinstance(witnesses, dict)
 
-    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-    def test_close_closes_the_store_it_opened(self, tmp_path, scenario, backend):
-        path = os.fspath(tmp_path / f"w.{backend}")
+    @pytest.mark.parametrize("suffix", ["jsonl", "sqlite"])
+    def test_close_closes_the_store_it_opened(self, tmp_path, scenario, suffix):
+        path = os.fspath(tmp_path / f"w.{suffix}")
         with QueryServer(scenario.mediator(), cache_path=path) as server:
             server.answer(scenario.queries)
         persist = server.persist
-        if backend == "sqlite":
-            assert persist.store._conn is None
-        # Reading stats after close still works: SQLite reconnects lazily,
-        # and closing a JSONL store is a no-op.
-        assert persist.stats["backend"] == backend
+        assert persist.store._conn is None
+        # Reading stats after close still works: the store reconnects
+        # lazily.  Every path opens the SQLite store, whatever its suffix.
+        assert persist.stats["backend"] == "sqlite"
         assert persist.store.stats()["records"] > 0
         server.close()  # idempotent
 
@@ -309,11 +322,11 @@ class TestPersistentCache:
         cache.close()
 
     def test_cache_path_and_persist_are_exclusive(self, tmp_path, scenario):
-        cache = PersistentWitnessCache(os.fspath(tmp_path / "w.jsonl"))
+        cache = PersistentWitnessCache(os.fspath(tmp_path / "w.sqlite"))
         with pytest.raises(QueryError):
             QueryServer(
                 scenario.mediator(),
-                cache_path=os.fspath(tmp_path / "w.jsonl"),
+                cache_path=os.fspath(tmp_path / "w.sqlite"),
                 persist=cache,
             )
 

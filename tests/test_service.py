@@ -14,6 +14,7 @@ from __future__ import annotations
 import http.client
 import json
 import re
+import socket
 import threading
 import time
 import urllib.error
@@ -48,6 +49,19 @@ def _request(url, method="GET", document=None):
     if content_type.startswith("application/json"):
         return status, response_headers, json.loads(body.decode("utf-8"))
     return status, response_headers, body.decode("utf-8")
+
+
+def _raw_status(handle, data):
+    """Send raw request bytes; the status code of the reply."""
+    with socket.create_connection(("127.0.0.1", handle.port), timeout=30) as sock:
+        sock.sendall(data)
+        reply = b""
+        while b"\r\n" not in reply:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            reply += chunk
+    return int(reply.split(b" ", 2)[1])
 
 
 def _expected_outcomes(scenario):
@@ -371,6 +385,32 @@ class TestErrorPaths:
             f"{handle.base_url}/queries", method="POST", document={"wrong": 1}
         )
         assert status == 400
+
+    def test_request_parse_errors_answer_4xx_not_500(self):
+        """A body over the bound, a bad or negative Content-Length and a
+        malformed request line are the client's errors, not handler
+        crashes."""
+        scenario = bank_multi_query_scenario(2, employees=3, offices=2, states=2)
+        server = QueryServer(scenario.mediator())
+        handle = serve_in_background(server, max_body_bytes=64)
+        try:
+            def post(length, body=b""):
+                return (
+                    b"POST /queries HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Length: " + length + b"\r\n\r\n" + body
+                )
+
+            statuses = [
+                _raw_status(handle, post(b"100", b"x" * 100)),
+                _raw_status(handle, post(b"ten")),
+                _raw_status(handle, b"NONSENSE\r\n\r\n"),
+                _raw_status(handle, post(b"-5")),
+            ]
+        finally:
+            handle.shutdown()
+        assert statuses == [413, 400, 400, 400]
+        assert server.metrics.count("service.http_errors") == 0
+        assert server.metrics.count("service.http_requests") == 4
 
     def test_unknown_record_404(self, bank_service):
         _, handle = bank_service
