@@ -33,9 +33,10 @@ Two service modes ride along (see docs/operations.md):
 * ``--service-smoke`` is the CI job body: starts the service on a free
   port, submits the bank batch over real HTTP, scrapes ``/metrics``, and
   asserts the served answers equal a direct in-process
-  :meth:`QueryServer.answer` on the same scenario, and that a request
-  declaring an oversized body and one with a bad Content-Length answer
-  413 and 400, not 500.
+  :meth:`QueryServer.answer` on the same scenario; that the same batch
+  posted again answers the same with no new access and no fresh search;
+  and that a request declaring an oversized body and one with a bad
+  Content-Length answer 413 and 400, not 500.
 """
 
 from __future__ import annotations
@@ -305,7 +306,8 @@ def serve(port: int, rate: float, round_budget: int) -> None:
 
 
 def service_smoke() -> None:
-    """The CI service smoke: HTTP answers ≡ direct answers, /metrics parses."""
+    """The CI service smoke: HTTP answers ≡ direct answers, a repeated batch
+    is answered from the server's oracles, /metrics parses."""
     scenario = bank_multi_query_scenario(6, employees=5, offices=3, states=3)
     direct = QueryServer(scenario.mediator()).answer(scenario.queries)
     expected = [
@@ -323,18 +325,27 @@ def service_smoke() -> None:
 
     server = QueryServer(scenario.mediator(), metrics=RuntimeMetrics())
     handle = serve_in_background(server)
+    batch = {"queries": [str(q) for q in scenario.queries], "client": "smoke"}
     try:
-        document = _post_json(
-            f"{handle.base_url}/queries?wait=1",
-            {"queries": [str(q) for q in scenario.queries], "client": "smoke"},
-        )
-        served = document["queries"]
+        served = _post_json(f"{handle.base_url}/queries?wait=1", batch)["queries"]
         assert len(served) == len(expected), "served count mismatch"
         for record, reference in zip(served, expected):
             assert record["state"] == "done", record
             assert record["outcome"]["boolean"] == reference["boolean"], record
             assert record["outcome"]["answers"] == reference["answers"], record
         print(f"HTTP answers match direct answers for {len(served)} queries")
+
+        # The same batch again: the server's oracles and configuration
+        # already hold everything it needs.
+        accesses = server.mediator.access_count
+        fresh = server.metrics.count("oracle.fresh_searches")
+        again = _post_json(f"{handle.base_url}/queries?wait=1", batch)["queries"]
+        assert [record["outcome"]["answers"] for record in again] == [
+            record["outcome"]["answers"] for record in served
+        ], again
+        assert server.mediator.access_count == accesses, "repeat performed accesses"
+        assert server.metrics.count("oracle.fresh_searches") == fresh, "repeat searched"
+        print("repeated batch: same answers, 0 new accesses, 0 fresh searches")
 
         with urllib.request.urlopen(
             f"{handle.base_url}/metrics", timeout=30

@@ -69,7 +69,6 @@ from repro.runtime import (
     RelevanceOracle,
     RuntimeMetrics,
     ServerResult,
-    SharedVerdictStore,
 )
 from repro.schema import (
     AbstractDomain,
@@ -136,7 +135,6 @@ __all__ = [
     "RelevanceOracle",
     "RuntimeMetrics",
     "ServerResult",
-    "SharedVerdictStore",
     # exceptions
     "ReproError",
     "SchemaError",

@@ -38,11 +38,7 @@ from typing import Optional, Sequence, Tuple
 
 from repro.data import Configuration, Fact
 from repro.exceptions import QueryError, SearchBudgetExceeded
-from repro.queries import (
-    ConjunctiveQuery,
-    PositiveQuery,
-    evaluate_boolean,
-)
+from repro.queries import disjuncts, evaluate_boolean
 from repro.chase import iter_production_plans
 from repro.core.assignments import (
     holds_after_adding,
@@ -130,14 +126,6 @@ class ContainmentWitness:
     new_facts: Tuple[Fact, ...]
 
 
-def _disjuncts(query, options: ContainmentOptions) -> Sequence[ConjunctiveQuery]:
-    if isinstance(query, ConjunctiveQuery):
-        return (query,)
-    if isinstance(query, PositiveQuery):
-        return query.to_ucq(max_disjuncts=options.max_disjuncts)
-    raise QueryError(f"unsupported query type {type(query)!r}")
-
-
 def _check_boolean(query, role: str) -> None:
     if not query.is_boolean:
         raise QueryError(
@@ -188,10 +176,10 @@ def find_non_containment_witness(
     if evaluate_boolean(query1, configuration):
         return ContainmentWitness(configuration.copy(), ())
 
-    disjuncts1 = _disjuncts(query1, options)
+    disjuncts1 = disjuncts(query1, options.max_disjuncts)
     # ``query2`` is false on ``configuration`` (the monotone exit), which is
     # the precondition of the delta check ``holds_after_adding``.
-    disjuncts2 = _disjuncts(query2, options)
+    disjuncts2 = disjuncts(query2, options.max_disjuncts)
     for disjunct in disjuncts1:
         variables = disjunct.variables
         variable_domains = disjunct.variable_domains()

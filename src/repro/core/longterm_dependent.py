@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.data import (
     AccessPath,
@@ -38,7 +38,7 @@ from repro.data import (
 from repro.exceptions import QueryError
 from repro.queries import (
     ConjunctiveQuery,
-    PositiveQuery,
+    disjuncts,
     evaluate_boolean,
     is_certain,
 )
@@ -61,14 +61,6 @@ __all__ = [
     "is_ltr_via_containment_cq",
     "is_ltr_via_containment_pq",
 ]
-
-
-def _disjuncts(query) -> Sequence[ConjunctiveQuery]:
-    if isinstance(query, ConjunctiveQuery):
-        return (query,)
-    if isinstance(query, PositiveQuery):
-        return query.to_ucq()
-    raise QueryError(f"unsupported query type {type(query)!r}")
 
 
 def find_ltr_witness_steps(
@@ -115,7 +107,7 @@ def find_ltr_witness_steps(
         return None
 
     searched: set = set()
-    for disjunct in _disjuncts(query):
+    for disjunct in disjuncts(query):
         variables = disjunct.variables
         variable_domains = disjunct.variable_domains()
         fresh_count = max(1, len(variables))
@@ -219,7 +211,7 @@ def _ltr_via_generic_response(
     if not (output_domains & consumable):
         compatible_subgoal = any(
             _compatible_with_access(atom, access)
-            for disjunct in _disjuncts(query)
+            for disjunct in disjuncts(query)
             for atom in disjunct.atoms
         )
         if not compatible_subgoal:
@@ -245,7 +237,7 @@ def _ltr_via_generic_response(
     fresh_outputs = tuple(values[place] for place in method.output_places)
 
     searched: set = set()
-    for disjunct in _disjuncts(query):
+    for disjunct in disjuncts(query):
         variable_domains = disjunct.variable_domains()
         fresh_count = max(1, len(disjunct.variables))
         for grounding in iter_witness_assignments(

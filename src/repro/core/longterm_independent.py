@@ -16,13 +16,13 @@ of the query.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.data import Configuration
 from repro.exceptions import QueryError
 from repro.queries import (
     ConjunctiveQuery,
-    PositiveQuery,
+    disjuncts,
     has_homomorphism,
     is_certain,
 )
@@ -109,14 +109,6 @@ def is_ltr_single_occurrence(
 # --------------------------------------------------------------------------- #
 # Proposition 4.5: the general Σ₂ᵖ procedure
 # --------------------------------------------------------------------------- #
-def _disjuncts(query) -> Sequence[ConjunctiveQuery]:
-    if isinstance(query, ConjunctiveQuery):
-        return (query,)
-    if isinstance(query, PositiveQuery):
-        return query.to_ucq()
-    raise QueryError(f"unsupported query type {type(query)!r}")
-
-
 def is_ltr_independent(
     query,
     access: Access,
@@ -150,8 +142,8 @@ def is_ltr_independent(
     if not assume_not_certain and is_certain(query, configuration):
         return False
 
-    disjuncts = _disjuncts(query)
-    for disjunct in disjuncts:
+    ucq = disjuncts(query)
+    for disjunct in ucq:
         fresh_count = max(1, len(disjunct.variables))
         for grounding in iter_witness_assignments(
             disjunct.atoms,
@@ -168,6 +160,6 @@ def is_ltr_independent(
             _first, later_facts = split_grounding(
                 disjunct.atoms, grounding, configuration, access
             )
-            if not holds_after_adding(disjuncts, configuration, later_facts):
+            if not holds_after_adding(ucq, configuration, later_facts):
                 return True
     return False

@@ -8,10 +8,9 @@ configuration that grows with every access; the question at each step is
   the inverse-rules idea) performs every well-formed access it has not made
   yet, until no access returns anything new — it retrieves the full
   accessible part of the sources;
-* the **relevance-guided** strategies only perform accesses that are
-  immediately relevant, long-term relevant, or both, for the query at the
-  current configuration, and stop as soon as the (Boolean) query becomes
-  certain.
+* the **relevance-guided** strategy only performs accesses that are
+  long-term relevant for the query at the current configuration, and stops
+  as soon as the (Boolean) query becomes certain.
 
 Both strategies are single-query calls into the answering kernel of
 :class:`~repro.runtime.server.QueryServer`: its rounds screen the candidate
@@ -33,13 +32,7 @@ from typing import FrozenSet, Optional, Tuple
 
 from repro.core import ContainmentOptions
 from repro.exceptions import QueryError
-from repro.runtime import (
-    Deadline,
-    QueryServer,
-    RelevanceOracle,
-    RuntimeMetrics,
-    SharedVerdictStore,
-)
+from repro.runtime import Deadline, QueryServer, RelevanceOracle, RuntimeMetrics
 from repro.runtime.tracing import TracerLike
 from repro.sources.service import Mediator
 
@@ -125,33 +118,27 @@ def relevance_guided_strategy(
     mediator: Mediator,
     query,
     *,
-    use_immediate: bool = False,
-    use_long_term: bool = True,
     options: Optional[ContainmentOptions] = None,
     max_rounds: int = 50,
     oracle: Optional[RelevanceOracle] = None,
     metrics: Optional[RuntimeMetrics] = None,
     parallelism: int = 1,
-    store: Optional[SharedVerdictStore] = None,
     cache_path: Optional[str] = None,
     tracer: Optional[TracerLike] = None,
     deadline_s: Optional[float] = None,
     tolerate_failures: bool = False,
 ) -> AnsweringResult:
-    """Only perform accesses that are relevant for the query.
+    """Only perform accesses that are long-term relevant for the query.
 
-    ``use_long_term`` filters accesses through the oracle's memoized
-    long-term relevance; ``use_immediate`` additionally (or alternatively)
-    requires immediate relevance.  The run stops as soon as the query (for
-    a non-Boolean query, its Boolean closure) becomes certain.  A pre-built
-    ``oracle`` may be supplied to share its verdict cache across runs over
-    the same query and schema; in that case pass containment ``options``
-    when constructing the oracle (supplying both is rejected), and
-    ``metrics`` only reaches the executor and the screening layer (the
-    oracle keeps recording into its own sink, which also stands in for an
-    omitted ``metrics``).  Alternatively a :class:`SharedVerdictStore` for
-    the same (query, schema) lets this run inherit — and extend — the
-    delta-inheritable LTR history and witness paths of earlier runs.
+    Accesses pass through the oracle's memoized long-term relevance, and
+    the run stops as soon as the query (for a non-Boolean query, its
+    Boolean closure) becomes certain.  A pre-built ``oracle`` for the same
+    query and schema may be supplied to reuse — and extend — its verdicts,
+    LTR history and witness paths across runs; in that case pass
+    containment ``options`` when constructing the oracle (supplying both is
+    rejected), and ``metrics`` only reaches the executor (the oracle and
+    its screen keep recording into the oracle's sink, which also stands in
+    for an omitted ``metrics``).
 
     The run is one query through the answering kernel of
     :class:`~repro.runtime.server.QueryServer` (see :mod:`repro.runtime.server`
@@ -200,18 +187,11 @@ def relevance_guided_strategy(
     Counters and latency histograms land under the server's ``server.*``
     names.
     """
-    if not use_immediate and not use_long_term:
-        raise QueryError("at least one relevance notion must be enabled")
     if oracle is not None:
         if options is not None:
             raise QueryError(
                 "pass containment options when constructing the RelevanceOracle; "
                 "a pre-built oracle's cached verdicts already reflect its options"
-            )
-        if store is not None:
-            raise QueryError(
-                "pass either a pre-built oracle or a SharedVerdictStore, not "
-                "both; attach the store when constructing the oracle instead"
             )
         if cache_path:
             raise QueryError(
@@ -235,8 +215,6 @@ def relevance_guided_strategy(
     # it on exit; a supplied oracle's cache belongs to its owner.
     with QueryServer(
         mediator,
-        use_immediate=use_immediate,
-        use_long_term=use_long_term,
         metrics=metrics,
         parallelism=parallelism,
         tracer=tracer,
@@ -249,7 +227,6 @@ def relevance_guided_strategy(
                 mediator.schema,
                 options=options,
                 metrics=server.metrics,
-                store=store,
                 persist=server.persist,
             )
         hits_before = oracle.cache_hits

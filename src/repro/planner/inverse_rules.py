@@ -25,8 +25,7 @@ from repro.datalog import (
     query_database,
     relation_predicate,
 )
-from repro.exceptions import QueryError
-from repro.queries import ConjunctiveQuery, PositiveQuery, evaluate
+from repro.queries import disjuncts, evaluate
 from repro.queries.terms import Variable
 from repro.schema import Schema
 
@@ -38,14 +37,9 @@ _ANSWER_PREDICATE = "answer__"
 def query_plan_program(query, schema: Schema) -> Program:
     """The Datalog plan: accessible-part rules plus one rule per disjunct."""
     program = accessible_program(schema)
-    if isinstance(query, ConjunctiveQuery):
-        disjuncts = (query,)
-    elif isinstance(query, PositiveQuery):
-        disjuncts = query.to_ucq()
-    else:
-        raise QueryError(f"unsupported query type {type(query)!r}")
+    ucq = disjuncts(query)
     head = Literal(_ANSWER_PREDICATE, tuple(query.free_variables))
-    for disjunct in disjuncts:
+    for disjunct in ucq:
         body = tuple(
             Literal(relation_predicate(atom.relation.name), atom.terms)
             for atom in disjunct.atoms

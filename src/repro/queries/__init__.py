@@ -20,7 +20,7 @@ from repro.queries.homomorphism import (
     has_homomorphism,
 )
 from repro.queries.parser import parse_atom, parse_cq, parse_pq, parse_query
-from repro.queries.pq import AndNode, AtomNode, OrNode, PositiveQuery
+from repro.queries.pq import AndNode, AtomNode, OrNode, PositiveQuery, disjuncts
 from repro.queries.terms import Variable, constants_in, is_variable, variables_in
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "AtomNode",
     "AndNode",
     "OrNode",
+    "disjuncts",
     "Query",
     "evaluate",
     "evaluate_boolean",

@@ -30,9 +30,8 @@ from repro.data.indexing import fact_hash
 from repro.datalog.engine import SemiNaiveEvaluation
 from repro.datalog.program import Literal, Program, Rule
 from repro.exceptions import QueryError
-from repro.queries.cq import ConjunctiveQuery
 from repro.queries.evaluation import Query, evaluate, evaluate_boolean
-from repro.queries.pq import PositiveQuery
+from repro.queries.pq import disjuncts
 
 __all__ = ["CertaintyFixpoint", "certain_answers", "is_certain"]
 
@@ -64,15 +63,9 @@ def compile_certainty_program(query: Query) -> Program:
     """
     if not query.is_boolean:
         raise QueryError("certainty programs are compiled from Boolean queries")
-    if isinstance(query, ConjunctiveQuery):
-        disjuncts: Tuple[ConjunctiveQuery, ...] = (query,)
-    elif isinstance(query, PositiveQuery):
-        disjuncts = query.to_ucq()
-    else:
-        raise QueryError(f"unsupported query type: {type(query)!r}")
     goal = Literal(GOAL_PREDICATE, ())
     program = Program()
-    for disjunct in disjuncts:
+    for disjunct in disjuncts(query):
         body = tuple(Literal(atom.relation.name, atom.terms) for atom in disjunct.atoms)
         rule = Rule(goal, body)
         # The rule joins the disjunct's body and derives a nullary head, so

@@ -23,7 +23,7 @@ from repro.exceptions import QueryError
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.evaluation import Query, evaluate_boolean
 from repro.queries.homomorphism import freeze_query
-from repro.queries.pq import PositiveQuery
+from repro.queries.pq import disjuncts
 
 __all__ = [
     "cq_contained_in",
@@ -55,14 +55,6 @@ def cq_contained_in(query1: ConjunctiveQuery, query2: ConjunctiveQuery) -> bool:
     return evaluate_boolean(query2, store, partial)
 
 
-def _disjuncts(query: Query) -> Sequence[ConjunctiveQuery]:
-    if isinstance(query, ConjunctiveQuery):
-        return (query,)
-    if isinstance(query, PositiveQuery):
-        return query.to_ucq()
-    raise QueryError(f"unsupported query type: {type(query)!r}")
-
-
 def ucq_contained_in(
     disjuncts1: Sequence[ConjunctiveQuery], query2: Query
 ) -> bool:
@@ -83,4 +75,4 @@ def ucq_contained_in(
 def contained_in(query1: Query, query2: Query) -> bool:
     """Classical containment ``query1 ⊑ query2`` for CQs and positive queries."""
     _check_same_arity(query1, query2)
-    return ucq_contained_in(_disjuncts(query1), query2)
+    return ucq_contained_in(disjuncts(query1), query2)

@@ -22,7 +22,7 @@ from repro.queries.join import JoinPlan, plan_free_state
 from repro.queries.terms import Term, Variable, is_variable
 from repro.schema import AbstractDomain, Relation
 
-__all__ = ["PQNode", "AtomNode", "AndNode", "OrNode", "PositiveQuery"]
+__all__ = ["PQNode", "AtomNode", "AndNode", "OrNode", "PositiveQuery", "disjuncts"]
 
 
 class PQNode:
@@ -334,3 +334,16 @@ class PositiveQuery:
             else f"{self.name}()"
         )
         return f"{head} :- {self.root!r}"
+
+
+def disjuncts(query, max_disjuncts: int = 4096) -> Tuple[ConjunctiveQuery, ...]:
+    """The union-of-CQs form of a CQ (itself) or of a positive query.
+
+    Raises :class:`~repro.exceptions.QueryError` for any other query type,
+    or when a positive query's DNF exceeds ``max_disjuncts`` disjuncts.
+    """
+    if isinstance(query, ConjunctiveQuery):
+        return (query,)
+    if isinstance(query, PositiveQuery):
+        return query.to_ucq(max_disjuncts=max_disjuncts)
+    raise QueryError(f"unsupported query type {type(query)!r}")

@@ -3,8 +3,9 @@
 This package hosts the pieces a *production* dynamic-answering deployment
 needs around the paper's decision procedures:
 
-* :class:`~repro.runtime.cache.RelevanceOracle` — memoizes immediate
-  relevance, long-term relevance, and certainty verdicts, keyed by the
+* :class:`~repro.runtime.cache.RelevanceOracle` — one per query, kept
+  across requests: memoizes long-term relevance and certainty verdicts in
+  lock-protected :class:`~repro.runtime.cache.LRUCache` maps, keyed by the
   access and the configuration's content fingerprint, and reuses long-term
   verdicts *incrementally* across configuration growth (delta inheritance,
   witness-path revalidation);
@@ -12,15 +13,12 @@ needs around the paper's decision procedures:
   witness paths (:class:`~repro.runtime.witness.LtrWitness`) and verdict
   dependency snapshots (:class:`~repro.runtime.witness.ConfigurationSnapshot`);
 * :class:`~repro.runtime.screening.CandidateScreen` — batched pre-oracle
-  screening: the relevant-relation-closure prefilter and structural
-  equivalence grouping of candidate bindings;
+  screening, owned by the query's oracle: the relevant-relation-closure
+  prefilter and structural equivalence grouping of candidate bindings;
 * :class:`~repro.runtime.executor.AccessExecutor` — the one batch loop:
   deduplicating access execution against a
   :class:`~repro.sources.service.Mediator`, with ``max_concurrency``
   overlapping a batch's source latency;
-* :mod:`~repro.runtime.shards` — the lock-protected LRU cache plus the
-  :class:`~repro.runtime.shards.SharedVerdictStore` that pools LTR
-  history and witnesses across oracles for one (query, schema);
 * :class:`~repro.runtime.persist.PersistentWitnessCache` — witness paths on
   disk, so a warm restart revalidates instead of searching fresh;
 * :mod:`~repro.runtime.storage` — the witness store under the persistent
@@ -30,7 +28,8 @@ needs around the paper's decision procedures:
   digests the persistent cache is built on;
 * :class:`~repro.runtime.server.QueryServer` — the answering kernel: a
   batch of Boolean queries over one shared configuration, every performed
-  access advancing every query's strategy (the single-query strategies of
+  access advancing every query's strategy, with a bounded registry of the
+  queries' oracles (the single-query strategies of
   :mod:`repro.planner.dynamic` run it with one query);
 * :class:`~repro.runtime.metrics.RuntimeMetrics` — thread-safe counters,
   timers (with call counts), latency histograms (p50/p95/p99), and cache
@@ -81,7 +80,6 @@ from repro.runtime.retry import (
 from repro.runtime.screening import CandidateScreen, relevant_relation_closure
 from repro.runtime.server import QueryOutcome, QueryServer, ServerResult
 from repro.runtime.service import AnsweringService, ServiceHandle, serve_in_background
-from repro.runtime.shards import SharedVerdictStore
 from repro.runtime.storage import CompactionResult, SqliteWitnessStore
 from repro.runtime.tracing import (
     NO_TRACER,
@@ -124,7 +122,6 @@ __all__ = [
     "RuntimeMetrics",
     "ServerResult",
     "ServiceHandle",
-    "SharedVerdictStore",
     "Span",
     "SqliteWitnessStore",
     "SpanContext",

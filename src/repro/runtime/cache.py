@@ -1,14 +1,13 @@
 """Memoized relevance verdicts: the :class:`RelevanceOracle`.
 
-The paper's runtime-relevance procedures (immediate relevance, long-term
-relevance, certainty) are pure functions of the query, the access, and the
-*content* of the configuration.  A dynamic answering run asks the same
-questions over and over: an access judged irrelevant this round is judged
-again next round, and the configuration has usually not changed in between.
-The oracle memoizes every verdict keyed by ``(kind, access, configuration
-fingerprint)``, where the fingerprint is the O(1) content hash maintained by
-:class:`~repro.data.instance.Instance` — so a cache hit costs two dictionary
-lookups instead of a witness search.
+The paper's long-term relevance and certainty procedures are pure functions
+of the query, the access, and the *content* of the configuration.  A dynamic
+answering run asks the same questions over and over: an access judged
+irrelevant this round is judged again next round, and the configuration has
+usually not changed in between.  The oracle memoizes every verdict keyed by
+``(kind, access, configuration fingerprint)``, where the fingerprint is the
+O(1) content hash maintained by :class:`~repro.data.instance.Instance` — so
+a cache hit costs two dictionary lookups instead of a witness search.
 
 On a fingerprint *miss* the oracle does not immediately fall back to the full
 search: long-term relevance goes through the incremental engine of
@@ -33,42 +32,44 @@ search: long-term relevance goes through the incremental engine of
 Entries are evicted least-recently-used beyond ``max_entries`` so a
 long-running mediator cannot grow the cache without bound.
 
+An oracle is long-lived: the query server keeps one per distinct Boolean
+query between :meth:`~repro.runtime.server.QueryServer.answer` calls, and a
+caller reuses one across strategy runs by passing it as ``oracle=``.  The
+oracle owns everything that carries over: the verdict cache, the LTR
+history, the witnesses, the certainty fixpoint, and the query's
+:class:`~repro.runtime.screening.CandidateScreen`.
+
 An optional :class:`~repro.runtime.persist.PersistentWitnessCache`
 (``persist=``; one SQLite store, see :mod:`repro.runtime.storage`) extends
 the oracle beyond one process: it seeds stored witness paths at
-construction — a warm restart revalidates instead of searching — and
-buffers every newly captured path.  The caller owns the cache: it flushes
-the buffer (the server and the guided strategy do so after every round)
-and closes it.
+construction and on every :meth:`RelevanceOracle.seed_witnesses` call — a
+warm restart revalidates instead of searching — and buffers every newly
+captured path.  The caller owns the cache: it flushes the buffer (the
+server and the guided strategy do so after every round) and closes it.
 
 Concurrency: every cache the oracle reads or writes is a lock-protected
-:class:`~repro.runtime.shards.LRUCache`.  All oracle calls of an answering
-run stay on its dispatching thread (the executor runs only source round
-trips on pool threads), so the locks are safety code for the *cross-run*
-surfaces — oracles in concurrent answering threads pooling a
-:class:`SharedVerdictStore`, or any caller probing one oracle from several
-threads — where they prevent corruption.  Verdicts are deterministic
-functions of configuration content; two threads racing on the same miss
-compute the same value, so no compute-level lock is needed.
+:class:`LRUCache`.  All oracle calls of an answering run stay on its
+dispatching thread (the executor runs only source round trips on pool
+threads), so the locks are safety code for a caller that probes one oracle
+from several threads, where they prevent corruption.  Verdicts are
+deterministic functions of configuration content; two threads racing on the
+same miss compute the same value, so no compute-level lock is needed.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, Hashable, Optional, Tuple
 
-from repro.core import (
-    ContainmentOptions,
-    is_immediately_relevant,
-    long_term_relevance_with_witness,
-)
+from repro.core import ContainmentOptions, long_term_relevance_with_witness
 from repro.core.longterm_dependent import containment_cq_memo
 from repro.data import Configuration
-from repro.exceptions import QueryError
 from repro.queries import is_certain
 from repro.queries.certain import CertaintyFixpoint
 from repro.runtime.metrics import RuntimeMetrics
+from repro.runtime.screening import CandidateScreen
 from repro.runtime.serialize import query_token, schema_token
-from repro.runtime.shards import LRUCache, SharedVerdictStore
 from repro.runtime.tracing import current_tracer
 from repro.runtime.witness import (
     ConfigurationSnapshot,
@@ -89,6 +90,82 @@ def access_key(access: Access) -> Tuple[str, Tuple[object, ...]]:
 
 
 _MISSING = object()
+
+
+class LRUCache:
+    """A small LRU map with hit/miss accounting, safe under concurrent use.
+
+    A single internal lock serialises structural mutation (lookup refreshes
+    recency, so even ``get`` mutates).
+    """
+
+    def __init__(self, max_entries: Optional[int] = None) -> None:
+        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
+        self._max_entries = max_entries
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key: Hashable, default: object = None) -> object:
+        """Look up ``key``, refreshing its recency on a hit."""
+        with self._lock:
+            try:
+                value = self._entries[key]
+            except KeyError:
+                self.misses += 1
+                return default
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return value
+
+    def put(self, key: Hashable, value: object) -> None:
+        """Store ``key`` and evict the least-recently-used overflow."""
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            if self._max_entries is not None:
+                while len(self._entries) > self._max_entries:
+                    self._entries.popitem(last=False)
+
+    def discard(self, key: Hashable) -> None:
+        """Drop ``key`` if present (no recency or hit/miss accounting)."""
+        with self._lock:
+            self._entries.pop(key, None)
+
+    def reset_stats(self) -> None:
+        """Zero the hit/miss gauges (entries are kept).
+
+        :meth:`RuntimeMetrics.reset` calls this on registered caches so a
+        post-reset snapshot starts from zero instead of carrying the
+        pre-reset probe history.
+        """
+        with self._lock:
+            self.hits = 0
+            self.misses = 0
+
+    def stats(self) -> dict:
+        """Hit/miss gauges: ``{hits, misses, entries, hit_rate}``.
+
+        ``hit_rate`` is ``None`` until the cache has been probed at least
+        once (0/0 is unknown, not zero).
+        """
+        with self._lock:
+            hits, misses, entries = self.hits, self.misses, len(self._entries)
+        probes = hits + misses
+        return {
+            "hits": hits,
+            "misses": misses,
+            "entries": entries,
+            "hit_rate": (hits / probes) if probes else None,
+        }
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def __contains__(self, key: Hashable) -> bool:
+        with self._lock:
+            return key in self._entries
 
 
 class _LtrHistory:
@@ -113,7 +190,7 @@ class _LtrHistory:
 
 
 class RelevanceOracle:
-    """Memoized relevance and certainty decisions for one Boolean query.
+    """Memoized long-term relevance and certainty for one Boolean query.
 
     The oracle wraps the facade procedures of :mod:`repro.core` behind a
     cache keyed by ``(kind, access, configuration fingerprint)``, plus the
@@ -134,10 +211,8 @@ class RelevanceOracle:
         ltr_method: str = "auto",
         metrics: Optional[RuntimeMetrics] = None,
         max_entries: Optional[int] = 65536,
-        incremental: bool = True,
         certainty_fixpoint: bool = True,
         fixpoint_max_facts: int = 1_000_000,
-        store: Optional[SharedVerdictStore] = None,
         persist: Optional["PersistentWitnessCache"] = None,
     ) -> None:
         self._query = query if query.is_boolean else query.boolean_closure()
@@ -151,30 +226,16 @@ class RelevanceOracle:
             persist.attach_metrics(self._metrics)
             self._persist_tokens = (query_token(self._query), schema_token(schema))
         self._cache = LRUCache(max_entries)
-        self._incremental = incremental
-        if store is not None:
-            store.check_compatible(self._query, schema)
-            if options is not None:
-                raise QueryError(
-                    "pass containment options when constructing the "
-                    "SharedVerdictStore's oracles consistently; a store's "
-                    "histories reflect the options they were computed under"
-                )
-            self._witnesses = store.witnesses
-            self._ltr_history = store.ltr_history
-        else:
-            self._witnesses = LRUCache(max_entries)
-            self._ltr_history = LRUCache(max_entries)
+        self._witnesses = LRUCache(max_entries)
+        self._ltr_history = LRUCache(max_entries)
         self._query_relations = frozenset(self._query.relation_names())
         self._unsafe_domains = dependent_input_domains(schema)
-        if incremental and certainty_fixpoint:
-            self._fixpoint: Optional[CertaintyFixpoint] = (
-                store.certainty
-                if store is not None
-                else CertaintyFixpoint(self._query, max_facts=fixpoint_max_facts)
-            )
-        else:
-            self._fixpoint = None
+        self._fixpoint: Optional[CertaintyFixpoint] = (
+            CertaintyFixpoint(self._query, max_facts=fixpoint_max_facts)
+            if certainty_fixpoint
+            else None
+        )
+        self._screen = CandidateScreen(self._query, schema, metrics=self._metrics)
         self._metrics.register_cache("oracle.cache", self._cache)
         self._metrics.register_cache("oracle.witnesses", self._witnesses)
         self._metrics.register_cache("oracle.ltr_history", self._ltr_history)
@@ -189,13 +250,8 @@ class RelevanceOracle:
         # Provenance for trace annotations: which witness keys came off disk
         # (vs captured live this process).  LtrWitness is frozen, so
         # provenance lives here, not on the witness objects.
-        if persist is not None and incremental:
-            seeded_keys = persist.seed(self._witnesses, self._persist_tokens, schema)
-            self._persist_seeded = frozenset(seeded_keys)
-            if seeded_keys:
-                self._metrics.incr("persist.seeded", len(seeded_keys))
-        else:
-            self._persist_seeded = frozenset()
+        self._persist_seeded = set()
+        self.seed_witnesses()
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -226,6 +282,25 @@ class RelevanceOracle:
         return self._persist
 
     @property
+    def screen(self) -> CandidateScreen:
+        """The query's candidate screen (prefilter and grouping)."""
+        return self._screen
+
+    def seed_witnesses(self) -> None:
+        """Copy the persistent cache's witnesses this oracle does not hold.
+
+        The constructor seeds once; the query server calls this again each
+        time it reuses the oracle, so records another process wrote since
+        arrive.  No-op without a persistent cache.
+        """
+        if self._persist is None:
+            return
+        seeded = self._persist.seed(self._witnesses, self._persist_tokens, self._schema)
+        if seeded:
+            self._persist_seeded.update(seeded)
+            self._metrics.incr("persist.seeded", len(seeded))
+
+    @property
     def cache_hits(self) -> int:
         """Number of verdicts served from the cache."""
         return self._cache.hits
@@ -246,16 +321,6 @@ class RelevanceOracle:
     # ------------------------------------------------------------------ #
     # Memoized decisions
     # ------------------------------------------------------------------ #
-    def _memoized(self, key: Hashable, compute) -> bool:
-        cached = self._cache.get(key, _MISSING)
-        if cached is not _MISSING:
-            self._metrics.incr("oracle.hits")
-            return bool(cached)
-        self._metrics.incr("oracle.misses")
-        verdict = bool(compute())
-        self._cache.put(key, verdict)
-        return verdict
-
     def is_certain(self, configuration: Configuration) -> bool:
         """Memoized, incrementally maintained certainty at ``configuration``.
 
@@ -307,15 +372,6 @@ class RelevanceOracle:
         self._cache.put(key, verdict)
         return verdict
 
-    def immediately_relevant(self, access: Access, configuration: Configuration) -> bool:
-        """Memoized immediate relevance of ``access`` at ``configuration``."""
-        key = ("ir", access_key(access), configuration.fingerprint())
-        with self._metrics.timer("oracle.immediate"):
-            return self._memoized(
-                key,
-                lambda: is_immediately_relevant(self._query, access, configuration),
-            )
-
     def long_term_relevant(self, access: Access, configuration: Configuration) -> bool:
         """Long-term relevance of ``access`` at ``configuration``.
 
@@ -359,70 +415,68 @@ class RelevanceOracle:
         self, access, akey, key, configuration, tracer, span
     ) -> bool:
         """The miss path of :meth:`long_term_relevant` (``span`` may be None)."""
-        if self._incremental:
-            history = self._ltr_history.get(akey)
-            if history is not None and history.snapshot.delta_safe(
-                configuration, self._unsafe_domains
-            ):
-                self._metrics.incr("oracle.delta_hits")
-                self._cache.put(key, history.verdict)
-                if span is not None:
-                    span.annotate(outcome="delta-inherited", relevant=history.verdict)
-                return history.verdict
+        history = self._ltr_history.get(akey)
+        if history is not None and history.snapshot.delta_safe(
+            configuration, self._unsafe_domains
+        ):
+            self._metrics.incr("oracle.delta_hits")
+            self._cache.put(key, history.verdict)
+            if span is not None:
+                span.annotate(outcome="delta-inherited", relevant=history.verdict)
+            return history.verdict
 
-            witness = self._witnesses.get(akey)
-            if witness is not None:
-                # A path this oracle accepted at a configuration the current
-                # one contains can only break in its truncation (monotone
-                # queries; well-formedness reads only the active domain).
-                truncation_only = (
-                    history is not None
-                    and history.revalidated_witness is witness
-                    and history.snapshot.contained_in(configuration)
-                )
-                with tracer.span("witness-revalidate") as wspan:
-                    with self._metrics.timer("witness.revalidate"):
-                        if truncation_only:
-                            revalidated = witness.recheck_truncation(
-                                self._query, configuration
-                            )
-                        else:
-                            revalidated = witness.revalidate(self._query, configuration)
-                    if span is not None:
-                        wspan.annotate(
-                            ok=revalidated,
-                            check="truncation" if truncation_only else "full",
-                            provenance=(
-                                "persisted"
-                                if akey in self._persist_seeded
-                                else "captured"
-                            ),
+        witness = self._witnesses.get(akey)
+        if witness is not None:
+            # A path this oracle accepted at a configuration the current
+            # one contains can only break in its truncation (monotone
+            # queries; well-formedness reads only the active domain).
+            truncation_only = (
+                history is not None
+                and history.revalidated_witness is witness
+                and history.snapshot.contained_in(configuration)
+            )
+            with tracer.span("witness-revalidate") as wspan:
+                with self._metrics.timer("witness.revalidate"):
+                    if truncation_only:
+                        revalidated = witness.recheck_truncation(
+                            self._query, configuration
                         )
-                if truncation_only:
-                    self._metrics.incr("witness.truncation_only")
-                if revalidated:
-                    self._metrics.incr("witness.revalidated")
-                    self._record_ltr(
-                        akey,
-                        key,
-                        True,
-                        configuration,
-                        witness=None,
-                        revalidated_witness=witness,
+                    else:
+                        revalidated = witness.revalidate(self._query, configuration)
+                if span is not None:
+                    wspan.annotate(
+                        ok=revalidated,
+                        check="truncation" if truncation_only else "full",
+                        provenance=(
+                            "persisted"
+                            if akey in self._persist_seeded
+                            else "captured"
+                        ),
                     )
-                    if span is not None:
-                        span.annotate(outcome="revalidated", relevant=True)
-                    return True
-                self._metrics.incr("witness.revalidation_failed")
-                # On a growing configuration a failed revalidation means the
-                # truncation now satisfies the (monotone) query — the stored
-                # path can never work again, so retrying it on every miss
-                # only adds two query evaluations.  Drop it; a positive fresh
-                # search below re-captures a live witness.  (With a
-                # SharedVerdictStore the next run's configuration may shrink
-                # back below this one; dropping then merely costs reuse,
-                # never soundness.)
-                self._witnesses.discard(akey)
+            if truncation_only:
+                self._metrics.incr("witness.truncation_only")
+            if revalidated:
+                self._metrics.incr("witness.revalidated")
+                self._record_ltr(
+                    akey,
+                    key,
+                    True,
+                    configuration,
+                    witness=None,
+                    revalidated_witness=witness,
+                )
+                if span is not None:
+                    span.annotate(outcome="revalidated", relevant=True)
+                return True
+            self._metrics.incr("witness.revalidation_failed")
+            # On a growing configuration a failed revalidation means the
+            # truncation now satisfies the (monotone) query — the stored
+            # path can never work again, so retrying it on every miss
+            # only adds two query evaluations.  Drop it; a positive fresh
+            # search below re-captures a live witness.  (An oracle reused
+            # on another run may see a configuration below this one;
+            # dropping then merely costs reuse, never soundness.)
+            self._witnesses.discard(akey)
 
         self._metrics.incr("oracle.fresh_searches")
         with tracer.span("fresh-search") as search_span:
@@ -463,8 +517,6 @@ class RelevanceOracle:
         revalidated_witness: Optional[LtrWitness] = None,
     ) -> None:
         self._cache.put(key, verdict)
-        if not self._incremental:
-            return
         self._ltr_history.put(
             akey,
             _LtrHistory(
@@ -559,14 +611,6 @@ class RelevanceOracle:
             witness=witness,
             access=access,
         )
-
-    def adopt_immediate_verdict(
-        self, access: Access, configuration: Configuration, verdict: bool
-    ) -> None:
-        """Record an immediate-relevance verdict transferred by screening."""
-        akey = access_key(access)
-        self._metrics.incr("oracle.adopted")
-        self._cache.put(("ir", akey, configuration.fingerprint()), verdict)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -172,12 +172,13 @@ class RuntimeMetrics:
         self._timers: Dict[str, float] = {}
         self._timer_calls: Dict[str, int] = {}
         self._histograms: Dict[str, LatencyHistogram] = {}
-        # name -> weakref to the cache.  Weak on purpose: oracles register
-        # their caches at construction, and a long-lived server constructs
-        # oracles per answer call — a strong registry would pin every dead
-        # oracle's LRU forever.  Dead entries are pruned on registration and
-        # on snapshot.
+        # name -> weakref to the cache, and cache -> name.  Weak on purpose:
+        # oracles register their caches at construction, and a server's
+        # registry evicts oracles — a strong registry would pin every
+        # evicted oracle's LRUs forever.  A dead entry's name is reused by
+        # the next registration that wants it; snapshots prune the rest.
         self._caches: Dict[str, "weakref.ref"] = {}
+        self._cache_names: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
@@ -265,28 +266,29 @@ class RuntimeMetrics:
     def register_cache(self, name: str, cache: object) -> str:
         """Expose a cache's hit/miss gauges in :meth:`snapshot`.
 
-        ``cache`` must provide a ``stats()`` method (both LRU cache classes
-        in :mod:`repro.runtime.shards` do).  Registering an already-used name
-        uniquifies it (``name#2``, ``name#3``, ...), so several oracles can
-        share one sink — the server does — without clobbering each other's
-        gauges.  Only a weak reference is kept: a cache that dies with its
-        oracle disappears from the snapshot instead of being pinned, and its
-        name becomes reusable.  Registering the *same object* again is
-        idempotent (it keeps its original name) — per-request oracles
-        re-registering a long-lived store's caches must not mint a new name
-        per request.  Returns the name actually registered.
+        ``cache`` must provide a ``stats()`` method (the
+        :class:`~repro.runtime.cache.LRUCache` does).  Registering an
+        already-used name uniquifies it (``name#2``, ``name#3``, ...), so
+        several oracles can share one sink — the server's registry does —
+        without clobbering each other's gauges.  Only a weak reference is
+        kept: a cache that dies with its oracle (say, one the server's
+        registry evicted) disappears from the snapshot instead of being
+        pinned, and its name becomes reusable.  Registering the *same
+        object* again is idempotent (it keeps its original name): every
+        oracle registers the process-wide ``ltr.containment_cq_memo``.
+        Returns the name actually registered.
         """
         with self._lock:
-            self._prune_dead_caches()
-            for existing, ref in self._caches.items():
-                if ref() is cache:
-                    return existing
+            known = self._cache_names.get(cache)
+            if known is not None:
+                return known
             final = name
             suffix = 2
-            while final in self._caches:
+            while final in self._caches and self._caches[final]() is not None:
                 final = f"{name}#{suffix}"
                 suffix += 1
             self._caches[final] = weakref.ref(cache)
+            self._cache_names[cache] = final
             return final
 
     def _prune_dead_caches(self) -> None:

@@ -5,9 +5,9 @@ by revalidating a stored witness path in O(|path|) — previously died with
 the process: every restart paid the full search cost again before the
 in-memory caches warmed up.  :class:`PersistentWitnessCache` writes captured
 witness paths to a :class:`~repro.runtime.storage.SqliteWitnessStore` and
-seeds them back into a fresh oracle (or
-:class:`~repro.runtime.shards.SharedVerdictStore`), so a *warm restart*
-revalidates instead of searching.
+seeds them back into a :class:`~repro.runtime.cache.RelevanceOracle` — when
+it is built, and again each time the query server reuses it — so a *warm
+restart* revalidates instead of searching.
 
 The cache is a thin layer: **encoding, decoding, memoization, seeding**.
 Bytes live in the store, one SQLite file in WAL mode that N concurrent

@@ -8,11 +8,13 @@ work before any witness search runs:
   relevant when its relation either occurs in the query or can *feed* it:
   some chain of dependent accesses consumes the relation's output values and
   ends in a query relation.  The fixpoint of that "feeds" relation — the
-  :func:`relevant_relation_closure` — is computed once per (query, schema);
-  candidates outside it are discarded without consulting the oracle.  The
-  closure mirrors the structure of the bounded witness searches (every access
-  of a searched path is a target over a query relation or a transitive
-  support of one), so no access those searches could certify is dropped;
+  :func:`relevant_relation_closure` — is computed once per query, by the
+  :class:`CandidateScreen` its :class:`~repro.runtime.cache.RelevanceOracle`
+  owns; candidates outside it are discarded without consulting the oracle.
+  The closure mirrors the structure of the bounded witness searches (every
+  access of a searched path is a target over a query relation or a
+  transitive support of one), so no access those searches could certify is
+  dropped;
 * **structural-equivalence grouping** — two bindings of the same method that
   differ by a value renaming extending to an automorphism of the
   configuration (and fixing the query constants) receive identical verdicts:
@@ -40,26 +42,15 @@ __all__ = [
 ]
 
 
-def access_is_relevant(
-    oracle,
-    access: Access,
-    configuration: Configuration,
-    *,
-    use_long_term: bool,
-    use_immediate: bool,
-) -> bool:
-    """Whether ``access`` passes the enabled relevance notions right now.
+def access_is_relevant(oracle, access: Access, configuration: Configuration) -> bool:
+    """Whether ``access`` is long-term relevant right now.
 
-    The shared dispatch-time re-check of the single-query strategy's
-    ``precheck`` and the query server's per-owner precheck: both must apply
-    exactly the same policy, or a multi-query run could perform a different
-    access set than the single-query one.
+    The query server's dispatch-time re-check of an access some query
+    wanted, against the configuration it actually runs at.  It stays a
+    module-level function so ``perfbench/spans.py`` can time the precheck
+    as its own span.
     """
-    if use_long_term and not oracle.long_term_relevant(access, configuration):
-        return False
-    if use_immediate and not oracle.immediately_relevant(access, configuration):
-        return False
-    return True
+    return oracle.long_term_relevant(access, configuration)
 
 
 def resolve_group_verdict(
@@ -67,48 +58,25 @@ def resolve_group_verdict(
     representative: Access,
     members: Sequence[Tuple[Access, Dict[object, object]]],
     configuration: Configuration,
-    *,
-    use_long_term: bool,
-    use_immediate: bool,
 ) -> bool:
-    """Resolve one screening group's verdicts through ``oracle``.
+    """Resolve one screening group's verdict through ``oracle``.
 
-    Decides the representative (long-term and/or immediate relevance), has
-    every member adopt the verdicts — positively together with the
-    representative's witness translated through the member's automorphism
-    mapping, so later rounds revalidate instead of searching — and returns
-    whether the group's accesses are relevant.  This is the one copy of the
-    group-adoption semantics; the single-query strategy and the query server
-    both call it (they previously each had their own, which is exactly how
-    adoption fixes would silently diverge).
+    Decides the representative's long-term relevance, has every member
+    adopt the verdict — positively together with the representative's
+    witness translated through the member's automorphism mapping, so later
+    rounds revalidate instead of searching — and returns whether the
+    group's accesses are relevant.
     """
-    ltr_verdict = (
-        oracle.long_term_relevant(representative, configuration)
-        if use_long_term
-        else True
-    )
-    ir_verdict = (
-        oracle.immediately_relevant(representative, configuration)
-        if use_immediate
-        else True
-    )
-    if members:
-        witness = (
-            oracle.witness_for(representative)
-            if use_long_term and ltr_verdict
-            else None
+    verdict = oracle.long_term_relevant(representative, configuration)
+    witness = oracle.witness_for(representative) if verdict and members else None
+    for member, mapping in members:
+        oracle.adopt_long_term_verdict(
+            member,
+            configuration,
+            verdict,
+            witness=(witness.translated(mapping) if witness else None),
         )
-        for member, mapping in members:
-            if use_long_term:
-                oracle.adopt_long_term_verdict(
-                    member,
-                    configuration,
-                    ltr_verdict,
-                    witness=(witness.translated(mapping) if witness else None),
-                )
-            if use_immediate:
-                oracle.adopt_immediate_verdict(member, configuration, ir_verdict)
-    return ltr_verdict and ir_verdict
+    return verdict
 
 
 def relevant_relation_closure(query, schema: Schema) -> FrozenSet[str]:
@@ -196,7 +164,11 @@ def _binding_automorphism(
 
 
 class CandidateScreen:
-    """Per-(query, schema) screening state shared across answering rounds."""
+    """Per-(query, schema) screening state, kept across answering rounds.
+
+    Each :class:`~repro.runtime.cache.RelevanceOracle` owns the screen of
+    its query, so the closure is computed once per oracle, not per request.
+    """
 
     def __init__(
         self,
@@ -206,12 +178,8 @@ class CandidateScreen:
         metrics: Optional[RuntimeMetrics] = None,
         max_group_probes: int = 16,
     ) -> None:
-        self._schema = schema
         self._metrics = metrics if metrics is not None else RuntimeMetrics()
         self._closure = relevant_relation_closure(query, schema)
-        self._query_relations = frozenset(
-            name for name in query.relation_names() if schema.has_relation(name)
-        )
         self._fixed_values = frozenset(
             value for value, _domain in query.constants_with_domains()
         )
@@ -222,21 +190,14 @@ class CandidateScreen:
         """The relevant-relation closure the prefilter tests against."""
         return self._closure
 
-    def prefilter(
-        self, candidates: Sequence[Access], *, immediate_only: bool = False
-    ) -> List[Access]:
-        """Drop candidates that fail the necessary condition for relevance.
-
-        Long-term relevance admits the full feeds-closure; immediate
-        relevance (``immediate_only``) requires the accessed relation to
-        occur in the query itself, since a single response can only witness
-        subgoals of its own relation.
-        """
-        allowed = self._query_relations if immediate_only else self._closure
+    def prefilter(self, candidates: Sequence[Access]) -> List[Access]:
+        """Drop candidates whose relation is outside the closure."""
         tracer = current_tracer()
         with tracer.span("screen.prefilter") as span:
             kept = [
-                access for access in candidates if access.relation.name in allowed
+                access
+                for access in candidates
+                if access.relation.name in self._closure
             ]
             dropped = len(candidates) - len(kept)
             if tracer.enabled:

@@ -10,12 +10,13 @@ this kernel run with one query and the oracle the caller supplied or built.
 
 :class:`QueryServer` is that runtime.  It owns one
 :class:`~repro.sources.service.Mediator` and, per distinct Boolean query, a
-:class:`~repro.runtime.shards.SharedVerdictStore` kept in a registry — so
+:class:`~repro.runtime.cache.RelevanceOracle` kept in a bounded registry — so
 repeated :meth:`~QueryServer.answer` calls (the "requests" of the server)
-inherit every earlier call's LTR history and witness paths.  With a
-``cache_path`` the stores additionally warm up from a
-:class:`~repro.runtime.persist.PersistentWitnessCache`, surviving process
-restarts.
+reuse every earlier call's verdicts, LTR history, witness paths, certainty
+state and screen.  With a ``cache_path`` the oracles additionally warm up
+from a :class:`~repro.runtime.persist.PersistentWitnessCache`, surviving
+process restarts, and re-seed from it whenever the registry hands them out
+again, so records another process wrote arrive.
 
 A :meth:`~QueryServer.answer` call schedules **shared rounds**:
 
@@ -24,7 +25,8 @@ A :meth:`~QueryServer.answer` call schedules **shared rounds**:
 2. enumerate the round's candidate accesses *once* against the shared
    configuration;
 3. per query: prefilter by its relevant-relation closure, group bindings by
-   configuration automorphism, and resolve the representatives' LTR verdicts;
+   configuration automorphism, and resolve the representatives' long-term
+   relevance verdicts;
 4. union the relevant accesses of all queries (deduplicated), execute them
    as one batch through a shared :class:`~repro.runtime.executor.AccessExecutor`
    (``parallelism`` overlaps source latency), re-checking each access at
@@ -51,18 +53,17 @@ from repro.runtime.executor import AccessExecutor, candidate_accesses
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.persist import PersistentWitnessCache
 from repro.runtime.retry import Deadline
-from repro.runtime.screening import (
-    CandidateScreen,
-    access_is_relevant,
-    resolve_group_verdict,
-)
+from repro.runtime.screening import access_is_relevant, resolve_group_verdict
 from repro.runtime.serialize import query_token
-from repro.runtime.shards import SharedVerdictStore
 from repro.runtime.tracing import TracerLike, activate_tracer, current_tracer
 from repro.schema import Access
 from repro.sources.service import Mediator
 
 __all__ = ["QueryOutcome", "QueryServer", "ServerResult"]
+
+#: LTR procedures whose bounded witness searches the closure prefilter
+#: mirrors; the containment reductions do not share that structure.
+_PREFILTERED_METHODS = frozenset({"auto", "direct", "independent", "single-occurrence"})
 
 
 @dataclass(frozen=True)
@@ -141,8 +142,7 @@ class _QueryState:
     __slots__ = (
         "query",
         "oracle",
-        "screen",
-        "prefilter_ltr",
+        "prefilter",
         "certain",
         "relevance_checks",
         "exhausted",
@@ -156,11 +156,10 @@ class _QueryState:
         "attempts",
     )
 
-    def __init__(self, query, oracle, screen, prefilter_ltr, index) -> None:
+    def __init__(self, query, oracle, index) -> None:
         self.query = query
         self.oracle = oracle
-        self.screen = screen
-        self.prefilter_ltr = prefilter_ltr
+        self.prefilter = oracle.ltr_method in _PREFILTERED_METHODS
         self.certain = False
         self.relevance_checks = 0
         self.exhausted = False
@@ -202,9 +201,9 @@ class QueryServer:
     ----------
     mediator:
         The federated engine whose configuration every query shares.
-    use_immediate / use_long_term / ltr_method:
-        The relevance notions each query's strategy filters accesses with
-        (same semantics as :func:`repro.planner.dynamic.relevance_guided_strategy`).
+    ltr_method:
+        The long-term relevance procedure each query's oracle dispatches to
+        (see :func:`repro.core.long_term_relevance_with_witness`).
     search_workers:
         Only ``1`` is accepted: relevance searches run in-process.
     cache_path / persist:
@@ -222,17 +221,20 @@ class QueryServer:
         Access-execution concurrency per round (source latency overlap),
         forwarded to the shared executor.
     metrics:
-        A shared sink; per-query oracles, the screens, and the executor all
-        record into it.
+        A shared sink; per-query oracles, their screens, and the executor
+        all record into it.
+    max_entries:
+        Bound on each of an oracle's three LRU caches (verdicts, LTR
+        history, witnesses).
     max_stores:
-        Bound on the per-query store registry (least-recently-used stores
+        Bound on the per-query oracle registry (least-recently-used oracles
         are evicted; an evicted query merely loses cross-request reuse).
     fixpoint_max_facts:
         Memory knob for the incremental-certainty state: the per-query
         :class:`~repro.queries.certain.CertaintyFixpoint` drops its
         materialized database when it exceeds this many facts (it rebuilds
         on the next certainty check).  Together with ``max_stores`` —
-        evicting a store drops its fixpoint — this bounds certainty state
+        evicting an oracle drops its fixpoint — this bounds certainty state
         to ``max_stores × fixpoint_max_facts`` facts.
     tracer:
         An optional :class:`~repro.runtime.tracing.Tracer` activated for the
@@ -247,8 +249,6 @@ class QueryServer:
         self,
         mediator: Mediator,
         *,
-        use_immediate: bool = False,
-        use_long_term: bool = True,
         ltr_method: str = "auto",
         metrics: Optional[RuntimeMetrics] = None,
         search_workers: int = 1,
@@ -260,8 +260,6 @@ class QueryServer:
         fixpoint_max_facts: int = 1_000_000,
         tracer: Optional[TracerLike] = None,
     ) -> None:
-        if not use_immediate and not use_long_term:
-            raise QueryError("at least one relevance notion must be enabled")
         if cache_path is not None and persist is not None:
             raise QueryError("pass either cache_path or a persist instance, not both")
         if search_workers != 1:
@@ -270,8 +268,6 @@ class QueryServer:
                 "searches now run in-process"
             )
         self._mediator = mediator
-        self._use_immediate = use_immediate
-        self._use_long_term = use_long_term
         self._ltr_method = ltr_method
         self._metrics = metrics if metrics is not None else RuntimeMetrics()
         self._persist = (
@@ -288,14 +284,14 @@ class QueryServer:
         # without one the server joins whatever tracer is ambient on the
         # calling thread (usually the no-op tracer).
         self._tracer = tracer
-        # Bounded LRU of per-query verdict stores: a server streaming
-        # mostly-distinct queries must not pin one store (and its LRUs) per
-        # query ever seen.  Evicting a store only costs reuse — a returning
+        # Bounded LRU of per-query oracles: a server streaming
+        # mostly-distinct queries must not pin one oracle (and its LRUs) per
+        # query ever seen.  Evicting an oracle only costs reuse — a returning
         # query rebuilds its history (or re-seeds it from the persistent
         # cache), never a wrong answer.
         self._max_stores = max(1, max_stores)
         self._fixpoint_max_facts = fixpoint_max_facts
-        self._stores: "OrderedDict[str, SharedVerdictStore]" = OrderedDict()
+        self._stores: "OrderedDict[str, RelevanceOracle]" = OrderedDict()
         # One executor for the server's lifetime: its deduplication set is
         # what makes an access performed by one answer call advance — and
         # never be re-sent by — every later call.
@@ -319,30 +315,36 @@ class QueryServer:
         """The attached persistent witness cache, if any."""
         return self._persist
 
-    def store_for(self, query) -> SharedVerdictStore:
-        """The per-(query, schema) verdict store, created on first use.
+    def oracle_for(self, query) -> RelevanceOracle:
+        """The query's long-lived oracle, created on first use.
 
-        Stores are keyed by the query's process-stable token, so two equal
-        queries (even parsed from different strings) share one store, and
-        the registry survives across :meth:`answer` calls — that is what
-        makes the server a *server* rather than a per-request library.
+        Oracles are keyed by the Boolean query's process-stable token, so
+        two equal queries (even parsed from different strings) share one,
+        and the registry survives across :meth:`answer` calls — that is
+        what makes the server a *server* rather than a per-request library.
+        A reused oracle first re-seeds from the persistent cache, so
+        records another process wrote since arrive.
         """
         boolean = query if query.is_boolean else query.boolean_closure()
         token = query_token(boolean)
-        store = self._stores.get(token)
-        if store is None:
-            store = SharedVerdictStore(
+        oracle = self._stores.get(token)
+        if oracle is None:
+            oracle = RelevanceOracle(
                 boolean,
                 self._mediator.schema,
+                ltr_method=self._ltr_method,
+                metrics=self._metrics,
                 max_entries=self._max_entries,
                 fixpoint_max_facts=self._fixpoint_max_facts,
+                persist=self._persist,
             )
-            self._stores[token] = store
+            self._stores[token] = oracle
             while len(self._stores) > self._max_stores:
                 self._stores.popitem(last=False)
         else:
             self._stores.move_to_end(token)
-        return store
+            oracle.seed_witnesses()
+        return oracle
 
     def close(self) -> None:
         """Close the witness store opened from ``cache_path`` (idempotent).
@@ -461,8 +463,8 @@ class QueryServer:
         guided or exhaustive rounds, and evaluates every query at the final
         configuration.  ``queries`` is non-empty and the arguments are
         validated.  ``oracles``, aligned with ``queries``, replace the
-        oracles built from the store registry (a strategy passes the one it
-        was given or built); ``deadlines`` are absolute.  With
+        registry's oracles (a strategy passes the one it was given or
+        built); ``deadlines`` are absolute.  With
         ``tolerate_failures=False`` an access failing past its retries
         raises out of the batch instead of degrading the queries that
         wanted it.
@@ -513,35 +515,9 @@ class QueryServer:
         deadlines: Optional[Sequence[Optional[Deadline]]] = None,
     ) -> List[_QueryState]:
         states: List[_QueryState] = []
-        schema = self._mediator.schema
         for index, query in enumerate(queries):
-            if oracles is not None:
-                oracle = oracles[index]
-            else:
-                store = self.store_for(query)
-                # The store's query equals this one's Boolean closure;
-                # deciding with it reuses the joins it compiled for earlier
-                # requests.
-                oracle = RelevanceOracle(
-                    store.query,
-                    schema,
-                    ltr_method=self._ltr_method,
-                    metrics=self._metrics,
-                    max_entries=self._max_entries,
-                    store=store,
-                    persist=self._persist,
-                )
-            screen = CandidateScreen(oracle.query, schema, metrics=self._metrics)
-            # The closure prefilter mirrors the bounded witness searches; the
-            # containment-reduction procedures do not share that structure,
-            # so an oracle dispatching to them opts out of prefiltering.
-            prefilter_ltr = self._use_long_term and oracle.ltr_method in (
-                "auto",
-                "direct",
-                "independent",
-                "single-occurrence",
-            )
-            state = _QueryState(query, oracle, screen, prefilter_ltr, index)
+            oracle = oracles[index] if oracles is not None else self.oracle_for(query)
+            state = _QueryState(query, oracle, index)
             if round_budgets is not None:
                 state.round_budget = round_budgets[index]
             if access_budgets is not None:
@@ -688,23 +664,15 @@ class QueryServer:
                 query=getattr(state.query, "name", None),
                 index=state.index,
             ):
-                mine = candidates
-                if state.prefilter_ltr:
-                    mine = state.screen.prefilter(mine)
-                elif self._use_immediate and not self._use_long_term:
-                    mine = state.screen.prefilter(mine, immediate_only=True)
-                groups = state.screen.group(mine, configuration)
+                screen = state.oracle.screen
+                mine = screen.prefilter(candidates) if state.prefilter else candidates
+                groups = screen.group(mine, configuration)
                 with tracer.span("verdicts", index=state.index) as vspan:
                     kept = 0
                     for representative, members in groups:
                         state.relevance_checks += 1
                         if not resolve_group_verdict(
-                            state.oracle,
-                            representative,
-                            members,
-                            configuration,
-                            use_long_term=self._use_long_term,
-                            use_immediate=self._use_immediate,
+                            state.oracle, representative, members, configuration
                         ):
                             continue
                         kept += 1
@@ -750,13 +718,7 @@ class QueryServer:
                 if state.certain:
                     continue
                 state.relevance_checks += 1
-                if access_is_relevant(
-                    state.oracle,
-                    access,
-                    live,
-                    use_long_term=self._use_long_term,
-                    use_immediate=self._use_immediate,
-                ):
+                if access_is_relevant(state.oracle, access, live):
                     keep = True
             return keep
 
@@ -774,19 +736,18 @@ class QueryServer:
             return True
 
         # Each merged response advances every query's certainty fixpoint
-        # (one per shared store — duplicate queries share one state, so the
+        # (one per oracle — duplicate queries share one oracle, so the
         # batch advances one state per *distinct* query, not per state)
         # before any subsequent stop() probe, which therefore resolves by
         # delta advance instead of re-evaluating the shared configuration
         # once per live query.
-        absorbers: List[RelevanceOracle] = []
-        seen_fixpoints = set()
-        for state in states:
-            fixpoint = state.oracle.certainty_fixpoint
-            if fixpoint is None or id(fixpoint) in seen_fixpoints:
-                continue
-            seen_fixpoints.add(id(fixpoint))
-            absorbers.append(state.oracle)
+        absorbers = list(
+            {
+                id(state.oracle): state.oracle
+                for state in states
+                if state.oracle.certainty_fixpoint is not None
+            }.values()
+        )
 
         def on_response(response) -> None:
             for oracle in absorbers:
@@ -875,7 +836,7 @@ class QueryServer:
         """Evaluate every query at the final configuration."""
         final = self._mediator.configuration_view
         with current_tracer().span("finalize", queries=len(states)):
-            # A Boolean query is evaluated as its store's equal query, whose
+            # A Boolean query is evaluated as its oracle's equal query, whose
             # compiled join outlives the request.
             answer_sets = [
                 certain_answers(

@@ -338,15 +338,11 @@ class AnsweringService:
     def _answer_blocking(
         self, queries, round_budgets, access_budgets, deadlines, tracer
     ):
-        """The worker-thread body: one shared-rounds answer call."""
-        if tracer is None:
-            return self._server.answer(
-                queries,
-                max_rounds=self._max_rounds,
-                round_budgets=round_budgets,
-                access_budgets=access_budgets,
-                deadlines=deadlines,
-            )
+        """The worker-thread body: one shared-rounds answer call.
+
+        ``activate_tracer(None)`` activates the no-op tracer, which is what
+        the answering thread has anyway.
+        """
         with activate_tracer(tracer):
             return self._server.answer(
                 queries,

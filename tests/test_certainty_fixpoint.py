@@ -7,8 +7,8 @@ The load-bearing claims of the incremental certainty engine:
   :func:`~repro.queries.is_certain` computes, at every intermediate
   configuration, for any arrival order and batching of the facts;
 * dropping the state — an explicit ``reset()``, the ``max_facts`` bound, or
-  eviction of the owning :class:`~repro.runtime.shards.SharedVerdictStore`
-  from the server's bounded registry — only costs a restart, never a wrong
+  eviction of the owning :class:`~repro.runtime.cache.RelevanceOracle` from
+  the server's bounded registry — only costs a restart, never a wrong
   verdict;
 * the truncation replay and witness revalidation mutate the live
   configuration behind an undo log: zero ``copy()`` calls on the hot path,
@@ -170,15 +170,15 @@ def test_store_eviction_drops_fixpoint_state():
     mediator = scenario.mediator()
     with QueryServer(mediator, max_stores=1) as server:
         first, second = scenario.queries[:2]
-        store = server.store_for(first)
-        store.certainty.check(mediator.configuration_view)
-        # Registering a second query evicts the first store — and the
+        fixpoint = server.oracle_for(first).certainty_fixpoint
+        fixpoint.check(mediator.configuration_view)
+        # Registering a second query evicts the first oracle — and the
         # materialized certainty state it owns — from the bounded registry.
-        server.store_for(second)
-        fresh = server.store_for(first)
-        assert fresh is not store
-        assert fresh.certainty.fact_count() == 0
-        verdict, outcome = fresh.certainty.check(mediator.configuration_view)
+        server.oracle_for(second)
+        fresh = server.oracle_for(first).certainty_fixpoint
+        assert fresh is not fixpoint
+        assert fresh.fact_count() == 0
+        verdict, outcome = fresh.check(mediator.configuration_view)
         assert outcome == "restarted"
         assert verdict == is_certain(_boolean(first), mediator.configuration_view)
 

@@ -2,7 +2,7 @@
 
 Covers the concurrency layer end to end: the source latency model, the
 executor's windowed batch loop, thread-safe metrics and LRU caches, oracle
-work staying on the dispatching thread, the shared verdict store, the
+work staying on the dispatching thread, oracle reuse across runs, the
 ``rounds_exhausted`` / new-facts-progress bookkeeping, and — the
 load-bearing property — that a parallel relevance-guided run is
 observationally equivalent to the sequential one: same answers, and on
@@ -27,7 +27,6 @@ from repro.runtime import (
     Deadline,
     LRUCache,
     QueryServer,
-    SharedVerdictStore,
 )
 from repro.runtime.executor import candidate_accesses
 from repro.schema import SchemaBuilder
@@ -353,50 +352,44 @@ class TestThreadSafety:
 
 
 # --------------------------------------------------------------------------- #
-# SharedVerdictStore: cross-run verdict sharing
+# Cross-run reuse: one oracle passed to several runs
 # --------------------------------------------------------------------------- #
 class TestSharedVerdictStore:
+    """Runs reuse verdicts, LTR history and witnesses by sharing an oracle."""
+
     def test_second_run_reuses_first_runs_witnesses(self):
         scenario = fanout_scenario(3)
-        store = SharedVerdictStore(scenario.query, scenario.schema)
-
+        metrics = RuntimeMetrics()
+        oracle = RelevanceOracle(scenario.query, scenario.schema, metrics=metrics)
         first = relevance_guided_strategy(
-            scenario.mediator(), scenario.query, store=store
+            scenario.mediator(), scenario.query, oracle=oracle
         )
-        assert len(store.witnesses) > 0
-        second_metrics = RuntimeMetrics()
-        oracle = RelevanceOracle(
-            scenario.query, scenario.schema, metrics=second_metrics, store=store
-        )
+        searched = metrics.count("oracle.fresh_searches")
+        assert searched > 0
         second = relevance_guided_strategy(
             scenario.mediator(), scenario.query, oracle=oracle
         )
         assert second.answers == first.answers
-        counters = second_metrics.snapshot()["counters"]
-        reused = counters.get("witness.revalidated", 0) + counters.get(
-            "oracle.delta_hits", 0
-        )
-        assert reused >= 1, counters
+        assert second.accesses_made == first.accesses_made
+        assert metrics.count("oracle.fresh_searches") == searched
 
     def test_store_rejects_mismatched_query_or_schema(self):
         scenario = fanout_scenario(2)
         other = fanout_scenario(3)
-        store = SharedVerdictStore(scenario.query, scenario.schema)
-        with pytest.raises(QueryError):
-            RelevanceOracle(other.query, other.schema, store=store)
-        with pytest.raises(QueryError):
-            RelevanceOracle(scenario.query, other.schema, store=store)
-        # Attaching for the very pair it was built for is fine.
-        RelevanceOracle(scenario.query, scenario.schema, store=store)
-
-    def test_store_and_prebuilt_oracle_are_mutually_exclusive(self):
-        scenario = fanout_scenario(2)
-        store = SharedVerdictStore(scenario.query, scenario.schema)
-        oracle = RelevanceOracle(scenario.query, scenario.schema)
-        with pytest.raises(QueryError):
-            relevance_guided_strategy(
-                scenario.mediator(), scenario.query, oracle=oracle, store=store
-            )
+        for oracle in (
+            RelevanceOracle(other.query, scenario.schema),
+            RelevanceOracle(scenario.query, other.schema),
+        ):
+            with pytest.raises(QueryError):
+                relevance_guided_strategy(
+                    scenario.mediator(), scenario.query, oracle=oracle
+                )
+        # An oracle for the very pair the run is about is accepted.
+        relevance_guided_strategy(
+            scenario.mediator(),
+            scenario.query,
+            oracle=RelevanceOracle(scenario.query, scenario.schema),
+        )
 
 
 # --------------------------------------------------------------------------- #

@@ -896,6 +896,15 @@ class TestCompactCacheCli:
         assert stats["backend"] == "sqlite"
         assert stats["records"] == 1
 
+    def test_stats_and_compact_refuse_a_missing_store(self, tmp_path):
+        for command in ("stats", "compact"):
+            path = tmp_path / f"typo-{command}.sqlite"
+            proc = self._run(command, os.fspath(path))
+            assert proc.returncode == 1, (command, proc.stdout)
+            assert f"no store at {os.fspath(path)}" in proc.stderr
+            assert not path.exists(), command
+        assert os.listdir(tmp_path) == []
+
 
 # --------------------------------------------------------------------------- #
 # Spawn-safe worker functions (module level for pickling)

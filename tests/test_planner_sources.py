@@ -170,15 +170,6 @@ class TestDynamicStrategies:
         assert guided.accesses_made <= exhaustive.accesses_made
         assert guided.relevance_checks > 0
 
-    def test_relevance_guided_requires_a_notion(self, small_bank):
-        with pytest.raises(QueryError):
-            relevance_guided_strategy(
-                small_bank.mediator(),
-                small_bank.query,
-                use_immediate=False,
-                use_long_term=False,
-            )
-
     def test_chain_scenario_strategies_agree(self):
         schema = chain_schema(2)
         query = chain_query(schema, 2)

@@ -17,7 +17,6 @@ from repro import (
     RelevanceOracle,
     RuntimeMetrics,
     SchemaBuilder,
-    is_immediately_relevant,
     is_long_term_relevant,
 )
 from repro.runtime import (
@@ -66,20 +65,17 @@ def test_oracle_cache_hits_never_change_a_verdict(query, facts, binding, extra):
     access = Access(SCHEMA.access_method("mR"), (binding,))
     oracle = RelevanceOracle(query, SCHEMA)
 
-    first_ir = oracle.immediately_relevant(access, configuration)
     first_ltr = oracle.long_term_relevant(access, configuration)
     first_certain = oracle.is_certain(configuration)
 
     # Repeats are cache hits and must return the same verdicts.
     hits_before = oracle.cache_hits
-    assert oracle.immediately_relevant(access, configuration) == first_ir
     assert oracle.long_term_relevant(access, configuration) == first_ltr
     assert oracle.is_certain(configuration) == first_certain
-    assert oracle.cache_hits == hits_before + 3
+    assert oracle.cache_hits == hits_before + 2
 
     # And they agree with the unmemoized procedures.
     boolean_query = oracle.query
-    assert first_ir == is_immediately_relevant(boolean_query, access, configuration)
     assert first_ltr == is_long_term_relevant(
         boolean_query, access, configuration, SCHEMA
     )
@@ -88,8 +84,8 @@ def test_oracle_cache_hits_never_change_a_verdict(query, facts, binding, extra):
     # recomputed for the new content, and remain correct.
     mutated = configuration.extended_with([])
     mutated.add("R", extra)
-    assert oracle.immediately_relevant(access, mutated) == is_immediately_relevant(
-        boolean_query, access, mutated
+    assert oracle.long_term_relevant(access, mutated) == is_long_term_relevant(
+        boolean_query, access, mutated, SCHEMA
     )
 
 

@@ -3,7 +3,7 @@
 Covers the multi-query mediator end to end: agreement with the single-query
 strategies, access sharing across a batch, the in-process-only
 ``search_workers`` surface, the persistent witness cache across simulated
-restarts (and its closing with the server), the store registry across
+restarts (and its closing with the server), the oracle registry across
 ``answer`` calls, and the metrics surfaces (timer call counts, cache
 gauges).
 """
@@ -15,14 +15,18 @@ import sqlite3
 
 import pytest
 
+from repro.core import is_long_term_relevant
 from repro.exceptions import QueryError
 from repro.planner import exhaustive_strategy, relevance_guided_strategy
 from repro.runtime import (
+    CandidateScreen,
     LRUCache,
     PersistentWitnessCache,
     QueryServer,
+    RelevanceOracle,
     RuntimeMetrics,
 )
+from repro.runtime.executor import candidate_accesses
 from repro.runtime.serialize import query_token, schema_token
 from repro.workloads import (
     bank_multi_query_scenario,
@@ -55,10 +59,10 @@ class TestScenarios:
         assert len(scenario.queries) == 6
         assert all(query.is_boolean for query in scenario.queries)
         server = QueryServer(scenario.mediator())
-        stores = {id(server.store_for(query)) for query in scenario.queries}
-        # Distinct queries get distinct stores; equal queries share.
-        assert len(stores) == len(set(scenario.queries))
-        assert server.store_for(scenario.queries[0]) is server.store_for(
+        oracles = {id(server.oracle_for(query)) for query in scenario.queries}
+        # Distinct queries get distinct oracles; equal queries share.
+        assert len(oracles) == len(set(scenario.queries))
+        assert server.oracle_for(scenario.queries[0]) is server.oracle_for(
             scenario.queries[0]
         )
 
@@ -131,12 +135,6 @@ class TestServerAgreement:
                 server.answer(scenario.queries, strategy="psychic")
             result = server.answer([])
             assert result.outcomes == () and result.accesses_made == 0
-
-    def test_rejects_no_relevance_notion(self, scenario):
-        with pytest.raises(QueryError):
-            QueryServer(
-                scenario.mediator(), use_immediate=False, use_long_term=False
-            )
 
 
 def test_containment_cq_on_the_bank_is_sound_but_misses_every_true_answer():
@@ -321,6 +319,36 @@ class TestPersistentCache:
         assert metrics.count("persist.seeded") > 0
         cache.close()
 
+    def test_long_lived_server_seeds_another_writers_records(self, tmp_path):
+        """An oracle the registry hands out again re-seeds from the store,
+        so records another writer landed since arrive on the next call."""
+        scenario = bank_multi_query_scenario()
+        path = os.fspath(tmp_path / "shared.sqlite")
+        metrics = RuntimeMetrics()
+        with QueryServer(scenario.mediator(), cache_path=path, metrics=metrics) as server:
+            # Fill the registry; with no round nothing is searched or stored.
+            server.answer(scenario.queries, max_rounds=0)
+            writer_metrics = RuntimeMetrics()
+            writer_cache = PersistentWitnessCache(path)
+            with QueryServer(
+                scenario.mediator(), persist=writer_cache, metrics=writer_metrics
+            ) as writer:
+                cold = writer.answer(scenario.queries)
+            stored = writer_cache.store.stats()["records"]
+            writer_cache.close()
+            assert writer_metrics.count("oracle.fresh_searches") > 10
+            before = metrics.snapshot()["counters"]
+            warm = server.answer(scenario.queries)
+            after = metrics.snapshot()["counters"]
+
+        def delta(name):
+            return after.get(name, 0) - before.get(name, 0)
+
+        assert warm.answers == cold.answers
+        assert stored > 0 and delta("persist.seeded") == stored
+        assert delta("oracle.fresh_searches") <= 10
+        assert delta("witness.revalidated") > 0
+
     def test_cache_path_and_persist_are_exclusive(self, tmp_path, scenario):
         cache = PersistentWitnessCache(os.fspath(tmp_path / "w.sqlite"))
         with pytest.raises(QueryError):
@@ -332,7 +360,7 @@ class TestPersistentCache:
 
 
 # --------------------------------------------------------------------------- #
-# The store registry: a server is a server
+# The oracle registry: a server is a server
 # --------------------------------------------------------------------------- #
 class TestStoreRegistry:
     def test_second_answer_call_reuses_stores(self, scenario):
@@ -344,7 +372,7 @@ class TestStoreRegistry:
             after = metrics.snapshot()["counters"]
         assert second.answers == first.answers
         # The second call performs no new access (the shared configuration
-        # already holds everything) and reuses the stores' LTR history.
+        # already holds everything) and reuses the oracles' verdicts.
         assert second.accesses_made == 0
         reused = (
             after.get("witness.revalidated", 0)
@@ -357,16 +385,60 @@ class TestStoreRegistry:
         )
         assert reused > 0
 
+    def test_second_answer_call_builds_nothing(self, scenario, monkeypatch):
+        """A repeated batch reuses the registry's oracles and their screens:
+        nothing is constructed or registered, and every verdict the oracles
+        then serve equals the unmemoized procedure's."""
+        built = []
+
+        def counting(cls):
+            init = cls.__init__
+
+            def wrapper(self, *args, **kwargs):
+                built.append(cls.__name__)
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", wrapper)
+
+        counting(RelevanceOracle)
+        counting(CandidateScreen)
+        register = RuntimeMetrics.register_cache
+
+        def counting_register(self, name, cache):
+            built.append(name)
+            return register(self, name, cache)
+
+        monkeypatch.setattr(RuntimeMetrics, "register_cache", counting_register)
+        mediator = scenario.mediator()
+        with QueryServer(mediator) as server:
+            first = server.answer(scenario.queries)
+            assert "RelevanceOracle" in built and "CandidateScreen" in built
+            built.clear()
+            second = server.answer(scenario.queries)
+            assert built == []
+            assert second.answers == first.answers
+            oracles = list(server._stores.values())
+        final = mediator.configuration_view
+        schema = mediator.schema
+        # Every well-formed access, performed or not.
+        probes = candidate_accesses(schema, final, lambda _key: False)
+        assert probes and oracles
+        for oracle in oracles:
+            for access in probes:
+                assert oracle.long_term_relevant(access, final) == is_long_term_relevant(
+                    oracle.query, access, final, schema
+                ), (oracle.query, access)
+
     def test_store_registry_is_bounded(self, scenario):
         """A server streaming distinct queries evicts least-recently-used
-        stores instead of pinning one per query ever seen."""
+        oracles instead of pinning one per query ever seen."""
         server = QueryServer(scenario.mediator(), max_stores=2)
-        stores = [server.store_for(query) for query in scenario.queries[:4]]
+        oracles = [server.oracle_for(query) for query in scenario.queries[:4]]
         assert len(server._stores) == 2
         # The most recent two survive; re-requesting an evicted query
-        # builds a fresh store (reuse lost, correctness unaffected).
-        assert server.store_for(scenario.queries[3]) is stores[3]
-        assert server.store_for(scenario.queries[0]) is not stores[0]
+        # builds a fresh oracle (reuse lost, correctness unaffected).
+        assert server.oracle_for(scenario.queries[3]) is oracles[3]
+        assert server.oracle_for(scenario.queries[0]) is not oracles[0]
 
     def test_rounds_exhausted_is_flagged(self):
         # The fanout shape needs a hub round before any branch round, so a
@@ -410,8 +482,8 @@ class TestMetricsSurfaces:
         with QueryServer(scenario.mediator(), metrics=metrics) as server:
             server.answer(scenario.queries)
             snap = metrics.snapshot()
-        # The store-backed caches outlive the per-call oracles and stay
-        # visible with their hit/miss gauges.
+        # The registry's oracles outlive the answer call, so their caches
+        # stay visible with their hit/miss gauges.
         stores = [
             stats
             for name, stats in snap["caches"].items()
@@ -426,9 +498,9 @@ class TestMetricsSurfaces:
         assert snap["timer_calls"].get("oracle.certain", 0) > 0
 
     def test_cache_registry_stays_bounded_across_answer_calls(self, scenario):
-        """Oracles register their caches weakly: repeated answer calls must
-        not accumulate dead per-call cache registrations in the shared sink
-        (the long-lived-server memory-leak regression)."""
+        """Repeated answer calls reuse the registry's oracles, so they must
+        not accumulate cache registrations in the shared sink (the
+        long-lived-server memory-leak regression)."""
         metrics = RuntimeMetrics()
         with QueryServer(scenario.mediator(), metrics=metrics) as server:
             server.answer(scenario.queries)

@@ -20,6 +20,9 @@ Subcommands:
 ``stats PATH``
     Print a store's record count, size, and operational counters as JSON.
 
+``compact`` and ``stats`` exit 1 with "no store at PATH" when nothing is
+at ``PATH``, rather than create an empty store there.
+
 Examples::
 
     python tools/compact_cache.py compact /var/cache/witness.sqlite
@@ -72,7 +75,17 @@ def read_legacy_jsonl(path: str) -> Tuple[Dict[Key, dict], int]:
     return records, skipped
 
 
+def _missing_store(path: str) -> bool:
+    """Report ``path`` on stderr when nothing is there (opening would create it)."""
+    if os.path.exists(path):
+        return False
+    print(f"no store at {path}", file=sys.stderr)
+    return True
+
+
 def _cmd_compact(args: argparse.Namespace) -> int:
+    if _missing_store(args.path):
+        return 1
     with SqliteWitnessStore(args.path) as store:
         result = store.compact()
     print(json.dumps(dataclasses.asdict(result), indent=2))
@@ -123,6 +136,8 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    if _missing_store(args.path):
+        return 1
     with SqliteWitnessStore(args.path) as store:
         print(json.dumps(store.stats(), indent=2, sort_keys=True))
     return 0
