@@ -32,11 +32,13 @@ Two service modes ride along (see docs/operations.md):
   workload and serves until interrupted (Ctrl-C drains);
 * ``--service-smoke`` is the CI job body: starts the service on a free
   port, submits the bank batch over real HTTP, scrapes ``/metrics``, and
-  asserts the served answers equal a direct in-process
-  :meth:`QueryServer.answer` on the same scenario; that the same batch
-  posted again answers the same with no new access and no fresh search;
-  and that a request declaring an oversized body and one with a bad
-  Content-Length answer 413 and 400, not 500.
+  asserts the served answers equal the exhaustive strategy's on the same
+  scenario; that the bank's sibling queries shared witnesses
+  (``oracle.sibling_hits`` > 0, exported as
+  ``repro_oracle_sibling_hits_total``); that the same batch posted again
+  answers the same with no new access and no fresh search; and that a
+  request declaring an oversized body and one with a bad Content-Length
+  answer 413 and 400, not 500.
 """
 
 from __future__ import annotations
@@ -306,10 +308,14 @@ def serve(port: int, rate: float, round_budget: int) -> None:
 
 
 def service_smoke() -> None:
-    """The CI service smoke: HTTP answers ≡ direct answers, a repeated batch
-    is answered from the server's oracles, /metrics parses."""
+    """The CI service smoke: HTTP answers ≡ exhaustive answers, sibling
+    queries share witnesses, a repeated batch is answered from the server's
+    oracles, /metrics parses."""
     scenario = bank_multi_query_scenario(6, employees=5, offices=3, states=3)
-    direct = QueryServer(scenario.mediator()).answer(scenario.queries)
+    # The reference shares no relevance code with the guided server.
+    direct = QueryServer(scenario.mediator()).answer(
+        scenario.queries, strategy="exhaustive"
+    )
     expected = [
         {
             "boolean": outcome.boolean_answer,
@@ -333,7 +339,15 @@ def service_smoke() -> None:
             assert record["state"] == "done", record
             assert record["outcome"]["boolean"] == reference["boolean"], record
             assert record["outcome"]["answers"] == reference["answers"], record
-        print(f"HTTP answers match direct answers for {len(served)} queries")
+        print(f"HTTP answers match exhaustive answers for {len(served)} queries")
+        # The bank's queries differ only in their constants: most positive
+        # verdicts come from a sibling's translated witness.
+        hits = server.metrics.count("oracle.sibling_hits")
+        assert hits > 0, "no sibling hits"
+        print(
+            f"sibling hints: {hits} hits, "
+            f"{server.metrics.count('oracle.fresh_searches')} fresh searches"
+        )
 
         # The same batch again: the server's oracles and configuration
         # already hold everything it needs.
@@ -362,6 +376,7 @@ def service_smoke() -> None:
             "repro_admission_accepted_total",
             "repro_service_queue_depth",
             "repro_server_query_latency_seconds",
+            "repro_oracle_sibling_hits_total",
         ):
             assert family in families, f"missing metric family {family}"
         print(f"/metrics exposition OK ({len(families)} families)")

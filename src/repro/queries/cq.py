@@ -59,7 +59,8 @@ class ConjunctiveQuery:
                     )
 
     # ------------------------------------------------------------------ #
-    # Compiled joins (cached outside ==, hash, canonical_form and pickles)
+    # Compiled joins and the template (cached outside ==, hash,
+    # canonical_form and pickles)
     # ------------------------------------------------------------------ #
     @cached_property
     def join_plan(self) -> JoinPlan:
@@ -83,8 +84,38 @@ class ConjunctiveQuery:
             plans[index] = plan
         return plan
 
+    @cached_property
+    def template(self) -> Tuple[Tuple[object, ...], Tuple[object, ...]]:
+        """The query with its constants lifted out: ``(key, constants)``.
+
+        ``key`` encodes the atoms with every constant replaced by one
+        placeholder and the variables numbered in first-occurrence order;
+        ``constants`` lists the constants position by position (atom by
+        atom, place by place, repeats kept).  Two queries with equal keys
+        differ only in their constants and variable names, and mapping one's
+        constants to the other's position by position translates between
+        them.  The query server groups the oracles of such *sibling* queries
+        so they can share witness paths.  Cached like the join plans.
+        """
+        numbers: Dict[Variable, int] = {}
+        constants: List[object] = []
+        atoms = []
+        for atom in self.atoms:
+            terms = []
+            for term in atom.terms:
+                if is_variable(term):
+                    terms.append(numbers.setdefault(term, len(numbers)))
+                else:
+                    terms.append(None)
+                    constants.append(term)
+            atoms.append((atom.relation.name, tuple(terms)))
+        free = tuple(numbers[variable] for variable in self.free_variables)
+        return ("cq", tuple(atoms), free), tuple(constants)
+
     def __getstate__(self) -> Dict[str, object]:
-        return plan_free_state(self)
+        state = plan_free_state(self)
+        state.pop("template", None)
+        return state
 
     # ------------------------------------------------------------------ #
     # Construction helpers

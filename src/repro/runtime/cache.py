@@ -26,8 +26,14 @@ search: long-term relevance goes through the incremental engine of
    queries are monotone and well-formedness reads only the active domain,
    so nothing else can have broken.  A seeded, fresh or adopted witness
    always gets one full revalidation first;
-3. only then does the direct search run — and when it proves relevance, its
-   witness path is captured for the next round.
+3. a *sibling* oracle's witness for the same access is tried: the query
+   server groups the oracles of conjunctive queries that differ only in
+   their constants (:class:`SiblingGroup`), and a sibling's witness,
+   translated by the renaming of its constants to ours, is accepted by the
+   same full revalidation a stored witness passes;
+4. only then does the direct search run — and when it proves relevance, its
+   witness path is captured for the next round.  It is the only rung that
+   decides a negative verdict anew.
 
 Entries are evicted least-recently-used beyond ``max_entries`` so a
 long-running mediator cannot grow the cache without bound.
@@ -59,8 +65,9 @@ same miss compute the same value, so no compute-level lock is needed.
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Hashable, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core import ContainmentOptions, long_term_relevance_with_witness
 from repro.core.longterm_dependent import containment_cq_memo
@@ -81,7 +88,10 @@ from repro.schema import Access, Schema
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.persist import PersistentWitnessCache
 
-__all__ = ["LRUCache", "RelevanceOracle", "access_key"]
+__all__ = ["LRUCache", "RelevanceOracle", "SiblingGroup", "access_key"]
+
+#: Failed sibling hints a miss tries before the fresh search decides.
+_MAX_SIBLING_FAILURES = 2
 
 
 def access_key(access: Access) -> Tuple[str, Tuple[object, ...]]:
@@ -127,6 +137,12 @@ class LRUCache:
                 while len(self._entries) > self._max_entries:
                     self._entries.popitem(last=False)
 
+    def peek(self, key: Hashable) -> object:
+        """``key``'s value or ``None``, without refreshing recency or
+        counting a probe."""
+        with self._lock:
+            return self._entries.get(key)
+
     def discard(self, key: Hashable) -> None:
         """Drop ``key`` if present (no recency or hit/miss accounting)."""
         with self._lock:
@@ -166,6 +182,49 @@ class LRUCache:
     def __contains__(self, key: Hashable) -> bool:
         with self._lock:
             return key in self._entries
+
+
+class SiblingGroup:
+    """The registry oracles whose Boolean CQs share one template.
+
+    Siblings' queries differ only in their constants
+    (:attr:`~repro.queries.cq.ConjunctiveQuery.template`), so a witness one
+    of them holds, translated by the constant renaming, is a candidate
+    witness for another.  The group holds its oracles in registry order;
+    each member holds only a weak reference back, so a dropped registry is
+    freed without waiting for the cyclic collector.
+    """
+
+    __slots__ = ("key", "oracles", "__weakref__")
+
+    def __init__(self, key: Hashable) -> None:
+        self.key = key
+        self.oracles: List["RelevanceOracle"] = []
+
+    def add(self, oracle: "RelevanceOracle") -> None:
+        """Make ``oracle`` a member: it now takes hints from the others."""
+        self.oracles.append(oracle)
+        oracle._group_ref = weakref.ref(self)
+
+    def remove(self, oracle: "RelevanceOracle") -> None:
+        """Drop ``oracle`` from the group; it stops taking hints."""
+        self.oracles.remove(oracle)
+        oracle._group_ref = None
+
+
+def _constant_renaming(
+    theirs: Sequence[object], ours: Sequence[object]
+) -> Optional[Dict[object, object]]:
+    """``theirs[i] ↦ ours[i]`` for every position, moved values only.
+
+    ``None`` when the map is not a function (one of their constants stands
+    where we have two different ones).
+    """
+    renaming: Dict[object, object] = {}
+    for source, target in zip(theirs, ours):
+        if renaming.setdefault(source, target) != target:
+            return None
+    return {source: target for source, target in renaming.items() if source != target}
 
 
 class _LtrHistory:
@@ -228,6 +287,12 @@ class RelevanceOracle:
         self._cache = LRUCache(max_entries)
         self._witnesses = LRUCache(max_entries)
         self._ltr_history = LRUCache(max_entries)
+        # The witness each access key last lost to a failed revalidation
+        # (kept only with a persistent cache): re-seeding it from the store
+        # would only fail again.
+        self._discarded = LRUCache(max_entries)
+        # A weak reference to the registry's SiblingGroup, if any.
+        self._group_ref: Optional["weakref.ref[SiblingGroup]"] = None
         self._query_relations = frozenset(self._query.relation_names())
         self._unsafe_domains = dependent_input_domains(schema)
         self._fixpoint: Optional[CertaintyFixpoint] = (
@@ -286,16 +351,25 @@ class RelevanceOracle:
         """The query's candidate screen (prefilter and grouping)."""
         return self._screen
 
+    @property
+    def sibling_group(self) -> Optional[SiblingGroup]:
+        """The registry group this oracle takes witness hints from, if any."""
+        return self._group_ref() if self._group_ref is not None else None
+
     def seed_witnesses(self) -> None:
         """Copy the persistent cache's witnesses this oracle does not hold.
 
         The constructor seeds once; the query server calls this again each
         time it reuses the oracle, so records another process wrote since
-        arrive.  No-op without a persistent cache.
+        arrive.  A stored record equal to the witness this oracle last
+        discarded for its access is skipped.  No-op without a persistent
+        cache.
         """
         if self._persist is None:
             return
-        seeded = self._persist.seed(self._witnesses, self._persist_tokens, self._schema)
+        seeded = self._persist.seed(
+            self._witnesses, self._persist_tokens, self._schema, self._discarded
+        )
         if seeded:
             self._persist_seeded.update(seeded)
             self._metrics.incr("persist.seeded", len(seeded))
@@ -378,17 +452,19 @@ class RelevanceOracle:
         Resolution order: exact fingerprint hit → sound delta inheritance of
         the last verdict → O(|path|) revalidation of a stored witness (its
         truncation alone, when this oracle already accepted the witness at a
-        configuration the current one contains) → fresh search (capturing
-        the witness on a positive answer).
+        configuration the current one contains) → a sibling query's witness
+        for the same access, translated by the constant renaming and fully
+        revalidated → fresh search (capturing the witness on a positive
+        answer).  Only the fresh search answers negatively.
 
         Under an active tracer every call records an ``oracle`` span tagged
         with the ``outcome`` that resolved it (``exact-hit`` /
-        ``delta-inherited`` / ``revalidated`` / ``fresh``)
+        ``delta-inherited`` / ``revalidated`` / ``sibling`` / ``fresh``)
         — the explain report's answer to *how* each verdict was obtained —
-        with ``witness-revalidate`` (tagged ``check=full|truncation``) /
-        ``fresh-search`` child spans around the expensive stages.  Untraced,
-        the exact-hit path costs one extra thread-local read over the
-        pre-tracing oracle.
+        with ``witness-revalidate`` (tagged ``check=full|truncation`` and
+        ``provenance=captured|persisted|sibling``) / ``fresh-search`` child
+        spans around the expensive stages.  Untraced, the exact-hit path
+        costs one extra thread-local read over the pre-tracing oracle.
         """
         akey = access_key(access)
         key = ("ltr", akey, configuration.fingerprint())
@@ -477,6 +553,25 @@ class RelevanceOracle:
             # on another run may see a configuration below this one;
             # dropping then merely costs reuse, never soundness.)
             self._witnesses.discard(akey)
+            if self._persist is not None:
+                self._discarded.put(akey, witness)
+
+        hint = self._sibling_hint(access, akey, configuration, tracer, span)
+        if hint is not None:
+            # Recorded like a fresh positive, and revalidated right here, so
+            # the truncation-only rung applies to it next time.
+            self._record_ltr(
+                akey,
+                key,
+                True,
+                configuration,
+                witness=hint,
+                access=access,
+                revalidated_witness=hint,
+            )
+            if span is not None:
+                span.annotate(outcome="sibling", relevant=True)
+            return True
 
         self._metrics.incr("oracle.fresh_searches")
         with tracer.span("fresh-search") as search_span:
@@ -504,6 +599,61 @@ class RelevanceOracle:
         if span is not None:
             span.annotate(outcome="fresh", relevant=verdict)
         return verdict
+
+    def _sibling_hint(
+        self, access, akey, configuration, tracer, span
+    ) -> Optional[LtrWitness]:
+        """A sibling's witness for ``access`` that revalidates here, if any.
+
+        Each sibling's witness is translated by the renaming of its
+        constants to ours.  A sibling whose renaming is not a function, or
+        moves a value of the probed binding (the translated path would not
+        start with ``access``), is skipped.  Siblings with the fewest moved
+        constants go first, ties in registry order, and the rung gives up
+        after :data:`_MAX_SIBLING_FAILURES` failed attempts.  A hint is
+        accepted by the full :meth:`LtrWitness.revalidate`, the check a
+        witness loaded from the store passes, so it is sound whatever the
+        sibling holds.  Reading a sibling's witness leaves its LRU recency
+        and gauges alone.
+        """
+        group = self.sibling_group
+        if group is None:
+            return None
+        ours = self._query.template[1]
+        hints = []
+        for sibling in group.oracles:
+            if sibling is self:
+                continue
+            witness = sibling._witnesses.peek(akey)
+            if witness is None:
+                continue
+            renaming = _constant_renaming(sibling._query.template[1], ours)
+            if renaming is None or any(value in renaming for value in access.binding):
+                continue
+            hints.append((len(renaming), witness, renaming))
+        hints.sort(key=lambda hint: hint[0])
+        failures = 0
+        for _moved, witness, renaming in hints:
+            translated = witness.translated(renaming)
+            with tracer.span("witness-revalidate") as wspan:
+                with self._metrics.timer("witness.revalidate"):
+                    revalidated = (
+                        translated is not None
+                        and access_key(translated.access) == akey
+                        and translated.revalidate(self._query, configuration)
+                    )
+                if span is not None:
+                    wspan.annotate(ok=revalidated, check="full", provenance="sibling")
+            if revalidated:
+                self._metrics.incr("witness.revalidated")
+                self._metrics.incr("oracle.sibling_hits")
+                return translated
+            self._metrics.incr("witness.revalidation_failed")
+            self._metrics.incr("oracle.sibling_misses")
+            failures += 1
+            if failures == _MAX_SIBLING_FAILURES:
+                break
+        return None
 
     def _record_ltr(
         self,

@@ -34,6 +34,7 @@ and per-source access latency (``access.latency`` plus
 
 from __future__ import annotations
 
+import heapq
 import math
 import threading
 import time
@@ -175,10 +176,17 @@ class RuntimeMetrics:
         # name -> weakref to the cache, and cache -> name.  Weak on purpose:
         # oracles register their caches at construction, and a server's
         # registry evicts oracles — a strong registry would pin every
-        # evicted oracle's LRUs forever.  A dead entry's name is reused by
-        # the next registration that wants it; snapshots prune the rest.
+        # evicted oracle's LRUs forever.
         self._caches: Dict[str, "weakref.ref"] = {}
         self._cache_names: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+        # Suffix bookkeeping per requested name: the next suffix never
+        # handed out (1 is the bare name), and a heap of the suffixes whose
+        # cache died.  A dying cache's weakref callback only appends its
+        # (name, suffix) to ``_dead`` (it may run while the lock is held);
+        # the next registration or snapshot moves it to the heap.
+        self._next_suffix: Dict[str, int] = {}
+        self._free_suffixes: Dict[str, List[int]] = {}
+        self._dead: List[Tuple[str, int]] = []
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
@@ -270,10 +278,11 @@ class RuntimeMetrics:
         :class:`~repro.runtime.cache.LRUCache` does).  Registering an
         already-used name uniquifies it (``name#2``, ``name#3``, ...), so
         several oracles can share one sink — the server's registry does —
-        without clobbering each other's gauges.  Only a weak reference is
-        kept: a cache that dies with its oracle (say, one the server's
-        registry evicted) disappears from the snapshot instead of being
-        pinned, and its name becomes reusable.  Registering the *same
+        without clobbering each other's gauges.  The lowest free suffix is
+        handed out without scanning the registrations.  Only a weak
+        reference is kept: a cache that dies with its oracle (say, one the
+        server's registry evicted) disappears from the snapshot instead of
+        being pinned, and its name becomes reusable.  Registering the *same
         object* again is idempotent (it keeps its original name): every
         oracle registers the process-wide ``ltr.containment_cq_memo``.
         Returns the name actually registered.
@@ -282,20 +291,36 @@ class RuntimeMetrics:
             known = self._cache_names.get(cache)
             if known is not None:
                 return known
-            final = name
-            suffix = 2
-            while final in self._caches and self._caches[final]() is not None:
-                final = f"{name}#{suffix}"
-                suffix += 1
-            self._caches[final] = weakref.ref(cache)
+            self._reap_dead_caches()
+            while True:
+                free = self._free_suffixes.get(name)
+                if free:
+                    suffix = heapq.heappop(free)
+                else:
+                    suffix = self._next_suffix.get(name, 1)
+                    self._next_suffix[name] = suffix + 1
+                final = name if suffix == 1 else f"{name}#{suffix}"
+                # Only a requested name that itself ends in ``#k`` can
+                # collide with a live one.
+                held = self._caches.get(final)
+                if held is None or held() is None:
+                    break
+            dead = self._dead
+            self._caches[final] = weakref.ref(
+                cache, lambda _ref, slot=(name, suffix): dead.append(slot)
+            )
             self._cache_names[cache] = final
             return final
 
-    def _prune_dead_caches(self) -> None:
-        """Drop registrations whose cache was garbage-collected (lock held)."""
-        dead = [name for name, ref in self._caches.items() if ref() is None]
-        for name in dead:
-            del self._caches[name]
+    def _reap_dead_caches(self) -> None:
+        """Free the names of caches that died since the last call (lock held)."""
+        while self._dead:
+            name, suffix = self._dead.pop()
+            final = name if suffix == 1 else f"{name}#{suffix}"
+            held = self._caches.get(final)
+            if held is not None and held() is None:
+                del self._caches[final]
+            heapq.heappush(self._free_suffixes.setdefault(name, []), suffix)
 
     # ------------------------------------------------------------------ #
     # Reporting
@@ -309,7 +334,7 @@ class RuntimeMetrics:
         summed total exceed wall-clock.
         """
         with self._lock:
-            self._prune_dead_caches()
+            self._reap_dead_caches()
             caches = {name: ref() for name, ref in self._caches.items()}
             histograms = dict(self._histograms)
             snap: Dict[str, object] = {
@@ -348,7 +373,7 @@ class RuntimeMetrics:
             self._timers.clear()
             self._timer_calls.clear()
             self._histograms.clear()
-            self._prune_dead_caches()
+            self._reap_dead_caches()
             caches = [ref() for ref in self._caches.values()]
         # Cache stat resets take per-cache locks; run them outside ours.
         for cache in caches:

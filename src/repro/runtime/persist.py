@@ -210,24 +210,29 @@ class PersistentWitnessCache:
             self._decoded[key] = (generation, decoded)
             return dict(decoded)
 
-    def seed(self, witness_cache, tokens: Tuple[str, str], schema: Schema):
+    def seed(self, witness_cache, tokens: Tuple[str, str], schema: Schema, discarded):
         """Copy stored witnesses into an in-memory witness cache.
 
         ``tokens`` is the ``(query token, schema token)`` pair of the
         seeding oracle.  Only keys the cache does not already hold are
         written (a live witness captured this run is fresher than a
-        persisted one).  Returns the list of seeded access keys — the oracle
-        keeps them for witness *provenance* (a trace can then say whether a
-        revalidation ran against a persisted path or one captured live this
-        process).
+        persisted one), and a record equal to the one ``discarded`` (an
+        :class:`~repro.runtime.cache.LRUCache` by access key) holds for its
+        key is skipped: the oracle already saw it fail.  Returns the list of
+        seeded access keys — the oracle keeps them for witness *provenance*
+        (a trace can then say whether a revalidation ran against a persisted
+        path or one captured live this process).
         """
         tracer = current_tracer()
         with tracer.span("persist.seed") as span:
             seeded = []
             for akey, witness in self._witnesses_for(tokens, schema).items():
-                if akey not in witness_cache:
-                    witness_cache.put(akey, witness)
-                    seeded.append(akey)
+                if akey in witness_cache:
+                    continue
+                if discarded.peek(akey) == witness:
+                    continue
+                witness_cache.put(akey, witness)
+                seeded.append(akey)
             if tracer.enabled:
                 span.annotate(seeded=len(seeded))
         with self._lock:

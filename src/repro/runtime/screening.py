@@ -127,14 +127,17 @@ def _binding_automorphism(
 
     The candidate permutation swaps ``source[i] ↔ target[i]`` for every
     position; it qualifies when the swaps are mutually consistent, move no
-    fixed (query-constant) value, map the seed-constant set onto itself, and
-    map every configuration fact containing a moved value to a configuration
-    fact.  Being an involution, ``π(Conf) ⊆ Conf`` already forces
-    ``π(Conf) = Conf``.
+    fixed value (a query constant, or a value both bindings share at one
+    position), map the seed-constant set onto itself, and map every
+    configuration fact containing a moved value to a configuration fact.
+    Being an involution, ``π(Conf) ⊆ Conf`` already forces ``π(Conf) =
+    Conf``.
     """
     mapping: Dict[object, object] = {}
+    shared = set()
     for s_value, t_value in zip(source, target):
         if s_value == t_value:
+            shared.add(s_value)
             continue
         if mapping.get(s_value, t_value) != t_value:
             return None
@@ -145,7 +148,7 @@ def _binding_automorphism(
     if not mapping:
         return {}
     moved = set(mapping)
-    if moved & fixed_values:
+    if moved & fixed_values or moved & shared:
         return None
     seeds = configuration.seed_constants
     for value, domain in seeds:

@@ -43,12 +43,12 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
 from repro.data import Configuration
 from repro.exceptions import QueryError
-from repro.queries import certain_answers
-from repro.runtime.cache import RelevanceOracle, access_key
+from repro.queries import ConjunctiveQuery, certain_answers
+from repro.runtime.cache import RelevanceOracle, SiblingGroup, access_key
 from repro.runtime.executor import AccessExecutor, candidate_accesses
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.persist import PersistentWitnessCache
@@ -292,6 +292,10 @@ class QueryServer:
         self._max_stores = max(1, max_stores)
         self._fixpoint_max_facts = fixpoint_max_facts
         self._stores: "OrderedDict[str, RelevanceOracle]" = OrderedDict()
+        # The registry's conjunctive-query oracles, grouped by template: the
+        # siblings each one takes witness hints from.  Eviction leaves the
+        # group, and an empty group leaves the index.
+        self._siblings: Dict[Hashable, SiblingGroup] = {}
         # One executor for the server's lifetime: its deduplication set is
         # what makes an access performed by one answer call advance — and
         # never be re-sent by — every later call.
@@ -323,7 +327,8 @@ class QueryServer:
         and the registry survives across :meth:`answer` calls — that is
         what makes the server a *server* rather than a per-request library.
         A reused oracle first re-seeds from the persistent cache, so
-        records another process wrote since arrive.
+        records another process wrote since arrive.  A new conjunctive
+        query's oracle joins the :class:`SiblingGroup` of its template.
         """
         boolean = query if query.is_boolean else query.boolean_closure()
         token = query_token(boolean)
@@ -339,8 +344,19 @@ class QueryServer:
                 persist=self._persist,
             )
             self._stores[token] = oracle
+            if isinstance(boolean, ConjunctiveQuery):
+                template = boolean.template[0]
+                group = self._siblings.get(template)
+                if group is None:
+                    group = self._siblings[template] = SiblingGroup(template)
+                group.add(oracle)
             while len(self._stores) > self._max_stores:
-                self._stores.popitem(last=False)
+                _token, evicted = self._stores.popitem(last=False)
+                group = evicted.sibling_group
+                if group is not None:
+                    group.remove(evicted)
+                    if not group.oracles:
+                        del self._siblings[group.key]
         else:
             self._stores.move_to_end(token)
             oracle.seed_witnesses()

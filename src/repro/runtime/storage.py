@@ -295,12 +295,20 @@ class SqliteWitnessStore:
         return self._run(action, CompactionResult(0, 0, 0))
 
     def stats(self) -> Dict[str, object]:
-        """Operational counters plus the record count, file size and health."""
+        """Operational counters plus the record count, file size and health.
+
+        On a closed store the count is read through a connection that is
+        closed again before returning.
+        """
 
         def action(conn):
             return conn.execute("SELECT COUNT(*) FROM witnesses").fetchone()[0]
 
-        records = self._run(action, 0)
+        with self._lock:
+            was_open = self._conn is not None
+            records = self._run(action, 0)
+            if not was_open:
+                self.close()
         try:
             size = os.stat(self._path).st_size
         except OSError:

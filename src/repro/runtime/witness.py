@@ -31,10 +31,11 @@ back to a fresh search) lives in :class:`repro.runtime.cache.RelevanceOracle`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Mapping, Tuple
+from typing import FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro.data import AccessPath, AccessResponse, Configuration, Fact, is_well_formed
 from repro.data.paths import merge_well_formed_prefix
+from repro.exceptions import AccessError, SchemaError
 from repro.queries import evaluate_boolean
 from repro.schema import AbstractDomain, Access, Schema
 
@@ -253,23 +254,32 @@ class LtrWitness:
         with AccessPath(configuration, list(self.steps)).truncation_view() as truncated:
             return not evaluate_boolean(query, truncated)
 
-    def translated(self, mapping: Mapping[object, object]) -> "LtrWitness":
-        """The witness under a value renaming (for verdict sharing).
+    def translated(self, mapping: Mapping[object, object]) -> Optional["LtrWitness"]:
+        """The witness under a value renaming, or ``None`` if it does not type.
 
         When ``mapping`` extends to an automorphism of the configuration (and
         fixes the query constants), the image path witnesses LTR of the
         image access — this is how structurally equivalent bindings share one
-        search result.
+        search result.  The oracle also translates a sibling query's witness
+        by the renaming of its constants, a candidate that only
+        :meth:`revalidate` can accept.  A renaming that puts a value at a
+        place whose (enumerated) domain does not admit it gives ``None``.
         """
         steps = []
-        for step in self.steps:
-            access = Access(
-                step.access.method,
-                tuple(mapping.get(value, value) for value in step.access.binding),
-            )
-            facts = tuple(
-                tuple(mapping.get(value, value) for value in row)
-                for row in step.facts
-            )
-            steps.append(AccessResponse.trusted(access, facts))
+        try:
+            for step in self.steps:
+                method = step.access.method
+                access = Access(
+                    method,
+                    tuple(mapping.get(value, value) for value in step.access.binding),
+                )
+                facts = []
+                for row in step.facts:
+                    image = tuple(mapping.get(value, value) for value in row)
+                    if image != row:
+                        method.relation.check_values(image)
+                    facts.append(image)
+                steps.append(AccessResponse.trusted(access, tuple(facts)))
+        except (AccessError, SchemaError):
+            return None
         return LtrWitness(tuple(steps))

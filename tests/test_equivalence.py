@@ -67,13 +67,16 @@ from repro.datalog.engine import evaluate_program, evaluate_program_naive
 from repro.queries import (
     Atom,
     CanonicalInstance,
+    ConjunctiveQuery,
     evaluate_boolean,
     find_homomorphisms,
     has_homomorphism,
 )
 from repro.queries.terms import Variable, is_variable
 from repro.runtime import LtrWitness, QueryServer, RelevanceOracle, RuntimeMetrics
+from repro.runtime.executor import candidate_accesses
 from repro.workloads import (
+    MultiQueryScenario,
     bank_multi_query_scenario,
     fanout_scenario,
     random_configuration,
@@ -859,20 +862,111 @@ def test_unused_probe_enumerates_no_first_fact_grounding():
 
 
 @pytest.mark.parametrize(
-    "kwargs, fresh_searches, accesses",
+    "kwargs, fresh_searches, sibling_hits, accesses",
     [
-        (dict(n_queries=8, employees=6, offices=3, states=4), 72, 15),
-        ({}, 102, 19),
+        (dict(n_queries=8, employees=6, offices=3, states=4), 24, 48, 15),
+        ({}, 42, 60, 19),
     ],
 )
-def test_bank_batches_keep_their_search_and_access_counts(kwargs, fresh_searches, accesses):
+def test_bank_batches_keep_their_search_and_access_counts(
+    kwargs, fresh_searches, sibling_hits, accesses
+):
+    """The bank's queries are one template: a sibling's witness, translated
+    by the constants, replaces a positive fresh search one for one (the two
+    sum to the 72 and 102 searches made without sibling hints)."""
     containment_cq_memo().clear()
     scenario = bank_multi_query_scenario(**kwargs)
     metrics = RuntimeMetrics()
     with QueryServer(scenario.mediator(), metrics=metrics) as server:
         result = server.answer(scenario.queries)
-    assert metrics.snapshot()["counters"]["oracle.fresh_searches"] == fresh_searches
+    counters = metrics.snapshot()["counters"]
+    assert counters["oracle.fresh_searches"] == fresh_searches
+    assert counters["oracle.sibling_hits"] == sibling_hits
     assert result.accesses_made == accesses
+
+
+def _template_family(seed: int) -> Optional[MultiQueryScenario]:
+    """One ``random_cq`` with a constant, instantiated three times.
+
+    Each instance replaces every constant position by a value the hidden
+    instance holds in that place's domain, so the queries are siblings: one
+    template, different constants (equal or not, position by position).
+    The query constants are seeded into the configuration, as the bank
+    scenario seeds its own.  Relations have arity at most 2, which keeps
+    the slow tail of the generated corpus (ROADMAP items 9 and 10) out of a
+    tier-1 property.  ``None`` when the drawn query has no constant.
+    """
+    rng = random.Random(seed)
+    schema = random_schema(
+        relations=rng.randint(2, 3),
+        max_arity=2,
+        domains=rng.randint(1, 2),
+        dependent_ratio=rng.choice([rng.random(), 1.0]),
+        seed=seed,
+    )
+    instance = random_instance(
+        schema, tuples_per_relation=rng.randint(2, 4), value_pool=3, seed=seed
+    )
+    configuration = random_configuration(instance, fraction=0.3 * rng.random(), seed=seed)
+    template = random_cq(
+        schema, atoms=2, variables=2, constant_probability=0.5, value_pool=3, seed=seed
+    )
+    if not template.constants:
+        return None
+    values: Dict[object, List[object]] = {}
+    for value, domain in sorted(instance.active_domain(), key=repr):
+        values.setdefault(domain, []).append(value)
+    queries = []
+    for index in range(3):
+        atoms = []
+        for atom in template.atoms:
+            terms = tuple(
+                term
+                if is_variable(term)
+                else rng.choice(values.get(atom.relation.domain_of(place), [term]))
+                for place, term in enumerate(atom.terms)
+            )
+            atoms.append(Atom(atom.relation, terms))
+        query = ConjunctiveQuery(tuple(atoms), (), f"sibling{index}")
+        for value, domain in query.constants_with_domains():
+            configuration.add_constant(value, domain)
+        queries.append(query)
+    return MultiQueryScenario(
+        f"family{seed}", schema, configuration, tuple(queries), instance
+    )
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(min_value=0, max_value=100_000))
+def test_sibling_hints_keep_answers_and_verdicts(seed):
+    """Guided answers with sibling hints equal the exhaustive strategy's, and
+    every registry oracle's verdict at the final configuration equals the
+    fresh procedure's, for every well-formed access.
+
+    Where an independent method has an input place the guided answers may
+    be a strict subset (ROADMAP item 11), so only inclusion is asserted
+    there."""
+    scenario = _template_family(seed)
+    if scenario is None:
+        return
+    containment_cq_memo().clear()
+    mediator = scenario.mediator()
+    with QueryServer(mediator) as server:
+        guided = server.answer(scenario.queries)
+        oracles = list(server._stores.values())
+    with QueryServer(scenario.mediator()) as server:
+        exhaustive = server.answer(scenario.queries, strategy="exhaustive")
+    schema = scenario.schema
+    if any(not m.dependent and m.input_places for m in schema.access_methods):
+        assert all(g <= e for g, e in zip(guided.answers, exhaustive.answers))
+    else:
+        assert guided.answers == exhaustive.answers
+    final = mediator.configuration_view
+    for access in candidate_accesses(schema, final, lambda _key: False):
+        for oracle in oracles:
+            assert oracle.long_term_relevant(access, final) == is_long_term_relevant(
+                oracle.query, access, final, schema
+            ), (oracle.query, access)
 
 
 # --------------------------------------------------------------------------- #

@@ -18,6 +18,7 @@ from repro import (
     RuntimeMetrics,
     SchemaBuilder,
     is_long_term_relevant,
+    parse_cq,
 )
 from repro.runtime import (
     AccessExecutor,
@@ -504,6 +505,31 @@ def test_screen_groups_interchangeable_bindings():
     configuration.add("Hub", ("start", "m0"))
     groups = screen.group([first, second], configuration)
     assert len(groups) == 2
+
+
+def test_screen_never_groups_bindings_no_swap_maps_onto_each_other():
+    """``(a, a)`` and ``(a, b)`` share ``a`` at one position, and no value
+    renaming maps the first onto the second: they must not share a verdict
+    (a member adopting the swap ``a <-> b`` would get a witness path for
+    ``(b, b)``)."""
+    builder = SchemaBuilder()
+    builder.domain("D")
+    builder.relation("P", [("x", "D"), ("y", "D")])
+    builder.access("mP", "P", inputs=["x", "y"], dependent=True)
+    schema = builder.build()
+    query = parse_cq(schema, "P(u, v)")
+    configuration = Configuration.empty(schema)
+    domain = schema.relation("P").domain_of(0)
+    for value in ("a", "b"):
+        configuration.add_constant(value, domain)
+    method = schema.access_method("mP")
+    pairs = [Access(method, ("a", "a")), Access(method, ("a", "b"))]
+    groups = CandidateScreen(query, schema).group(pairs, configuration)
+    assert len(groups) == 2
+    # The mirrored pair is a genuine swap and still shares one verdict.
+    mirrored = [Access(method, ("a", "b")), Access(method, ("b", "a"))]
+    groups = CandidateScreen(query, schema).group(mirrored, configuration)
+    assert len(groups) == 1 and groups[0][1][0][1] == {"a": "b", "b": "a"}
 
 
 def test_adopted_verdicts_flow_through_guided_strategy():

@@ -10,25 +10,33 @@ gauges).
 
 from __future__ import annotations
 
+import gc
 import os
 import sqlite3
+import weakref
 
 import pytest
 
+from repro import Access, Configuration, Instance, SchemaBuilder
 from repro.core import is_long_term_relevant
+from repro.data import AccessResponse
 from repro.exceptions import QueryError
 from repro.planner import exhaustive_strategy, relevance_guided_strategy
+from repro.queries import parse_cq
 from repro.runtime import (
     CandidateScreen,
     LRUCache,
+    LtrWitness,
     PersistentWitnessCache,
     QueryServer,
     RelevanceOracle,
     RuntimeMetrics,
+    Tracer,
 )
 from repro.runtime.executor import candidate_accesses
 from repro.runtime.serialize import query_token, schema_token
 from repro.workloads import (
+    MultiQueryScenario,
     bank_multi_query_scenario,
     multi_query_scenario,
     star_join_scenario,
@@ -303,6 +311,8 @@ class TestPersistentCache:
         # lazily.  Every path opens the SQLite store, whatever its suffix.
         assert persist.stats["backend"] == "sqlite"
         assert persist.store.stats()["records"] > 0
+        # ...and closes the connection it read through.
+        assert persist.store._conn is None
         server.close()  # idempotent
 
     def test_close_leaves_a_supplied_cache_open(self, tmp_path, scenario):
@@ -348,6 +358,37 @@ class TestPersistentCache:
         assert stored > 0 and delta("persist.seeded") == stored
         assert delta("oracle.fresh_searches") <= 10
         assert delta("witness.revalidated") > 0
+
+    def test_a_discarded_witness_is_not_seeded_again(self, tmp_path):
+        """A stored record the oracle saw fail revalidation is not re-seeded
+        when the registry hands the oracle out again; a changed record for
+        that access (another writer's) still is."""
+        scenario = multi_query_scenario(16, 8, 8)
+        path = os.fspath(tmp_path / "w.sqlite")
+        with QueryServer(scenario.mediator(), cache_path=path) as cold:
+            cold.answer(scenario.queries)
+        metrics = RuntimeMetrics()
+        with QueryServer(scenario.mediator(), cache_path=path, metrics=metrics) as server:
+            server.answer(scenario.queries)
+            assert metrics.count("witness.revalidation_failed") == 42
+            seeded = metrics.count("persist.seeded")
+            server.answer(scenario.queries)
+            assert metrics.count("persist.seeded") == seeded
+            # Another writer replaces one discarded record with a new path.
+            oracle, access, witness = next(
+                (oracle, witness.access, witness)
+                for oracle in server._stores.values()
+                for akey, witness in server.persist.witnesses_for(
+                    oracle.query, scenario.schema
+                ).items()
+                if oracle._discarded.peek(akey) == witness
+            )
+            writer = PersistentWitnessCache(path)
+            tokens = (query_token(oracle.query), schema_token(scenario.schema))
+            writer.record(tokens, access, LtrWitness(witness.steps + witness.steps[-1:]))
+            writer.close()
+            server.answer(scenario.queries)
+            assert metrics.count("persist.seeded") == seeded + 1
 
     def test_cache_path_and_persist_are_exclusive(self, tmp_path, scenario):
         cache = PersistentWitnessCache(os.fspath(tmp_path / "w.sqlite"))
@@ -462,6 +503,165 @@ class TestStoreRegistry:
 
 
 # --------------------------------------------------------------------------- #
+# Sibling hints: witnesses shared across queries of one template
+# --------------------------------------------------------------------------- #
+def _sibling_scenario():
+    """``R(k, v)`` read by ``k`` (dependent), ``S(v)`` and ``U(e)`` read
+    freely, ``e`` enumerated; two queries that differ only in a constant."""
+    builder = SchemaBuilder()
+    builder.domain("D")
+    builder.domain("E", values=["a", "x"])
+    builder.relation("R", [("k", "D"), ("v", "D")])
+    builder.relation("S", [("v", "D")])
+    builder.relation("U", [("e", "E")])
+    builder.access("mR", "R", inputs=["k"], dependent=True)
+    builder.access("mS", "S", inputs=[])
+    builder.access("mU", "U", inputs=[])
+    schema = builder.build()
+    queries = tuple(
+        parse_cq(schema, f"R('{key}', y), S(y)", name=f"q{key}") for key in ("a", "b")
+    )
+    configuration = Configuration.empty(schema)
+    for query in queries:
+        for value, domain in query.constants_with_domains():
+            configuration.add_constant(value, domain)
+    return MultiQueryScenario(
+        "siblings", schema, configuration, queries, Instance(schema)
+    )
+
+
+class TestSiblingHints:
+    def _oracles(self, metrics):
+        scenario = _sibling_scenario()
+        server = QueryServer(scenario.mediator(), metrics=metrics)
+        first, second = (server.oracle_for(query) for query in scenario.queries)
+        return scenario, server, first, second
+
+    def test_a_sibling_witness_replaces_the_fresh_search(self):
+        metrics = RuntimeMetrics()
+        scenario, server, first, second = self._oracles(metrics)
+        configuration = scenario.configuration.copy()
+        free = Access(scenario.schema.access_method("mS"), ())
+        assert first.long_term_relevant(free, configuration)
+        assert metrics.count("oracle.fresh_searches") == 1
+        assert second.long_term_relevant(free, configuration)
+        assert metrics.count("oracle.fresh_searches") == 1
+        assert metrics.count("oracle.sibling_hits") == 1
+        assert metrics.count("witness.revalidated") == 1
+        hint = second.witness_for(free)
+        assert hint.access == free and hint != first.witness_for(free)
+        # The hint was revalidated here, so once the configuration grows
+        # only its truncation is re-checked.
+        configuration.add("R", ("a", "w"))
+        assert second.long_term_relevant(free, configuration)
+        assert metrics.count("witness.truncation_only") == 1
+
+    def test_a_hint_that_moves_the_probed_binding_is_skipped(self):
+        metrics = RuntimeMetrics()
+        scenario, server, first, second = self._oracles(metrics)
+        configuration = scenario.configuration
+        probe = Access(scenario.schema.access_method("mR"), ("a",))
+        assert first.long_term_relevant(probe, configuration)
+        # Renaming a -> b would turn the path into one for mR('b').
+        verdict = second.long_term_relevant(probe, configuration)
+        assert verdict == is_long_term_relevant(
+            second.query, probe, configuration, scenario.schema
+        )
+        assert metrics.count("oracle.sibling_misses") == 0
+        assert metrics.count("oracle.sibling_hits") == 0
+        assert metrics.count("oracle.fresh_searches") == 2
+
+    def test_a_hint_outside_an_enumerated_domain_fails_without_raising(self):
+        metrics = RuntimeMetrics()
+        scenario, server, first, second = self._oracles(metrics)
+        configuration = scenario.configuration
+        probe = Access(scenario.schema.access_method("mU"), ())
+        # A path with the constant 'a' at U's enumerated place: renamed to
+        # 'b' it does not type.
+        first._witnesses.put(
+            ("mU", ()), LtrWitness((AccessResponse(probe, (("a",),)),))
+        )
+        verdict = second.long_term_relevant(probe, configuration)
+        assert verdict == is_long_term_relevant(
+            second.query, probe, configuration, scenario.schema
+        )
+        assert metrics.count("oracle.sibling_misses") == 1
+        assert metrics.count("witness.revalidation_failed") == 1
+        assert metrics.count("oracle.fresh_searches") == 1
+
+    def test_reading_a_sibling_leaves_its_cache_alone(self):
+        metrics = RuntimeMetrics()
+        scenario, server, first, second = self._oracles(metrics)
+        free = Access(scenario.schema.access_method("mS"), ())
+        first.long_term_relevant(free, scenario.configuration)
+        before = first._witnesses.stats()
+        assert second.long_term_relevant(free, scenario.configuration)
+        assert first._witnesses.stats() == before
+
+    def test_a_standalone_oracle_takes_no_hints(self):
+        metrics = RuntimeMetrics()
+        scenario, server, first, _second = self._oracles(metrics)
+        free = Access(scenario.schema.access_method("mS"), ())
+        first.long_term_relevant(free, scenario.configuration)
+        alone = RelevanceOracle(scenario.queries[1], scenario.schema, metrics=metrics)
+        assert alone.sibling_group is None
+        assert alone.long_term_relevant(free, scenario.configuration)
+        assert metrics.count("oracle.sibling_hits") == 0
+        assert metrics.count("oracle.fresh_searches") == 2
+
+    def test_traced_hits_say_sibling(self):
+        scenario = bank_multi_query_scenario(8, employees=6, offices=3, states=4)
+        tracer = Tracer()
+        metrics = RuntimeMetrics()
+        with QueryServer(scenario.mediator(), metrics=metrics, tracer=tracer) as server:
+            server.answer(scenario.queries)
+        spans = tracer.spans()
+        hits = metrics.count("oracle.sibling_hits")
+        attempts = [
+            span.tags
+            for span in spans
+            if span.name == "witness-revalidate" and span.tags["provenance"] == "sibling"
+        ]
+        outcomes = [span.tags["outcome"] for span in spans if span.name == "oracle"]
+        assert hits == 48 and outcomes.count("sibling") == hits
+        assert len(attempts) == hits + metrics.count("oracle.sibling_misses")
+        assert sum(tags["ok"] for tags in attempts) == hits
+        assert all(tags["check"] == "full" for tags in attempts)
+
+    def test_eviction_leaves_the_group_and_an_empty_group_leaves_the_index(self):
+        scenario = bank_multi_query_scenario()
+        server = QueryServer(scenario.mediator(), max_stores=2)
+        first, second, third = (server.oracle_for(q) for q in scenario.queries[:3])
+        group = third.sibling_group
+        assert group is second.sibling_group and first.sibling_group is None
+        assert group.oracles == [second, third]
+        assert list(server._siblings) == [group.key]
+        others = [
+            parse_cq(scenario.schema, text)
+            for text in ("Approval('Illinois', '30yr')", "Office(o, a, 'Illinois', p)")
+        ]
+        for query in others:
+            server.oracle_for(query)
+        assert not group.oracles and second.sibling_group is None
+        assert group.key not in server._siblings
+        assert len(server._siblings) == 2
+
+    def test_a_dropped_server_frees_its_oracles_without_the_cycle_collector(self):
+        scenario = bank_multi_query_scenario(8, employees=6, offices=3, states=4)
+        gc.disable()
+        try:
+            server = QueryServer(scenario.mediator())
+            server.answer(scenario.queries)
+            oracle = weakref.ref(server.oracle_for(scenario.queries[0]))
+            group = weakref.ref(oracle().sibling_group)
+            assert group() is not None
+            del server
+            assert oracle() is None and group() is None
+        finally:
+            gc.enable()
+
+
+# --------------------------------------------------------------------------- #
 # Metrics surfaces: timer call counts and cache gauges
 # --------------------------------------------------------------------------- #
 class TestMetricsSurfaces:
@@ -509,6 +709,24 @@ class TestMetricsSurfaces:
                 server.answer(scenario.queries)
             after = len(metrics.snapshot()["caches"])
         assert after <= first
+
+    def test_registration_reuses_the_lowest_dead_suffix(self):
+        metrics = RuntimeMetrics()
+        caches = [LRUCache() for _ in range(100)]
+        names = [metrics.register_cache("probe", cache) for cache in caches]
+        assert names[:3] == ["probe", "probe#2", "probe#3"]
+        assert names[-1] == "probe#100"
+        del caches[6], caches[2]  # probe#7 and probe#3
+        gc.collect()
+        refill = [LRUCache() for _ in range(3)]
+        assert [metrics.register_cache("probe", cache) for cache in refill] == [
+            "probe#3",
+            "probe#7",
+            "probe#101",
+        ]
+        # The same object keeps its name.
+        assert metrics.register_cache("other", refill[2]) == "probe#101"
+        assert metrics.register_cache("probe", caches[0]) == "probe"
 
     def test_dead_cache_registrations_are_pruned(self):
         metrics = RuntimeMetrics()
