@@ -27,7 +27,7 @@ import time
 import pytest
 
 from repro.planner import relevance_guided_strategy
-from repro.runtime import QueryServer, RuntimeMetrics, Tracer
+from repro.runtime import QueryServer, RuntimeMetrics, Tracer, activate_tracer
 from repro.workloads import bank_multi_query_scenario, multi_query_scenario
 
 
@@ -129,7 +129,7 @@ def test_tracing_overhead_guided_batch():
     def run(tracer):
         mediator = scenario.mediator()
         metrics = RuntimeMetrics()
-        with QueryServer(mediator, metrics=metrics, tracer=tracer) as server:
+        with activate_tracer(tracer), QueryServer(mediator, metrics=metrics) as server:
             started = time.perf_counter()
             result = server.answer(scenario.queries)
             wall = time.perf_counter() - started

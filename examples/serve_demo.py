@@ -60,6 +60,7 @@ from repro.runtime import (
     RetryPolicy,
     RuntimeMetrics,
     Tracer,
+    activate_tracer,
     explain_trace,
     prometheus_text,
     serve_in_background,
@@ -117,11 +118,8 @@ def main() -> None:
         # observability section below renders and exports.
         warm_metrics = RuntimeMetrics()
         tracer = Tracer()
-        with QueryServer(
-            scenario.mediator(),
-            cache_path=cache_path,
-            metrics=warm_metrics,
-            tracer=tracer,
+        with activate_tracer(tracer), QueryServer(
+            scenario.mediator(), cache_path=cache_path, metrics=warm_metrics
         ) as restarted:
             started = time.perf_counter()
             warm = restarted.answer(scenario.queries)
@@ -379,6 +377,9 @@ def service_smoke() -> None:
             "repro_oracle_sibling_hits_total",
         ):
             assert family in families, f"missing metric family {family}"
+        # Timed stages export as histograms: no cumulative-timer families.
+        assert "repro_oracle_long_term_seconds_count" in text, "no fresh-search histogram"
+        assert "_calls_total" not in text, "a cumulative-timer family is exported"
         print(f"/metrics exposition OK ({len(families)} families)")
 
         # Malformed requests are the client's errors, never handler crashes.

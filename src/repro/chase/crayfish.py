@@ -44,6 +44,7 @@ from weakref import WeakKeyDictionary
 from repro.data import AccessPath, AccessResponse, Configuration, Fact
 from repro.chase.fresh import FreshConstants
 from repro.schema import Access, AccessMethod, Schema
+from repro.tracing import stage
 
 __all__ = [
     "ProductionPlan",
@@ -423,18 +424,10 @@ def iter_production_plans(
                 state.steps.pop()
                 state.pending.insert(index, item)
 
-    # Traced enumeration: the span covers the generator's whole lifetime —
-    # plan-guided searches consume plans inline, so its duration reads as
-    # "time spent in (and between) chase enumeration for this search".  The
-    # tracing import is deferred to call time: repro.runtime transitively
-    # imports this module.
-    from repro.runtime.tracing import current_tracer
-
-    tracer = current_tracer()
-    if not tracer.enabled:
-        yield from plans(state)
-        return
-    with tracer.span("chase.plans", targets=len(deduped)) as span:
+    # Traced, the span covers the generator's whole lifetime — plan-guided
+    # searches consume plans inline, so its duration reads as "time spent in
+    # (and between) chase enumeration for this search".
+    with stage("chase.plans", targets=len(deduped)) as span:
         yield from plans(state)
         span.annotate(plans=produced_count, nodes=nodes_explored)
 

@@ -29,6 +29,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional,
 from repro.data.indexing import candidates_from_index, index_add
 from repro.datalog.program import Literal, Program, Rule
 from repro.queries.terms import Variable, is_variable
+from repro.tracing import stage
 
 __all__ = [
     "Database",
@@ -251,16 +252,11 @@ def evaluate_program(
     facts trickle in should hold a handle and :meth:`~SemiNaiveEvaluation.advance` it instead.
 
     Under an active tracer each evaluation records a ``datalog.evaluate``
-    span (rule count, semi-naive iterations) — the import is deferred to
-    call time because :mod:`repro.runtime` transitively imports this module.
+    span (rule count, semi-naive iterations).
     """
-    from repro.runtime.tracing import current_tracer
-
-    tracer = current_tracer()
-    with tracer.span("datalog.evaluate") as span:
+    with stage("datalog.evaluate") as span:
         evaluation = SemiNaiveEvaluation(program, edb)
-        if tracer.enabled:
-            span.annotate(rules=len(program), iterations=evaluation.iterations)
+        span.annotate(rules=len(program), iterations=evaluation.iterations)
         return evaluation.database()
 
 

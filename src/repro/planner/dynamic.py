@@ -33,7 +33,6 @@ from typing import FrozenSet, Optional, Tuple
 from repro.core import ContainmentOptions
 from repro.exceptions import QueryError
 from repro.runtime import Deadline, QueryServer, RelevanceOracle, RuntimeMetrics
-from repro.runtime.tracing import TracerLike
 from repro.sources.service import Mediator
 
 __all__ = ["AnsweringResult", "exhaustive_strategy", "relevance_guided_strategy"]
@@ -90,7 +89,6 @@ def exhaustive_strategy(
     max_rounds: int = 50,
     metrics: Optional[RuntimeMetrics] = None,
     parallelism: int = 1,
-    tracer: Optional[TracerLike] = None,
 ) -> AnsweringResult:
     """Perform every well-formed access until a fixpoint (Li [18]).
 
@@ -102,14 +100,11 @@ def exhaustive_strategy(
     accessible part (and hence the answer) may be incomplete.
 
     The run is ``QueryServer.answer([query], strategy="exhaustive")`` over a
-    fresh server: ``tracer`` activates span recording for it (the server's
-    ``answer`` tree); omitted, the run inherits whatever tracer is ambient on
-    the calling thread.  Counters and latency histograms land in ``metrics``
-    under the server's ``server.*`` names.
+    fresh server, so it records the server's ``answer`` span tree when
+    called inside ``with activate_tracer(tracer):``.  Counters and latency
+    histograms land in ``metrics`` under the server's ``server.*`` names.
     """
-    with QueryServer(
-        mediator, metrics=metrics, parallelism=parallelism, tracer=tracer
-    ) as server:
+    with QueryServer(mediator, metrics=metrics, parallelism=parallelism) as server:
         run = server._run([query], "exhaustive", max_rounds)
     return _result(mediator, run)
 
@@ -124,7 +119,6 @@ def relevance_guided_strategy(
     metrics: Optional[RuntimeMetrics] = None,
     parallelism: int = 1,
     cache_path: Optional[str] = None,
-    tracer: Optional[TracerLike] = None,
     deadline_s: Optional[float] = None,
     tolerate_failures: bool = False,
 ) -> AnsweringResult:
@@ -179,13 +173,12 @@ def relevance_guided_strategy(
     respond).  Either way the result flags ``degraded`` when faults cost
     the run certainty — the answers are then a sound subset.
 
-    ``tracer`` activates span recording for the run — the server's tree: an
-    ``answer`` root, one ``round`` span per round, and under each round the
-    screening, oracle, access-batch, and source-call spans the instrumented
-    layers record (see :mod:`repro.runtime.tracing`).  Omitted, the run
-    inherits the calling thread's ambient tracer — off by default.
-    Counters and latency histograms land under the server's ``server.*``
-    names.
+    Called inside ``with activate_tracer(tracer):``, the run records the
+    server's span tree: an ``answer`` root, one ``round`` span per round,
+    and under each round the screening, oracle, access-batch, and
+    source-call spans the instrumented layers record (see
+    :mod:`repro.tracing`).  Counters and latency histograms land under the
+    server's ``server.*`` names.
     """
     if oracle is not None:
         if options is not None:
@@ -217,7 +210,6 @@ def relevance_guided_strategy(
         mediator,
         metrics=metrics,
         parallelism=parallelism,
-        tracer=tracer,
         cache_path=cache_path or None,
         persist=oracle.persist if oracle is not None else None,
     ) as server:

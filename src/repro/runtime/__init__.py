@@ -32,12 +32,13 @@ needs around the paper's decision procedures:
   queries' oracles (the single-query strategies of
   :mod:`repro.planner.dynamic` run it with one query);
 * :class:`~repro.runtime.metrics.RuntimeMetrics` — thread-safe counters,
-  timers (with call counts), latency histograms (p50/p95/p99), and cache
-  gauges the other components record into;
-* :mod:`~repro.runtime.tracing` — hierarchical spans over the whole answering
-  path (``answer → round → screen → oracle → access-batch → source-call``),
-  off by default via an ambient no-op tracer, propagated across the thread
-  pool;
+  gauges, latency histograms (count, sum, p50/p95/p99), and cache gauges the
+  other components record into;
+* the tracing names re-exported from :mod:`repro.tracing` — hierarchical
+  spans over the whole answering path (``answer → round → query → verdicts
+  → oracle``, ``access-batch → source-call``), switched on per thread by
+  :func:`~repro.tracing.activate_tracer`; every layer measures itself with
+  :func:`~repro.tracing.stage`, which also feeds the latency histograms;
 * :mod:`~repro.runtime.export` — Prometheus text, JSON snapshot, and
   Chrome-trace (Perfetto) exporters plus the per-query ``explain`` report;
 * :class:`~repro.runtime.service.AnsweringService` — the network-facing
@@ -81,7 +82,7 @@ from repro.runtime.screening import CandidateScreen, relevant_relation_closure
 from repro.runtime.server import QueryOutcome, QueryServer, ServerResult
 from repro.runtime.service import AnsweringService, ServiceHandle, serve_in_background
 from repro.runtime.storage import CompactionResult, SqliteWitnessStore
-from repro.runtime.tracing import (
+from repro.tracing import (
     NO_TRACER,
     NullTracer,
     Span,

@@ -77,13 +77,13 @@ from repro.queries.certain import CertaintyFixpoint
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.screening import CandidateScreen
 from repro.runtime.serialize import query_token, schema_token
-from repro.runtime.tracing import current_tracer
 from repro.runtime.witness import (
     ConfigurationSnapshot,
     LtrWitness,
     dependent_input_domains,
 )
 from repro.schema import Access, Schema
+from repro.tracing import stage
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.persist import PersistentWitnessCache
@@ -408,41 +408,32 @@ class RelevanceOracle:
         evaluation).  Outcomes are counted as ``certainty.exact`` /
         ``certainty.advanced`` / ``certainty.restarted`` /
         ``certainty.unsupported``, and a ``certainty`` span carries the same
-        outcome as its ``certainty=...`` tag.  Spans for exact and advanced
-        resolutions are recorded only under an active tracer, so per-round
-        certainty polling does not flood a trace with zero-duration entries.
+        outcome as its ``certainty=...`` tag (``computed`` without a
+        fixpoint).  Every check past the exact hit is one ``certainty``
+        stage, timed into the ``oracle.certain`` histogram.
         """
         key = ("certain", configuration.fingerprint())
         cached = self._cache.get(key, _MISSING)
         if cached is not _MISSING:
             self._metrics.incr("oracle.hits")
             self._metrics.incr("certainty.exact")
-            tracer = current_tracer()
-            if tracer.enabled:
-                with tracer.span("certainty") as span:
+            with stage("certainty") as span:
+                if span:
                     span.annotate(certainty="exact", certain=bool(cached))
             return bool(cached)
         self._metrics.incr("oracle.misses")
-        tracer = current_tracer()
+        with stage("certainty", metrics=self._metrics, metric="oracle.certain") as span:
+            verdict, outcome = None, "computed"
+            if self._fixpoint is not None:
+                verdict, outcome = self._fixpoint.check(configuration)
+            if verdict is None:
+                # No fixpoint, or the query does not compile to one.
+                verdict = is_certain(self._query, configuration)
         if self._fixpoint is not None:
-            if tracer.enabled:
-                with tracer.span("certainty") as span:
-                    with self._metrics.timer("oracle.certain"):
-                        verdict, outcome = self._fixpoint.check(configuration)
-                    span.annotate(certainty=outcome, certain=verdict)
-            else:
-                with self._metrics.timer("oracle.certain"):
-                    verdict, outcome = self._fixpoint.check(configuration)
             self._metrics.incr("certainty." + outcome)
-            if verdict is not None:
-                self._cache.put(key, bool(verdict))
-                return bool(verdict)
-            # Unsupported query: fall through to the direct evaluation.
-        with tracer.span("certainty") as span:
-            with self._metrics.timer("oracle.certain"):
-                verdict = bool(is_certain(self._query, configuration))
-            if tracer.enabled:
-                span.annotate(certainty="computed", certain=verdict)
+        verdict = bool(verdict)
+        if span:
+            span.annotate(certainty=outcome, certain=verdict)
         self._cache.put(key, verdict)
         return verdict
 
@@ -457,49 +448,39 @@ class RelevanceOracle:
         revalidated → fresh search (capturing the witness on a positive
         answer).  Only the fresh search answers negatively.
 
-        Under an active tracer every call records an ``oracle`` span tagged
-        with the ``outcome`` that resolved it (``exact-hit`` /
-        ``delta-inherited`` / ``revalidated`` / ``sibling`` / ``fresh``)
-        — the explain report's answer to *how* each verdict was obtained —
-        with ``witness-revalidate`` (tagged ``check=full|truncation`` and
-        ``provenance=captured|persisted|sibling``) / ``fresh-search`` child
-        spans around the expensive stages.  Untraced, the exact-hit path
-        costs one extra thread-local read over the pre-tracing oracle.
+        Every call is an ``oracle`` stage tagged with the ``outcome`` that
+        resolved it (``exact-hit`` / ``delta-inherited`` / ``revalidated`` /
+        ``sibling`` / ``fresh``) — the explain report's answer to *how* each
+        verdict was obtained — with ``witness-revalidate`` (tagged
+        ``check=full|truncation`` and ``provenance=captured|persisted|sibling``,
+        timed into ``witness.revalidate``) and ``fresh-search`` (timed into
+        ``oracle.long_term``) stages around the expensive rungs.
         """
         akey = access_key(access)
         key = ("ltr", akey, configuration.fingerprint())
         cached = self._cache.get(key, _MISSING)
         if cached is not _MISSING:
             self._metrics.incr("oracle.hits")
-            tracer = current_tracer()
-            if tracer.enabled:
-                with tracer.span("oracle", method=access.method.name) as span:
+            with stage("oracle", method=access.method.name) as span:
+                if span:
                     span.annotate(outcome="exact-hit", relevant=bool(cached))
             return bool(cached)
         self._metrics.incr("oracle.misses")
-        tracer = current_tracer()
-        if not tracer.enabled:
-            return self._resolve_ltr_miss(
-                access, akey, key, configuration, tracer, None
-            )
-        with tracer.span("oracle", method=access.method.name) as span:
-            return self._resolve_ltr_miss(
-                access, akey, key, configuration, tracer, span
-            )
+        with stage("oracle", method=access.method.name) as span:
+            verdict, outcome = self._resolve_ltr_miss(access, akey, key, configuration)
+            if span:
+                span.annotate(outcome=outcome, relevant=verdict)
+        return verdict
 
-    def _resolve_ltr_miss(
-        self, access, akey, key, configuration, tracer, span
-    ) -> bool:
-        """The miss path of :meth:`long_term_relevant` (``span`` may be None)."""
+    def _resolve_ltr_miss(self, access, akey, key, configuration) -> Tuple[bool, str]:
+        """The miss path of :meth:`long_term_relevant`: ``(verdict, outcome)``."""
         history = self._ltr_history.get(akey)
         if history is not None and history.snapshot.delta_safe(
             configuration, self._unsafe_domains
         ):
             self._metrics.incr("oracle.delta_hits")
             self._cache.put(key, history.verdict)
-            if span is not None:
-                span.annotate(outcome="delta-inherited", relevant=history.verdict)
-            return history.verdict
+            return history.verdict, "delta-inherited"
 
         witness = self._witnesses.get(akey)
         if witness is not None:
@@ -511,24 +492,19 @@ class RelevanceOracle:
                 and history.revalidated_witness is witness
                 and history.snapshot.contained_in(configuration)
             )
-            with tracer.span("witness-revalidate") as wspan:
-                with self._metrics.timer("witness.revalidate"):
-                    if truncation_only:
-                        revalidated = witness.recheck_truncation(
-                            self._query, configuration
-                        )
-                    else:
-                        revalidated = witness.revalidate(self._query, configuration)
-                if span is not None:
-                    wspan.annotate(
-                        ok=revalidated,
-                        check="truncation" if truncation_only else "full",
-                        provenance=(
-                            "persisted"
-                            if akey in self._persist_seeded
-                            else "captured"
-                        ),
-                    )
+            with stage(
+                "witness-revalidate", metrics=self._metrics, metric="witness.revalidate"
+            ) as span:
+                if truncation_only:
+                    revalidated = witness.recheck_truncation(self._query, configuration)
+                else:
+                    revalidated = witness.revalidate(self._query, configuration)
+            if span:
+                span.annotate(
+                    ok=revalidated,
+                    check="truncation" if truncation_only else "full",
+                    provenance="persisted" if akey in self._persist_seeded else "captured",
+                )
             if truncation_only:
                 self._metrics.incr("witness.truncation_only")
             if revalidated:
@@ -541,9 +517,7 @@ class RelevanceOracle:
                     witness=None,
                     revalidated_witness=witness,
                 )
-                if span is not None:
-                    span.annotate(outcome="revalidated", relevant=True)
-                return True
+                return True, "revalidated"
             self._metrics.incr("witness.revalidation_failed")
             # On a growing configuration a failed revalidation means the
             # truncation now satisfies the (monotone) query — the stored
@@ -556,7 +530,7 @@ class RelevanceOracle:
             if self._persist is not None:
                 self._discarded.put(akey, witness)
 
-        hint = self._sibling_hint(access, akey, configuration, tracer, span)
+        hint = self._sibling_hint(access, akey, configuration)
         if hint is not None:
             # Recorded like a fresh positive, and revalidated right here, so
             # the truncation-only rung applies to it next time.
@@ -569,40 +543,35 @@ class RelevanceOracle:
                 access=access,
                 revalidated_witness=hint,
             )
-            if span is not None:
-                span.annotate(outcome="sibling", relevant=True)
-            return True
+            return True, "sibling"
 
         self._metrics.incr("oracle.fresh_searches")
-        with tracer.span("fresh-search") as search_span:
-            with self._metrics.timer("oracle.long_term"):
+        with stage(
+            "fresh-search", metrics=self._metrics, metric="oracle.long_term"
+        ) as search_span:
 
-                def budget_tripped() -> None:
-                    # Anytime containment: the reduction blew its wall-clock
-                    # budget and the facade is falling back to the sound
-                    # direct search.  Counted here so operators can see how
-                    # often the budget is doing its job.
-                    self._metrics.incr("oracle.containment_budget_tripped")
-                    search_span.annotate(budget_tripped=True)
+            def budget_tripped() -> None:
+                # Anytime containment: the reduction blew its wall-clock
+                # budget and the facade is falling back to the sound
+                # direct search.  Counted here so operators can see how
+                # often the budget is doing its job.
+                self._metrics.incr("oracle.containment_budget_tripped")
+                search_span.annotate(budget_tripped=True)
 
-                verdict, steps = long_term_relevance_with_witness(
-                    self._query,
-                    access,
-                    configuration,
-                    self._schema,
-                    method=self._ltr_method,
-                    options=self._options,
-                    on_budget_trip=budget_tripped,
-                )
+            verdict, steps = long_term_relevance_with_witness(
+                self._query,
+                access,
+                configuration,
+                self._schema,
+                method=self._ltr_method,
+                options=self._options,
+                on_budget_trip=budget_tripped,
+            )
         witness = LtrWitness(tuple(steps)) if steps else None
         self._record_ltr(akey, key, verdict, configuration, witness=witness, access=access)
-        if span is not None:
-            span.annotate(outcome="fresh", relevant=verdict)
-        return verdict
+        return verdict, "fresh"
 
-    def _sibling_hint(
-        self, access, akey, configuration, tracer, span
-    ) -> Optional[LtrWitness]:
+    def _sibling_hint(self, access, akey, configuration) -> Optional[LtrWitness]:
         """A sibling's witness for ``access`` that revalidates here, if any.
 
         Each sibling's witness is translated by the renaming of its
@@ -635,15 +604,16 @@ class RelevanceOracle:
         failures = 0
         for _moved, witness, renaming in hints:
             translated = witness.translated(renaming)
-            with tracer.span("witness-revalidate") as wspan:
-                with self._metrics.timer("witness.revalidate"):
-                    revalidated = (
-                        translated is not None
-                        and access_key(translated.access) == akey
-                        and translated.revalidate(self._query, configuration)
-                    )
-                if span is not None:
-                    wspan.annotate(ok=revalidated, check="full", provenance="sibling")
+            with stage(
+                "witness-revalidate", metrics=self._metrics, metric="witness.revalidate"
+            ) as span:
+                revalidated = (
+                    translated is not None
+                    and access_key(translated.access) == akey
+                    and translated.revalidate(self._query, configuration)
+                )
+            if span:
+                span.annotate(ok=revalidated, check="full", provenance="sibling")
             if revalidated:
                 self._metrics.incr("witness.revalidated")
                 self._metrics.incr("oracle.sibling_hits")
@@ -749,9 +719,8 @@ class RelevanceOracle:
         """
         akey = access_key(access)
         self._metrics.incr("oracle.adopted")
-        tracer = current_tracer()
-        if tracer.enabled:
-            with tracer.span("oracle", method=access.method.name) as span:
+        with stage("oracle", method=access.method.name) as span:
+            if span:
                 span.annotate(outcome="adopted", relevant=verdict)
         self._record_ltr(
             akey,

@@ -34,9 +34,9 @@ from repro.exceptions import AccessError, CircuitOpenError, DeadlineExceeded
 from repro.runtime.cache import access_key
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.retry import Deadline
-from repro.runtime.tracing import current_tracer
 from repro.schema import Access, Schema
 from repro.sources.service import Mediator, annotate_error
+from repro.tracing import current_tracer, stage
 
 __all__ = ["AccessExecutor", "BatchResult", "candidate_accesses"]
 
@@ -142,18 +142,6 @@ class AccessExecutor:
         """Key-based variant of :meth:`already_performed` (no Access needed)."""
         return key in self._performed
 
-    def execute(self, access: Access) -> Optional[AccessResponse]:
-        """Perform one access (``None`` if it was already performed)."""
-        key = self.key(access)
-        if key in self._performed:
-            self._metrics.incr("executor.skipped")
-            return None
-        response, _new_facts = self._mediator.perform_counted(access)
-        self._performed.add(key)
-        self._metrics.incr("executor.performed")
-        self._metrics.incr("executor.facts", len(response))
-        return response
-
     def execute_batch(
         self,
         accesses: Iterable[Access],
@@ -191,10 +179,11 @@ class AccessExecutor:
         is no pool: each round trip runs inline, strictly in order.
 
         When tracing is active the batch runs under an ``access-batch`` span;
-        each performed access's ``source-call`` span parents under it, even
-        from pool threads, and ``annotate_access`` — evaluated at dispatch
-        time — supplies extra tags for it (the query server passes the
-        screening layer's why-was-this-performed annotations here).
+        each source-call attempt's ``source-call`` span parents under it,
+        even from pool threads, and ``annotate_access`` — evaluated at
+        dispatch time — supplies extra tags for it (the query server passes
+        the screening layer's why-was-this-performed annotations here, and
+        only when it traces).
         Per-access latency always lands in the ``access.latency`` and
         ``access.latency.<method>`` histograms.
 
@@ -252,13 +241,14 @@ class AccessExecutor:
             """Fail an access that made no source call."""
             fail(access, annotate_error(error, access, attempts=0), 0)
 
-        tracer = current_tracer()
-        with tracer.span(
+        with stage(
             "access-batch", candidates=len(pending), max_concurrency=max_concurrency
         ) as batch_span:
             # Captured once: pool threads record their source-call spans
-            # under this explicit parent (thread-locals stay behind).
-            parent = tracer.context() if tracer.enabled else None
+            # with this tracer, under this explicit parent (thread-locals
+            # stay behind).
+            tracer = current_tracer()
+            parent = batch_span.context
             pool = (
                 ThreadPoolExecutor(max_workers=window)
                 if window > 1 or deadline is not None
@@ -266,11 +256,7 @@ class AccessExecutor:
             )
 
             def dispatch(access: Access) -> Future:
-                tags = (
-                    annotate_access(access)
-                    if annotate_access is not None and tracer.enabled
-                    else None
-                )
+                tags = annotate_access(access) if annotate_access is not None else None
                 call = (access, tracer, parent, tags, deadline)
                 if pool is not None:
                     return pool.submit(mediator.respond, *call)
@@ -354,7 +340,7 @@ class AccessExecutor:
                         except Exception as error:
                             fail(access, error, attempts)
                             continue
-                        if span is not None:
+                        if span:
                             span.annotate(new_facts=new_facts)
                         # Recorded per merge, not after the batch: accesses
                         # merged before a failure stay deduplicated on a retry.

@@ -1,16 +1,16 @@
 """Exporters for runtime metrics and traces.
 
-:mod:`repro.runtime.metrics` and :mod:`repro.runtime.tracing` collect;
-this module renders.  Four output shapes, each targeting a different
+:mod:`repro.runtime.metrics` and :mod:`repro.tracing` collect; this
+module renders.  Four output shapes, each targeting a different
 consumer:
 
 * :func:`prometheus_text` — the Prometheus text exposition format.  This is
   the payload the network-facing ``/metrics`` endpoint of
   :mod:`repro.runtime.service` serves verbatim: counters become ``_total``
   counters, runtime gauges (queue depth, in-flight queries, admission
-  state) become plain gauges, cumulative timers become ``_seconds_total``
-  / ``_calls_total`` pairs, latency histograms become classic
-  ``le``-bucketed histogram families, and registered cache gauges become
+  state) become plain gauges, latency histograms (the timed stages, such
+  as ``oracle.long_term``) become classic ``le``-bucketed ``_seconds``
+  families with ``_sum`` and ``_count``, and registered cache gauges become
   labelled ``cache_hits`` / ``cache_misses`` / ``cache_entries``.
 * :func:`json_snapshot` — the :meth:`RuntimeMetrics.snapshot` dict (plus,
   optionally, the encoded span list) as a JSON document, for ad-hoc
@@ -33,7 +33,7 @@ import re
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.runtime.metrics import RuntimeMetrics
-from repro.runtime.tracing import NullTracer, Span, Tracer, encode_spans
+from repro.tracing import NullTracer, Span, Tracer, encode_spans
 
 __all__ = [
     "chrome_trace_events",
@@ -64,7 +64,7 @@ def _format_value(value: float) -> str:
 def prometheus_text(metrics: RuntimeMetrics) -> str:
     """Render ``metrics`` in the Prometheus text exposition format.
 
-    One family per counter/timer/histogram, plus three labelled families for
+    One family per counter/gauge/histogram, plus three labelled families for
     the registered caches.  The output is what a ``/metrics`` HTTP endpoint
     would return verbatim, and what CI uploads as the bench observability
     artifact.
@@ -83,17 +83,6 @@ def prometheus_text(metrics: RuntimeMetrics) -> str:
         lines.append(f"# HELP {metric} Runtime gauge {name!r}.")
         lines.append(f"# TYPE {metric} gauge")
         lines.append(f"{metric} {_format_value(value)}")
-
-    timer_calls = snap["timer_calls"]
-    for name, elapsed in sorted(snap["timers"].items()):
-        metric = _metric_name(name, "_seconds_total")
-        lines.append(f"# HELP {metric} Cumulative seconds in timer {name!r}.")
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {_format_value(elapsed)}")
-        calls_metric = _metric_name(name, "_calls_total")
-        lines.append(f"# HELP {calls_metric} Completed timer blocks for {name!r}.")
-        lines.append(f"# TYPE {calls_metric} counter")
-        lines.append(f"{calls_metric} {_format_value(timer_calls.get(name, 0))}")
 
     for name in sorted(snap["histograms"]):
         histogram = metrics.histogram(name)

@@ -1,4 +1,4 @@
-"""Lightweight runtime metrics: counters, wall-clock timers, cache gauges.
+"""Lightweight runtime metrics: counters, gauges, latency histograms, cache gauges.
 
 The runtime layer (oracle, executor, mediator, query server) records how much
 work it does — accesses performed, facts retrieved, cache hits and misses,
@@ -10,25 +10,20 @@ dictionaries, explicit snapshots, one lock.
 The lock matters because a single metrics sink is shared by every component
 of an answering run, including the worker threads of the parallel executor:
 ``dict.get`` + store is not atomic, so unlocked concurrent ``incr`` calls
-lose counts.  Timers only lock the accumulation, never the timed body, so
-concurrent ``timer`` blocks overlap freely — their durations *sum*, which
-with the parallel runtimes means a summed timer can legitimately exceed
-wall-clock.  To keep that interpretable every timer also counts its calls
-(:meth:`timer_calls`): ``elapsed / calls`` is the mean per-call cost whatever
-the overlap.
+lose counts.
 
-Components may additionally :meth:`register_cache` their LRU caches; a
-:meth:`snapshot` then includes each cache's hit/miss gauges.
-
-Cumulative timers answer *how much* total time a component consumed; they
-cannot answer "what latency does the p99 query see", which is the number a
-traffic-serving deployment is gated on.  :meth:`observe` records individual
-latency samples into bounded :class:`LatencyHistogram` buckets (geometric,
-microseconds to minutes, fixed memory regardless of sample count), and
-:meth:`quantile` / the snapshot's ``histograms`` section report p50/p95/p99
-from them.  The runtime records three families: per-query latency
-(``server.query_latency``), per-round latency (``server.round_latency``),
-and per-source access latency (``access.latency`` plus
+Time is recorded as individual samples (:meth:`observe`) into bounded
+:class:`LatencyHistogram` buckets (geometric, microseconds to minutes, fixed
+memory regardless of sample count).  A histogram keeps the sample count and
+sum, so ``sum / count`` is the mean per-call cost even when parallel runs
+make the summed total exceed wall-clock, and :meth:`quantile` / the
+snapshot's ``histograms`` section add p50/p95/p99.  The runtime's layers
+record through :func:`repro.tracing.stage` (its ``metric=``): per-query and
+per-round latency (``server.query_latency``, ``server.round_latency``),
+certainty checks (``oracle.certain``), fresh searches
+(``oracle.long_term``), witness revalidations (``witness.revalidate``) and
+every source-call attempt (``source.latency``).  The executor adds the
+merged accesses' latency (``access.latency`` plus
 ``access.latency.<method>``).
 """
 
@@ -37,11 +32,9 @@ from __future__ import annotations
 import heapq
 import math
 import threading
-import time
 import weakref
 from bisect import bisect_left
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["LatencyHistogram", "RuntimeMetrics"]
 
@@ -156,12 +149,12 @@ class LatencyHistogram:
 
 
 class RuntimeMetrics:
-    """A thread-safe bag of named counters, timers, gauges, and histograms.
+    """A thread-safe bag of named counters, gauges, and histograms.
 
     Counters only go up (:meth:`incr`); gauges are set to the current value
     of something (:meth:`set_gauge` — queue depth, in-flight queries, tokens
-    left in a rate bucket) and may go down again; timers accumulate
-    wall-clock; histograms record latency samples.  The admission layer of
+    left in a rate bucket) and may go down again; histograms record latency
+    samples (:meth:`observe`).  The admission layer of
     the network service is the main gauge writer: ``service.queue_depth``
     and ``service.inflight_queries`` are what an operator watches to tell
     "busy" from "about to shed load".
@@ -170,8 +163,6 @@ class RuntimeMetrics:
     def __init__(self) -> None:
         self._counters: Dict[str, int] = {}
         self._gauges: Dict[str, float] = {}
-        self._timers: Dict[str, float] = {}
-        self._timer_calls: Dict[str, int] = {}
         self._histograms: Dict[str, LatencyHistogram] = {}
         # name -> weakref to the cache, and cache -> name.  Weak on purpose:
         # oracles register their caches at construction, and a server's
@@ -216,45 +207,17 @@ class RuntimeMetrics:
             return self._gauges.get(name)
 
     # ------------------------------------------------------------------ #
-    # Timers
-    # ------------------------------------------------------------------ #
-    @contextmanager
-    def timer(self, name: str) -> Iterator[None]:
-        """Accumulate the wall-clock duration of the ``with`` body."""
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - started
-            with self._lock:
-                self._timers[name] = self._timers.get(name, 0.0) + elapsed
-                self._timer_calls[name] = self._timer_calls.get(name, 0) + 1
-
-    def elapsed(self, name: str) -> float:
-        """Cumulative seconds recorded under timer ``name``."""
-        with self._lock:
-            return self._timers.get(name, 0.0)
-
-    def timer_calls(self, name: str) -> int:
-        """How many ``timer`` blocks completed under ``name``.
-
-        Together with :meth:`elapsed` this keeps overlapped timers readable:
-        parallel runs sum concurrent durations (the total can exceed
-        wall-clock), but ``elapsed / timer_calls`` is always the mean
-        per-call cost.
-        """
-        with self._lock:
-            return self._timer_calls.get(name, 0)
-
-    # ------------------------------------------------------------------ #
     # Histograms
     # ------------------------------------------------------------------ #
     def observe(self, name: str, seconds: float) -> None:
         """Record one latency sample into histogram ``name``."""
-        with self._lock:
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                histogram = self._histograms[name] = LatencyHistogram()
+        # A dict read is atomic: only creating the histogram takes our lock.
+        histogram = self._histograms.get(name)
+        if histogram is None:
+            with self._lock:
+                histogram = self._histograms.get(name)
+                if histogram is None:
+                    histogram = self._histograms[name] = LatencyHistogram()
         # The histogram has its own lock; record outside ours.
         histogram.record(seconds)
 
@@ -326,12 +289,11 @@ class RuntimeMetrics:
     # Reporting
     # ------------------------------------------------------------------ #
     def snapshot(self) -> Dict[str, object]:
-        """A plain-dict snapshot (counters, timers + means, histograms, caches).
+        """A plain-dict snapshot: counters, gauges, histograms, caches.
 
-        ``timer_means`` is ``elapsed / calls`` per timer — the mean per-call
-        cost, readable directly from bench output without post-processing,
-        and the number that stays meaningful when parallel runs make the
-        summed total exceed wall-clock.
+        Each histogram reports its ``count``, ``sum`` and ``mean`` (the mean
+        per-call cost, meaningful even when parallel runs make the summed
+        total exceed wall-clock) with min/max and p50/p95/p99.
         """
         with self._lock:
             self._reap_dead_caches()
@@ -340,13 +302,6 @@ class RuntimeMetrics:
             snap: Dict[str, object] = {
                 "counters": dict(self._counters),
                 "gauges": dict(self._gauges),
-                "timers": dict(self._timers),
-                "timer_calls": dict(self._timer_calls),
-                "timer_means": {
-                    name: elapsed / self._timer_calls[name]
-                    for name, elapsed in self._timers.items()
-                    if self._timer_calls.get(name)
-                },
             }
         # Cache and histogram stats take per-object locks; collect them
         # outside our own.
@@ -370,8 +325,6 @@ class RuntimeMetrics:
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
-            self._timers.clear()
-            self._timer_calls.clear()
             self._histograms.clear()
             self._reap_dead_caches()
             caches = [ref() for ref in self._caches.values()]

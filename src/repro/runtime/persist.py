@@ -64,9 +64,9 @@ from repro.runtime.serialize import (
     schema_token,
 )
 from repro.runtime.storage import CompactionResult, SqliteWitnessStore
-from repro.runtime.tracing import current_tracer
 from repro.runtime.witness import LtrWitness
 from repro.schema import Access, Schema
+from repro.tracing import stage
 
 __all__ = ["PersistentWitnessCache"]
 
@@ -223,8 +223,7 @@ class PersistentWitnessCache:
         (a trace can then say whether a revalidation ran against a persisted
         path or one captured live this process).
         """
-        tracer = current_tracer()
-        with tracer.span("persist.seed") as span:
+        with stage("persist.seed") as span:
             seeded = []
             for akey, witness in self._witnesses_for(tokens, schema).items():
                 if akey in witness_cache:
@@ -233,8 +232,7 @@ class PersistentWitnessCache:
                     continue
                 witness_cache.put(akey, witness)
                 seeded.append(akey)
-            if tracer.enabled:
-                span.annotate(seeded=len(seeded))
+            span.annotate(seeded=len(seeded))
         with self._lock:
             self._stats["seeded"] += len(seeded)
             self._sync_metrics()
@@ -258,12 +256,8 @@ class PersistentWitnessCache:
         under ``skipped_unencodable``).  Whether the record is *written* is
         decided at flush time, against the record stored then.
         """
-        tracer = current_tracer()
-        with tracer.span("persist.record") as span:
-            buffered = self._record(tokens, access, witness, configuration)
-            if tracer.enabled:
-                span.annotate(method=access.method.name)
-        return buffered
+        with stage("persist.record", method=access.method.name):
+            return self._record(tokens, access, witness, configuration)
 
     def _record(self, tokens, access, witness, configuration) -> bool:
         stamp = None
@@ -304,8 +298,7 @@ class PersistentWitnessCache:
         if not self._pending:
             return 0
         pending, self._pending = self._pending, []
-        tracer = current_tracer()
-        with tracer.span("persist.flush") as span:
+        with stage("persist.flush") as span:
             written = self._store.append_many(pending)
             if written:
                 self._stats["recorded"] += written
@@ -314,8 +307,7 @@ class PersistentWitnessCache:
                 if self._metrics is not None:
                     self._metrics.incr("persist.recorded", written)
             self._sync_metrics()
-            if tracer.enabled:
-                span.annotate(records=len(pending), written=written)
+            span.annotate(records=len(pending), written=written)
         return written
 
     # ------------------------------------------------------------------ #

@@ -31,8 +31,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.data import Configuration
 from repro.runtime.metrics import RuntimeMetrics
-from repro.runtime.tracing import current_tracer
 from repro.schema import Access, Schema
+from repro.tracing import stage
 
 __all__ = [
     "CandidateScreen",
@@ -195,16 +195,14 @@ class CandidateScreen:
 
     def prefilter(self, candidates: Sequence[Access]) -> List[Access]:
         """Drop candidates whose relation is outside the closure."""
-        tracer = current_tracer()
-        with tracer.span("screen.prefilter") as span:
+        with stage("screen.prefilter") as span:
             kept = [
                 access
                 for access in candidates
                 if access.relation.name in self._closure
             ]
             dropped = len(candidates) - len(kept)
-            if tracer.enabled:
-                span.annotate(kept=len(kept), dropped=dropped)
+            span.annotate(kept=len(kept), dropped=dropped)
         if dropped:
             self._metrics.incr("screen.prefiltered", dropped)
         return kept
@@ -220,8 +218,7 @@ class CandidateScreen:
         method; candidates beyond the cap open their own group (correct,
         merely less sharing).
         """
-        tracer = current_tracer()
-        with tracer.span("screen.group") as span:
+        with stage("screen.group") as span:
             groups: List[Tuple[Access, List[Tuple[Access, Dict[object, object]]]]] = []
             by_method: Dict[str, List[int]] = {}
             for access in candidates:
@@ -243,8 +240,7 @@ class CandidateScreen:
                     indices.append(len(groups))
                     groups.append((access, []))
             shared = sum(len(members) for _rep, members in groups)
-            if tracer.enabled:
-                span.annotate(groups=len(groups), shared=shared)
+            span.annotate(groups=len(groups), shared=shared)
         if shared:
             self._metrics.incr("screen.shared_verdicts", shared)
         return groups

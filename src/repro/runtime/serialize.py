@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.data import AccessResponse, Configuration, Instance
+from repro.data import AccessResponse, Configuration
 from repro.exceptions import ReproError
 from repro.schema import Access, Schema
 
@@ -39,7 +39,6 @@ __all__ = [
     "access_spec",
     "access_token",
     "configuration_digest",
-    "decode_access",
     "decode_json_steps",
     "decode_json_value",
     "decode_witness_record",
@@ -48,12 +47,10 @@ __all__ = [
     "encode_json_value",
     "encode_witness_record",
     "encode_witness_steps",
-    "instance_digest",
     "query_token",
     "record_digest",
     "schema_canonical",
     "schema_token",
-    "witness_digest",
 ]
 
 
@@ -120,12 +117,6 @@ def access_token(access: Access) -> str:
     return _digest((method, tuple(repr(value) for value in binding)))
 
 
-def decode_access(spec: Sequence[object], schema: Schema) -> Access:
-    """Rebuild an access from :func:`access_spec` against ``schema``."""
-    method_name, binding = spec
-    return Access(schema.access_method(method_name), tuple(binding))
-
-
 def configuration_digest(configuration: Configuration) -> str:
     """A process-stable content digest of a configuration.
 
@@ -140,11 +131,6 @@ def configuration_digest(configuration: Configuration) -> str:
         (repr(value), domain.name) for value, domain in configuration.wire_constants()
     )
     return _digest((facts, constants))
-
-
-def instance_digest(instance: Instance) -> str:
-    """A process-stable content digest of a plain instance."""
-    return _digest(tuple(sorted(instance.wire_facts().items())))
 
 
 # --------------------------------------------------------------------------- #
@@ -264,13 +250,6 @@ def decode_json_steps(
             )
         )
     return tuple(specs)
-
-
-def witness_digest(specs: Sequence[Sequence[object]]) -> str:
-    """A stable digest of a witness path spec (used to deduplicate appends)."""
-    return _digest(
-        tuple((m, tuple(b), tuple(tuple(row) for row in f)) for m, b, f in specs)
-    )
 
 
 # --------------------------------------------------------------------------- #

@@ -40,7 +40,6 @@ search costs less than a round trip to a worker process would.
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
@@ -55,9 +54,9 @@ from repro.runtime.persist import PersistentWitnessCache
 from repro.runtime.retry import Deadline
 from repro.runtime.screening import access_is_relevant, resolve_group_verdict
 from repro.runtime.serialize import query_token
-from repro.runtime.tracing import TracerLike, activate_tracer, current_tracer
 from repro.schema import Access
 from repro.sources.service import Mediator
+from repro.tracing import stage
 
 __all__ = ["QueryOutcome", "QueryServer", "ServerResult"]
 
@@ -236,13 +235,14 @@ class QueryServer:
         on the next certainty check).  Together with ``max_stores`` —
         evicting an oracle drops its fixpoint — this bounds certainty state
         to ``max_stores × fixpoint_max_facts`` facts.
-    tracer:
-        An optional :class:`~repro.runtime.tracing.Tracer` activated for the
-        duration of every :meth:`answer` call.  With one attached the server
-        records the full span hierarchy — ``answer → round → certainty /
-        query → verdicts → oracle`` plus the executor's access batches.
-        Without one the ambient (usually no-op) tracer is used and the
-        overhead is a few thread-local reads per round.
+
+    Tracing follows the calling thread: inside
+    ``with activate_tracer(tracer):`` every :meth:`answer` call records the
+    full span hierarchy — ``answer → round → certainty / query → verdicts →
+    oracle`` plus the executor's access batches and the round's
+    ``persist.flush``.  Traced or not, the ``answer`` and ``round`` stages
+    feed the ``server.query_latency`` and ``server.round_latency``
+    histograms.
     """
 
     def __init__(
@@ -258,7 +258,6 @@ class QueryServer:
         max_entries: Optional[int] = 65536,
         max_stores: int = 64,
         fixpoint_max_facts: int = 1_000_000,
-        tracer: Optional[TracerLike] = None,
     ) -> None:
         if cache_path is not None and persist is not None:
             raise QueryError("pass either cache_path or a persist instance, not both")
@@ -280,10 +279,6 @@ class QueryServer:
         self._own_persist = cache_path is not None
         self._parallelism = max(1, parallelism)
         self._max_entries = max_entries
-        # An explicit tracer is activated for the span of every answer call;
-        # without one the server joins whatever tracer is ambient on the
-        # calling thread (usually the no-op tracer).
-        self._tracer = tracer
         # Bounded LRU of per-query oracles: a server streaming
         # mostly-distinct queries must not pin one oracle (and its LRUs) per
         # query ever seen.  Evicting an oracle only costs reuse — a returning
@@ -486,40 +481,44 @@ class QueryServer:
         wanted it.
         """
         executor = self._executor
+        # The paper's procedures assume the query constants are known
+        # (Section 2): make them available before the first round.
+        for query in queries:
+            self._mediator.seed_constants(query.constants_with_domains())
         accesses_before = self._mediator.access_count
         facts_before = len(self._mediator.configuration_view)
-        started = time.perf_counter()
-        tracer = self._tracer if self._tracer is not None else current_tracer()
-        with activate_tracer(tracer) as active:
-            with active.span("answer", queries=len(queries), strategy=strategy) as span:
-                if strategy == "exhaustive":
-                    states = self._make_states(queries, oracles)
-                    rounds, exhausted = self._exhaustive_rounds(
-                        states, executor, max_rounds
-                    )
-                else:
-                    states = self._make_states(
-                        queries, oracles, round_budgets, access_budgets, deadlines
-                    )
-                    rounds, exhausted = self._guided_rounds(
-                        states, executor, max_rounds, tolerate_failures
-                    )
-                outcomes = self._finalize(states)
-                result = ServerResult(
-                    outcomes=outcomes,
-                    rounds=rounds,
-                    accesses_made=self._mediator.access_count - accesses_before,
-                    facts_retrieved=len(self._mediator.configuration_view) - facts_before,
-                    rounds_exhausted=exhausted,
+        with stage(
+            "answer",
+            metrics=self._metrics,
+            metric="server.query_latency",
+            queries=len(queries),
+            strategy=strategy,
+        ) as span:
+            if strategy == "exhaustive":
+                states = self._make_states(queries, oracles)
+                rounds, exhausted = self._exhaustive_rounds(states, executor, max_rounds)
+            else:
+                states = self._make_states(
+                    queries, oracles, round_budgets, access_budgets, deadlines
                 )
-                if active.enabled:
-                    span.annotate(
-                        rounds=result.rounds,
-                        performed=result.accesses_made,
-                        facts=result.facts_retrieved,
-                        certain=sum(1 for outcome in outcomes if outcome.certain),
-                    )
-        self._metrics.observe("server.query_latency", time.perf_counter() - started)
+                rounds, exhausted = self._guided_rounds(
+                    states, executor, max_rounds, tolerate_failures
+                )
+            outcomes = self._finalize(states)
+            result = ServerResult(
+                outcomes=outcomes,
+                rounds=rounds,
+                accesses_made=self._mediator.access_count - accesses_before,
+                facts_retrieved=len(self._mediator.configuration_view) - facts_before,
+                rounds_exhausted=exhausted,
+            )
+            if span:
+                span.annotate(
+                    rounds=result.rounds,
+                    performed=result.accesses_made,
+                    facts=result.facts_retrieved,
+                    certain=sum(1 for outcome in outcomes if outcome.certain),
+                )
         return result
 
     def _make_states(
@@ -564,11 +563,10 @@ class QueryServer:
                 unresolved.append(state)
         if not unresolved:
             return
-        tracer = current_tracer()
-        with tracer.span("certainty", unresolved=len(unresolved)) as span:
+        with stage("certainty", unresolved=len(unresolved)) as span:
             for state in unresolved:
                 state.certain = state.oracle.is_certain(configuration)
-            if tracer.enabled:
+            if span:
                 span.annotate(
                     certain=sum(1 for state in unresolved if state.certain)
                 )
@@ -584,25 +582,25 @@ class QueryServer:
         schema = mediator.schema
         rounds = 0
         progressed_out = False
-        tracer = current_tracer()
         for _round in range(max_rounds):
             rounds += 1
             self._metrics.incr("server.rounds")
-            round_started = time.perf_counter()
-            # ``try/finally`` so a round that raises still reaches the round
-            # histogram, and still writes the witness paths it captured: the
-            # round's records land in one store write.
-            try:
-                with tracer.span("round", index=rounds - 1) as round_span:
+            with stage(
+                "round",
+                metrics=self._metrics,
+                metric="server.round_latency",
+                index=rounds - 1,
+            ) as round_span:
+                # ``try/finally`` so a round that raises still writes the
+                # witness paths it captured: the round's records land in
+                # one store write, inside the round's stage.
+                try:
                     result = self._one_guided_round(
-                        states, executor, tracer, round_span, tolerate_failures
+                        states, executor, round_span, tolerate_failures
                     )
-            finally:
-                if self._persist is not None:
-                    self._persist.flush()
-                self._metrics.observe(
-                    "server.round_latency", time.perf_counter() - round_started
-                )
+                finally:
+                    if self._persist is not None:
+                        self._persist.flush()
             if result is not None:
                 exhausted_any = result[1] or any(
                     state.exhausted for state in states
@@ -625,12 +623,12 @@ class QueryServer:
         self,
         states: List[_QueryState],
         executor: AccessExecutor,
-        tracer: TracerLike,
         round_span,
         tolerate_failures: bool,
     ) -> Optional[Tuple[bool, bool]]:
         """One shared round.  Returns ``(done, exhausted)`` when the rounds
-        should stop, ``None`` to continue with the next round."""
+        should stop, ``None`` to continue with the next round.  The round's
+        stage, ``round_span``, is falsy untraced."""
         mediator = self._mediator
         schema = mediator.schema
         configuration = mediator.configuration_view
@@ -662,8 +660,7 @@ class QueryServer:
         candidates = candidate_accesses(
             schema, configuration, executor.has_performed_key
         )
-        if tracer.enabled:
-            round_span.annotate(active=len(active), candidates=len(candidates))
+        round_span.annotate(active=len(active), candidates=len(candidates))
         # Per query, inside its span: prefilter and group the candidates,
         # resolve each group's verdict, and add the relevant accesses to the
         # round's deduplicated batch.  Under a tracer every batched access
@@ -675,7 +672,7 @@ class QueryServer:
         why: Dict[Tuple[str, Tuple[object, ...]], Dict[str, object]] = {}
         batch_accesses: List[Access] = []
         for state in active:
-            with tracer.span(
+            with stage(
                 "query",
                 query=getattr(state.query, "name", None),
                 index=state.index,
@@ -683,7 +680,7 @@ class QueryServer:
                 screen = state.oracle.screen
                 mine = screen.prefilter(candidates) if state.prefilter else candidates
                 groups = screen.group(mine, configuration)
-                with tracer.span("verdicts", index=state.index) as vspan:
+                with stage("verdicts", index=state.index) as vspan:
                     kept = 0
                     for representative, members in groups:
                         state.relevance_checks += 1
@@ -702,7 +699,7 @@ class QueryServer:
                             elif state not in owners:
                                 owners.append(state)
                                 state.accesses_charged += 1
-                            if tracer.enabled:
+                            if vspan:
                                 entry = why.setdefault(
                                     key,
                                     {
@@ -716,8 +713,7 @@ class QueryServer:
                                     },
                                 )
                                 entry["queries"].append(state.index)
-                    if tracer.enabled:
-                        vspan.annotate(groups=len(groups), relevant=kept)
+                    vspan.annotate(groups=len(groups), relevant=kept)
 
         def annotate_access(access: Access) -> Optional[Dict[str, object]]:
             entry = why.get(access_key(access))
@@ -786,7 +782,7 @@ class QueryServer:
             precheck=precheck,
             stop=stop,
             max_concurrency=self._parallelism,
-            annotate_access=annotate_access if tracer.enabled else None,
+            annotate_access=annotate_access if round_span else None,
             on_response=on_response if absorbers else None,
             deadline=batch_deadline,
             tolerate_failures=tolerate_failures,
@@ -818,22 +814,20 @@ class QueryServer:
         mediator = self._mediator
         schema = mediator.schema
         rounds = 0
-        tracer = current_tracer()
         for _round in range(max_rounds):
             rounds += 1
             self._metrics.incr("server.rounds")
-            round_started = time.perf_counter()
-            try:
-                with tracer.span("round", index=rounds - 1):
-                    candidates = candidate_accesses(
-                        schema, mediator.configuration_view, executor.has_performed_key
-                    )
-                    batch = executor.execute_batch(
-                        candidates, max_concurrency=self._parallelism
-                    )
-            finally:
-                self._metrics.observe(
-                    "server.round_latency", time.perf_counter() - round_started
+            with stage(
+                "round",
+                metrics=self._metrics,
+                metric="server.round_latency",
+                index=rounds - 1,
+            ):
+                candidates = candidate_accesses(
+                    schema, mediator.configuration_view, executor.has_performed_key
+                )
+                batch = executor.execute_batch(
+                    candidates, max_concurrency=self._parallelism
                 )
             if not batch.progressed:
                 return rounds, False
@@ -851,7 +845,7 @@ class QueryServer:
     def _finalize(self, states: List[_QueryState]) -> Tuple[QueryOutcome, ...]:
         """Evaluate every query at the final configuration."""
         final = self._mediator.configuration_view
-        with current_tracer().span("finalize", queries=len(states)):
+        with stage("finalize", queries=len(states)):
             # A Boolean query is evaluated as its oracle's equal query, whose
             # compiled join outlives the request.
             answer_sets = [

@@ -61,7 +61,7 @@ from repro.queries import parse_query
 from repro.runtime.admission import AdmissionController
 from repro.runtime.export import explain_trace, prometheus_text
 from repro.runtime.server import QueryServer
-from repro.runtime.tracing import Tracer, activate_tracer
+from repro.tracing import Tracer, activate_tracer
 
 __all__ = ["AnsweringService", "ServiceHandle", "serve_in_background"]
 

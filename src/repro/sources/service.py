@@ -54,28 +54,9 @@ from repro.exceptions import (
     TransientAccessError,
 )
 from repro.schema import Access, AccessMethod, Schema
+from repro.tracing import stage
 
 __all__ = ["DataSource", "FailurePolicy", "Mediator"]
-
-
-def _current_tracer():
-    """The thread's ambient tracer (lazy import: the runtime package imports us).
-
-    Importing :mod:`repro.runtime.tracing` at module level would execute the
-    ``repro.runtime`` package ``__init__`` mid-import of this module, and that
-    package imports :class:`Mediator` back — the same cycle that keeps the
-    ``RuntimeMetrics`` import under ``TYPE_CHECKING`` above.  After the first
-    call this is a cached-function invocation plus one ``sys.modules`` hit.
-    """
-    global _current_tracer_impl
-    if _current_tracer_impl is None:
-        from repro.runtime.tracing import current_tracer
-
-        _current_tracer_impl = current_tracer
-    return _current_tracer_impl()
-
-
-_current_tracer_impl = None
 
 
 def annotate_error(error: BaseException, access: Access, **attributes) -> BaseException:
@@ -94,6 +75,14 @@ def annotate_error(error: BaseException, access: Access, **attributes) -> BaseEx
     except Exception:  # pragma: no cover - exotic exception without __dict__
         pass
     return error
+
+
+def _tag_failure(span, error: BaseException, attempt: int, gave_up: bool, breaker) -> None:
+    """Tag a failed (or refused) source call's span."""
+    if span:
+        span.annotate(error=type(error).__name__, attempt=attempt, gave_up=gave_up)
+        if breaker is not None and breaker != "closed":
+            span.annotate(breaker=breaker)
 
 
 @dataclass(frozen=True)
@@ -461,76 +450,30 @@ class Mediator:
             self._metrics.incr("mediator.facts_new", new_facts)
         return new_facts
 
-    def _respond_timed(self, access: Access, tracer, parent, tags=None):
-        """Answer ``access``, measuring the round-trip; safe on worker threads.
-
-        Returns ``(response, duration, span)`` where ``span`` is the recorded
-        ``source-call`` span (``None`` when tracing is off) — the caller
-        annotates merge-time facts onto it after the merge.  The per-access
-        latency lands in the ``source.latency`` histogram whether or not
-        tracing is on: percentiles are always-on telemetry, spans are opt-in.
-        """
-        source = self.source_for(access.method.name)
-        start = time.time()
-        t0 = time.perf_counter()
-        response = source.respond(access)
-        duration = time.perf_counter() - t0
-        span = None
-        if tracer.enabled:
-            span_tags = {"method": access.method.name, "facts": len(response)}
-            if tags:
-                span_tags.update(tags)
-            span = tracer.record_span(
-                "source-call",
-                start=start,
-                duration=duration,
-                parent=parent,
-                tags=span_tags,
-            )
-        if self._metrics is not None:
-            self._metrics.observe("source.latency", duration)
-        return response, duration, span
-
-    def _failure_span(
-        self, tracer, parent, access: Access, tags, start, duration, error, attempt, gave_up,
-        breaker_state=None,
-    ) -> None:
-        """Record a ``source-call`` span for a failed attempt (tracing only)."""
-        if not tracer.enabled:
-            return
-        span_tags = {
-            "method": access.method.name,
-            "error": type(error).__name__,
-            "attempt": attempt,
-            "gave_up": gave_up,
-        }
-        if breaker_state is not None and breaker_state != "closed":
-            span_tags["breaker"] = breaker_state
-        if tags:
-            span_tags.update(tags)
-        tracer.record_span(
-            "source-call", start=start, duration=duration, parent=parent, tags=span_tags
-        )
-
-    def respond(self, access: Access, tracer, parent, tags=None, deadline=None):
+    def respond(self, access: Access, tracer=None, parent=None, tags=None, deadline=None):
         """Answer ``access`` under the retry policy, breaker, and deadline.
 
         The mediator's round trip, safe on worker threads: it reads the
         configuration not at all, so a batch may run several at once and
-        :meth:`merge` each result on the dispatching thread.  ``tracer`` and
-        ``parent`` are the tracer and span context the ``source-call`` spans
-        record under (thread-locals do not follow work into a pool), and
-        ``tags`` extra tags for those spans.  Returns ``(response, duration,
-        span, attempts)``; a failure raises with ``error.access`` and
-        ``error.attempts`` set.  With no policy, board, or deadline
-        configured this is a pass-through to :meth:`_respond_timed`.
+        :meth:`merge` each result on the dispatching thread.  Each attempt
+        is a ``source-call`` stage timed into the ``source.latency``
+        histogram, failed attempts included; a failed attempt's span is
+        tagged with its ``error``, ``attempt``, ``gave_up`` and non-closed
+        ``breaker`` state.  ``tracer`` and ``parent`` default to this
+        thread's ambient tracer and innermost span; a pool thread passes the
+        dispatching thread's (thread-locals do not follow work into a
+        pool).  ``tags`` are extra tags for the spans.  Returns
+        ``(response, duration, span, attempts)``, where ``span`` is the
+        successful attempt's stage (falsy untraced; the caller tags
+        merge-time facts onto it); a failure raises with ``error.access``
+        and ``error.attempts`` set.
         """
         policy = self._retry
-        board = self._breakers
-        if policy is None and board is None and deadline is None:
-            response, duration, span = self._respond_timed(access, tracer, parent, tags)
-            return response, duration, span, 1
-        breaker = board.breaker_for(access.method.name) if board is not None else None
+        breaker = (
+            self._breakers.breaker_for(access.method.name)
+            if self._breakers is not None
+            else None
+        )
         metrics = self._metrics
         attempts = 0
         while True:
@@ -548,18 +491,17 @@ class Mediator:
                 exc = CircuitOpenError(
                     f"circuit breaker open for source {access.method.name!r}"
                 )
-                self._failure_span(
-                    tracer, parent, access, tags, time.time(), 0.0, exc,
-                    attempts + 1, True, breaker_state="open",
-                )
+                # A refused call is no attempt: its span times nothing.
+                with self._source_call(access, tracer, parent, tags, None) as span:
+                    _tag_failure(span, exc, attempts + 1, True, "open")
                 raise annotate_error(exc, access, attempts=attempts)
             attempts += 1
-            start = time.time()
-            t0 = time.perf_counter()
             try:
-                response, duration, span = self._respond_timed(access, tracer, parent, tags)
+                with self._source_call(
+                    access, tracer, parent, tags, "source.latency"
+                ) as span:
+                    response = self.source_for(access.method.name).respond(access)
             except Exception as exc:
-                duration = time.perf_counter() - t0
                 if breaker is not None:
                     breaker.record_failure()
                 if metrics is not None:
@@ -576,10 +518,12 @@ class Mediator:
                     )
                     if deadline is not None and deadline.remaining() <= backoff:
                         retryable = False  # no budget left to wait out the backoff
-                self._failure_span(
-                    tracer, parent, access, tags, start, duration, exc,
-                    attempts, not retryable,
-                    breaker_state=None if breaker is None else breaker.state,
+                _tag_failure(
+                    span,
+                    exc,
+                    attempts,
+                    not retryable,
+                    None if breaker is None else breaker.state,
                 )
                 if not retryable:
                     if metrics is not None and policy is not None:
@@ -592,19 +536,32 @@ class Mediator:
                 continue
             if breaker is not None:
                 breaker.record_success()
+            span.annotate(facts=len(response))
             if attempts > 1:
                 if metrics is not None:
                     metrics.incr("retry.recovered")
-                if span is not None:
-                    span.annotate(attempt=attempts)
-            return response, duration, span, attempts
+                span.annotate(attempt=attempts)
+            return response, span.duration, span, attempts
 
-    def perform_counted(self, access: Access) -> Tuple[AccessResponse, int]:
-        """Perform a well-formed access; return ``(response, new facts merged)``.
+    def _source_call(self, access: Access, tracer, parent, tags, metric):
+        """The ``source-call`` stage of ``access``; enter it with ``with``."""
+        return stage(
+            "source-call",
+            metrics=self._metrics,
+            metric=metric,
+            tracer=tracer,
+            parent=parent,
+            method=access.method.name,
+            **(tags or {}),
+        )
 
-        ``new facts merged`` counts only tuples the configuration did not
-        already contain — the progress measure the answering strategies use
-        (a response full of already-known tuples is not progress).
+    def perform(self, access: Access) -> AccessResponse:
+        """Perform a well-formed access and merge its response.
+
+        The response facts are merged into the configuration *in place* (the
+        indexed instance absorbs them incrementally); external snapshots taken
+        via :attr:`configuration` are unaffected.  Under a tracer the call is
+        a ``source-call`` span tagged with the ``new_facts`` it merged.
         """
         if not self.can_perform(access):
             raise annotate_error(
@@ -614,22 +571,10 @@ class Mediator:
                 access,
                 attempts=0,
             )
-        tracer = _current_tracer()
-        parent = tracer.context() if tracer.enabled else None
-        response, _duration, span, _attempts = self.respond(access, tracer, parent)
+        response, _duration, span, _attempts = self.respond(access)
         new_facts = self.merge(access, response)
-        if span is not None:
-            span.annotate(new_facts=new_facts)
-        return response, new_facts
-
-    def perform(self, access: Access) -> AccessResponse:
-        """Perform a well-formed access and merge its response.
-
-        The response facts are merged into the configuration *in place* (the
-        indexed instance absorbs them incrementally); external snapshots taken
-        via :attr:`configuration` are unaffected.
-        """
-        return self.perform_counted(access)[0]
+        span.annotate(new_facts=new_facts)
+        return response
 
     def seed_constants(self, constants: Iterable[Tuple[object, object]]) -> None:
         """Make constants (e.g. query constants) available for dependent bindings."""

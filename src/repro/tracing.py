@@ -1,32 +1,36 @@
-"""Hierarchical tracing for the answering runtime.
+"""Hierarchical tracing, and :func:`stage`, the one instrumentation primitive.
 
 :class:`~repro.runtime.metrics.RuntimeMetrics` answers *how much* work a run
 did; it cannot answer *where one query's time went*.  This module records
 that: a :class:`Tracer` collects :class:`Span` records — named, tagged,
 wall-clocked intervals with parent links — forming one tree per answering
-call (``query → round → screen → oracle → witness-revalidate/fresh-search →
-access-batch → source-call``).  The exporters in
-:mod:`repro.runtime.export` render the collected spans as a Prometheus text
-snapshot, a JSON document, a Chrome-trace/Perfetto file, or a human-readable
-``explain`` report.
+call (``answer → round → query → verdicts → oracle →
+witness-revalidate/fresh-search``, with ``access-batch → source-call`` under
+each round).  The exporters in :mod:`repro.runtime.export` render the
+collected spans as a JSON document, a Chrome-trace/Perfetto file, or a
+human-readable ``explain`` report.
+
+Every instrumented layer measures itself through :func:`stage`: a span
+under an active tracer, a sample in a latency histogram when it names a
+``metric``, and the shared no-op span otherwise.  The module imports nothing
+from :mod:`repro`, so the lowest layers (the chase, the Datalog engine, the
+sources) import it at module top.
 
 Three properties shape the design:
 
-* **Off by default, and free when off.**  Instrumented code asks
-  :func:`current_tracer` for the thread's active tracer and gets the
-  :data:`NO_TRACER` singleton unless a caller activated a real one
-  (:func:`activate_tracer`, or the ``tracer=`` knob of the server and the
-  answering strategies).  Every :class:`NullTracer` operation returns a
-  shared no-op span object — no allocation, no lock, no clock read — and the
-  hot paths additionally guard on ``tracer.enabled`` so an untraced run skips
-  even the keyword-argument packing.  ``tests/test_tracing.py`` asserts the
-  per-call overhead of the no-op recorder stays negligible.
+* **Off by default, and free when off.**  Tracing is on for a thread only
+  inside :func:`activate_tracer`, the one switch (the query service's
+  ``trace_requests`` uses it too).  An untraced :func:`stage` without a
+  ``metric`` returns the shared no-op span — no allocation, no lock, no
+  clock read.  The no-op span is falsy, so ``if span:`` skips building tags
+  that cost something.  ``tests/test_tracing.py`` asserts the per-call
+  overhead stays negligible.
 
 * **Explicit context propagation across threads.**  Thread-locals don't
   follow work onto executor threads, so nothing implicit is relied on at the
   boundary.  Crossing the :class:`AccessExecutor` thread pool, the
-  dispatching thread captures :meth:`Tracer.context` and the worker opens its
-  span with an explicit ``parent=``.
+  dispatching thread captures the tracer and its batch span's context, and
+  the worker opens its stage with explicit ``tracer=`` and ``parent=``.
 
 * **Dual clocks.**  Spans stamp ``time.time()`` at entry (the Chrome-trace
   timestamp base) and measure duration with ``time.perf_counter()``
@@ -50,6 +54,7 @@ __all__ = [
     "activate_tracer",
     "current_tracer",
     "encode_spans",
+    "stage",
 ]
 
 
@@ -67,8 +72,8 @@ class Span:
     the span, makes it the implicit parent for spans opened on the same
     thread inside the body, and records it on exit.  :meth:`annotate` may add
     tags at any time — including after the span closed, which is how the
-    executor attaches merge-time facts (``new_facts``) to a source call that
-    timed out on a worker thread.
+    executor attaches merge-time facts (``new_facts``) to a source call
+    made on a worker thread, and how a failed source call tags its error.
     """
 
     __slots__ = (
@@ -134,11 +139,17 @@ class Span:
 
 
 class _NullSpan:
-    """The shared do-nothing span: every no-op trace call returns this object."""
+    """The shared do-nothing span: every untraced, unmeasured stage is this.
+
+    It is falsy, so ``if span:`` guards tags that cost something to build.
+    """
 
     __slots__ = ()
     #: Mirrors :attr:`Span.context`; ``None`` means "no parent to propagate".
     context: Optional[SpanContext] = None
+
+    def __bool__(self) -> bool:
+        return False
 
     def annotate(self, **_tags: object) -> None:
         pass
@@ -157,7 +168,7 @@ class NullTracer:
     """The disabled recorder: structurally a :class:`Tracer`, costs nothing.
 
     All methods return immediately with shared singletons; ``enabled`` is
-    ``False`` so hot paths can skip even building the tag dictionary.
+    ``False``.
     """
 
     __slots__ = ()
@@ -172,18 +183,6 @@ class NullTracer:
     def context(self) -> Optional[SpanContext]:
         """No current span: always ``None``."""
         return None
-
-    def record_span(
-        self,
-        name: str,
-        *,
-        start: float,
-        duration: float,
-        parent: Optional[SpanContext] = None,
-        tags: Optional[Dict[str, object]] = None,
-    ) -> _NullSpan:
-        """Discard the pre-timed span; returns the shared no-op span."""
-        return _NULL_SPAN
 
     def spans(self) -> List["Span"]:
         """Nothing was recorded: always an empty list."""
@@ -264,27 +263,6 @@ class Tracer:
             trace_id, parent_id = span_id, None
         return Span(self, name, trace_id, span_id, parent_id, tags)
 
-    def record_span(
-        self,
-        name: str,
-        *,
-        start: float,
-        duration: float,
-        parent: Optional[SpanContext] = None,
-        tags: Optional[Dict[str, object]] = None,
-    ) -> Span:
-        """Record an already-measured interval as a completed span.
-
-        For work timed elsewhere (e.g. a worker thread measured a source
-        call and only the timing crossed back): no stack interaction, the
-        span is appended directly.
-        """
-        span = self.span(name, parent=parent, **(tags or {}))
-        span.start = start
-        span.duration = duration
-        self._record(span)
-        return span
-
     def _record(self, span: Span) -> None:
         with self._lock:
             self._spans.append(span)
@@ -339,7 +317,16 @@ def encode_spans(spans: Iterable[Span]) -> Tuple[Tuple, ...]:
 # --------------------------------------------------------------------------- #
 # Ambient (per-thread) active tracer
 # --------------------------------------------------------------------------- #
-_ACTIVE = threading.local()
+class _Ambient(threading.local):
+    """Per-thread state: the active tracer, an enabled :class:`Tracer` or
+    ``None``.  The class-level default makes the read on a thread that never
+    activated one a plain attribute lookup, not a caught ``AttributeError``.
+    """
+
+    tracer: Optional[Tracer] = None
+
+
+_ACTIVE = _Ambient()
 
 TracerLike = Union[Tracer, NullTracer]
 
@@ -348,10 +335,10 @@ def current_tracer() -> TracerLike:
     """The tracer active on this thread (:data:`NO_TRACER` when none is).
 
     Deliberately thread-local, not inherited: a worker thread must receive
-    its context explicitly (``parent=`` / :func:`activate_tracer`), which is
-    what keeps parent links correct across the executor's thread pool.
+    its tracer explicitly (``stage(tracer=..., parent=...)``), which is what
+    keeps parent links correct across the executor's thread pool.
     """
-    tracer = getattr(_ACTIVE, "tracer", None)
+    tracer = _ACTIVE.tracer
     return tracer if tracer is not None else NO_TRACER
 
 
@@ -362,11 +349,11 @@ class _Activation:
 
     def __init__(self, tracer: Optional[TracerLike]) -> None:
         self._tracer = tracer if tracer is not None else NO_TRACER
-        self._previous: Optional[TracerLike] = None
+        self._previous: Optional[Tracer] = None
 
     def __enter__(self) -> TracerLike:
-        self._previous = getattr(_ACTIVE, "tracer", None)
-        _ACTIVE.tracer = self._tracer
+        self._previous = _ACTIVE.tracer
+        _ACTIVE.tracer = self._tracer if self._tracer.enabled else None
         return self._tracer
 
     def __exit__(self, *_exc: object) -> None:
@@ -376,8 +363,89 @@ class _Activation:
 def activate_tracer(tracer: Optional[TracerLike]) -> _Activation:
     """Activate ``tracer`` for this thread within a ``with`` block.
 
-    ``None`` activates :data:`NO_TRACER` (explicitly disabling tracing for
-    the block).  The previous ambient tracer is restored on exit, so
-    activations nest.
+    This is the one switch that turns tracing on.  ``None`` (or
+    :data:`NO_TRACER`) disables tracing for the block.  The previous ambient
+    tracer is restored on exit, so activations nest.
     """
     return _Activation(tracer)
+
+
+# --------------------------------------------------------------------------- #
+# The instrumentation primitive
+# --------------------------------------------------------------------------- #
+class _Stage:
+    """A stage that feeds a histogram: it times its body, traced or not.
+
+    On exit (also when the body raises) the duration lands in ``metric`` of
+    ``metrics`` and stays readable as :attr:`duration`.  Under a tracer it
+    wraps the stage's :class:`Span`, whose clock it shares, and forwards
+    :meth:`annotate` to it; untraced it is falsy, like the no-op span.
+    """
+
+    __slots__ = ("_span", "_metrics", "_metric", "_t0", "duration")
+
+    def __init__(self, span: Optional[Span], metrics, metric: str) -> None:
+        self._span = span
+        self._metrics = metrics
+        self._metric = metric
+        self.duration = 0.0
+
+    def __bool__(self) -> bool:
+        return self._span is not None
+
+    def annotate(self, **tags: object) -> None:
+        """Tag the wrapped span (a no-op untraced)."""
+        if self._span is not None:
+            self._span.tags.update(tags)
+
+    def __enter__(self) -> "_Stage":
+        if self._span is None:
+            self._t0 = time.perf_counter()
+        else:
+            self._span.__enter__()
+        return self
+
+    def __exit__(self, *_exc: object) -> bool:
+        span = self._span
+        if span is None:
+            self.duration = time.perf_counter() - self._t0
+        else:
+            span.__exit__()
+            self.duration = span.duration
+        if self._metrics is not None:
+            self._metrics.observe(self._metric, self.duration)
+        return False
+
+
+def stage(
+    name: str,
+    *,
+    metrics=None,
+    metric: Optional[str] = None,
+    tracer: Optional[TracerLike] = None,
+    parent: Optional[SpanContext] = None,
+    **tags: object,
+):
+    """Measure one stage of the runtime; enter the result with ``with``.
+
+    Under an active tracer the stage is the span ``name`` carrying ``tags``
+    (parented on this thread's innermost open span, or on ``parent``).  With
+    ``metric`` its duration also lands in that latency histogram of
+    ``metrics`` (a :class:`~repro.runtime.metrics.RuntimeMetrics`), traced or
+    not, and stays readable as the stage's ``duration``.  With neither it is
+    the shared no-op span: no allocation, no clock read.
+
+    ``tracer`` defaults to the thread's ambient one; a pool thread passes
+    the dispatching thread's tracer and ``parent`` explicitly.  An untraced
+    stage is falsy, so ``if span:`` skips tags that cost something to build.
+    """
+    if tracer is None:
+        tracer = _ACTIVE.tracer
+    elif not tracer.enabled:
+        tracer = None
+    if metric is None:
+        if tracer is None:
+            return _NULL_SPAN
+        return tracer.span(name, parent=parent, **tags)
+    span = tracer.span(name, parent=parent, **tags) if tracer is not None else None
+    return _Stage(span, metrics, metric)

@@ -12,6 +12,7 @@ fanout workloads the same access set.
 from __future__ import annotations
 
 import inspect
+import sys
 import threading
 import time
 
@@ -31,6 +32,7 @@ from repro.runtime import (
 from repro.runtime.executor import candidate_accesses
 from repro.schema import SchemaBuilder
 from repro.sources import DataSource, Mediator
+from repro.tracing import stage
 from repro.workloads import (
     bank_multi_query_scenario,
     chain_query,
@@ -245,23 +247,35 @@ class TestPerformMany:
 # --------------------------------------------------------------------------- #
 class TestThreadSafety:
     def test_concurrent_incr_loses_no_counts(self):
+        """Counters and timed-stage histograms lose nothing under contention,
+        including the race of several threads creating one histogram."""
         metrics = RuntimeMetrics()
         threads = 8
         per_thread = 5000
+        start = threading.Barrier(threads)
 
         def work():
+            start.wait(timeout=30)
             for _ in range(per_thread):
                 metrics.incr("hammer")
-                with metrics.timer("t"):
+                with stage("t", metrics=metrics, metric="t"):
                     pass
 
-        workers = [threading.Thread(target=work) for _ in range(threads)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
         assert metrics.count("hammer") == threads * per_thread
-        assert metrics.snapshot()["timers"]["t"] >= 0.0
+        histogram = metrics.histogram("t")
+        assert histogram.count == threads * per_thread
+        assert histogram.total >= 0.0
 
     def test_lru_cache_concurrent_get_put(self):
         cache = LRUCache(max_entries=64)

@@ -28,6 +28,7 @@ from repro.runtime import (
     activate_tracer,
 )
 from repro.sources import DataSource, Mediator
+from repro.tracing import stage
 from repro.workloads import fanout_scenario, random_cq
 
 
@@ -125,10 +126,11 @@ def test_executor_deduplicates_accesses():
     executor = AccessExecutor(mediator, metrics=metrics)
     access = Access(SCHEMA.access_method("mR"), ("b",))
 
-    first = executor.execute(access)
-    assert first is not None and len(first) == 2
+    first = executor.execute_batch([access])
+    assert first.performed == 1 and len(first.responses[0]) == 2
     assert executor.already_performed(access)
-    assert executor.execute(access) is None
+    second = executor.execute_batch([access])
+    assert second.performed == 0 and second.skipped == 1 and not second.responses
     assert mediator.access_count == 1
     assert metrics.count("executor.performed") == 1
     assert metrics.count("executor.skipped") == 1
@@ -261,16 +263,19 @@ def test_lru_cache_evicts_oldest():
 
 
 def test_metrics_counters_and_timers():
+    """Counters add up; a timed stage lands in its histogram; reset clears both."""
     metrics = RuntimeMetrics()
     metrics.incr("x")
     metrics.incr("x", 4)
-    with metrics.timer("t"):
+    with stage("t", metrics=metrics, metric="t"):
         pass
     snapshot = metrics.snapshot()
     assert snapshot["counters"]["x"] == 5
-    assert snapshot["timers"]["t"] >= 0.0
+    assert snapshot["histograms"]["t"]["count"] == 1
+    assert snapshot["histograms"]["t"]["sum"] >= 0.0
     metrics.reset()
     assert metrics.count("x") == 0
+    assert metrics.histogram("t") is None
 
 
 def test_oracle_requires_nothing_but_query_and_schema():

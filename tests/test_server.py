@@ -32,9 +32,11 @@ from repro.runtime import (
     RelevanceOracle,
     RuntimeMetrics,
     Tracer,
+    activate_tracer,
 )
 from repro.runtime.executor import candidate_accesses
 from repro.runtime.serialize import query_token, schema_token
+from repro.tracing import stage
 from repro.workloads import (
     MultiQueryScenario,
     bank_multi_query_scenario,
@@ -143,6 +145,50 @@ class TestServerAgreement:
                 server.answer(scenario.queries, strategy="psychic")
             result = server.answer([])
             assert result.outcomes == () and result.accesses_made == 0
+
+
+def _unseeded_constant_case():
+    """A query constant, ``d00``, that no configuration fact mentions.
+
+    ``R0(a)`` is read by a method dependent on ``a``; ``R1(a, b)`` by one
+    with no input, and only ``R1`` brings ``d00`` into the active domain.
+    """
+    builder = SchemaBuilder()
+    builder.domain("D0")
+    builder.relation("R0", [("a", "D0")])
+    builder.relation("R1", [("a", "D0"), ("b", "D0")])
+    builder.access("m0", "R0", inputs=["a"], dependent=True)
+    builder.access("m1", "R1", inputs=[])
+    schema = builder.build()
+    hidden = Instance(
+        schema,
+        {
+            "R0": [("d00",), ("d01",), ("d02",)],
+            "R1": [("d01", "d02"), ("d02", "d00")],
+        },
+    )
+    configuration = Configuration(schema, {"R1": [("d01", "d02")]})
+    query = parse_cq(schema, "R0('d00'), R0('d02')")
+    return MultiQueryScenario("unseeded", schema, configuration, (query,), hidden)
+
+
+@pytest.mark.parametrize("strategy", ["guided", "exhaustive"])
+def test_the_server_seeds_the_query_constants(strategy):
+    """The relevance procedures assume the query's constants are known (the
+    paper's Section 2).  Unseeded, the guided rounds performed only
+    ``m0('d02')`` and answered false."""
+    case = _unseeded_constant_case()
+    mediator = case.mediator()
+    with QueryServer(mediator) as server:
+        result = server.answer(case.queries, strategy=strategy)
+    assert result.boolean_answers == (True,)
+    assert result.outcomes[0].certain
+    performed = {(access.method.name, access.binding) for access, _n in mediator.access_log}
+    assert ("m0", ("d00",)) in performed and ("m0", ("d02",)) in performed
+    if strategy == "guided":
+        assert result.accesses_made == 2
+    run = relevance_guided_strategy if strategy == "guided" else exhaustive_strategy
+    assert run(case.mediator(), case.queries[0]).boolean_answer
 
 
 def test_containment_cq_on_the_bank_is_sound_but_misses_every_true_answer():
@@ -613,7 +659,9 @@ class TestSiblingHints:
         scenario = bank_multi_query_scenario(8, employees=6, offices=3, states=4)
         tracer = Tracer()
         metrics = RuntimeMetrics()
-        with QueryServer(scenario.mediator(), metrics=metrics, tracer=tracer) as server:
+        with activate_tracer(tracer), QueryServer(
+            scenario.mediator(), metrics=metrics
+        ) as server:
             server.answer(scenario.queries)
         spans = tracer.spans()
         hits = metrics.count("oracle.sibling_hits")
@@ -662,20 +710,21 @@ class TestSiblingHints:
 
 
 # --------------------------------------------------------------------------- #
-# Metrics surfaces: timer call counts and cache gauges
+# Metrics surfaces: timed-stage sample counts and cache gauges
 # --------------------------------------------------------------------------- #
 class TestMetricsSurfaces:
     def test_timer_calls_are_counted(self):
+        """A timed stage (``stage(metric=...)``) counts its samples."""
         metrics = RuntimeMetrics()
         for _ in range(3):
-            with metrics.timer("t"):
+            with stage("t", metrics=metrics, metric="t"):
                 pass
-        assert metrics.timer_calls("t") == 3
+        assert metrics.histogram("t").count == 3
         snap = metrics.snapshot()
-        assert snap["timer_calls"]["t"] == 3
-        assert snap["timers"]["t"] >= 0.0
+        assert snap["histograms"]["t"]["count"] == 3
+        assert snap["histograms"]["t"]["sum"] >= 0.0
         metrics.reset()
-        assert metrics.timer_calls("t") == 0
+        assert metrics.histogram("t") is None
 
     def test_server_metrics_include_cache_gauges(self, scenario):
         metrics = RuntimeMetrics()
@@ -695,7 +744,7 @@ class TestMetricsSurfaces:
             for stats in stores
         )
         assert any(stats["entries"] for stats in stores)
-        assert snap["timer_calls"].get("oracle.certain", 0) > 0
+        assert snap["histograms"]["oracle.certain"]["count"] > 0
 
     def test_cache_registry_stays_bounded_across_answer_calls(self, scenario):
         """Repeated answer calls reuse the registry's oracles, so they must

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
 from collections import Counter
@@ -45,7 +47,12 @@ from repro.runtime import (
     prometheus_text,
     write_chrome_trace,
 )
-from repro.workloads import bank_multi_query_scenario, fanout_scenario
+from repro.tracing import stage
+from repro.workloads import (
+    bank_multi_query_scenario,
+    fanout_scenario,
+    multi_query_scenario,
+)
 
 # ------------------------------------------------------------------ #
 # Helpers
@@ -167,15 +174,23 @@ class TestSpanBasics:
         (recorded,) = tracer.spans()
         assert recorded.tags == {"kind": "test", "outcome": "done", "items": 3}
 
-    def test_record_span_for_externally_timed_work(self):
+    def test_span_on_another_thread_under_an_explicit_parent(self):
         tracer = Tracer()
         with tracer.span("parent") as parent:
             ctx = parent.context
-        span = tracer.record_span(
-            "measured", start=time.time() - 0.5, duration=0.25, parent=ctx
-        )
+        recorded = []
+
+        def worker():
+            with tracer.span("measured", parent=ctx) as span:
+                time.sleep(0.01)
+            recorded.append(span)
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join()
+        (span,) = recorded
         assert span.parent_id == parent.span_id
-        assert span.duration == 0.25
+        assert span.duration >= 0.01
         assert span in tracer.spans()
 
     def test_reset_clears_collected_spans(self):
@@ -220,8 +235,9 @@ class TestAmbientTracer:
         assert NO_TRACER.context() is None
 
     def test_noop_overhead_is_negligible(self):
-        """The off-by-default guard — a thread-local read plus an attribute
-        check — must cost well under a few microseconds per call."""
+        """The off-by-default paths — the ambient-tracer read, and an
+        untraced stage with a tag — must cost well under a few microseconds
+        per call."""
         iterations = 100_000
         started = time.perf_counter()
         for _ in range(iterations):
@@ -231,6 +247,105 @@ class TestAmbientTracer:
         elapsed = time.perf_counter() - started
         per_call = elapsed / iterations
         assert per_call < 5e-6, f"no-op guard costs {per_call * 1e6:.2f}µs/call"
+        started = time.perf_counter()
+        for _ in range(iterations):
+            with stage("oracle", method="m") as span:
+                if span:  # pragma: no cover - untraced
+                    span.annotate(outcome="never")
+        elapsed = time.perf_counter() - started
+        per_call = elapsed / iterations
+        assert per_call < 5e-6, f"untraced stage costs {per_call * 1e6:.2f}µs/call"
+
+
+class TestStage:
+    def test_untraced_without_metric_is_the_shared_noop_span(self):
+        first = stage("a", tag=1)
+        assert first is stage("b") and not first
+        with first as span:
+            span.annotate(ignored=True)
+        assert first.context is None
+
+    def test_traced_without_metric_is_the_span_itself(self):
+        tracer = Tracer()
+        with activate_tracer(tracer):
+            with stage("outer", kind="x") as outer:
+                with stage("inner") as inner:
+                    pass
+        assert outer and type(outer).__name__ == "Span"
+        assert inner.parent_id == outer.span_id
+        assert [span.tags for span in tracer.spans()] == [{}, {"kind": "x"}]
+
+    def test_a_timed_stage_records_untraced_and_when_the_body_raises(self):
+        metrics = RuntimeMetrics()
+        with stage("t", metrics=metrics, metric="t") as timed:
+            timed.annotate(ignored=True)
+        assert not timed
+        with pytest.raises(RuntimeError):
+            with stage("t", metrics=metrics, metric="t"):
+                raise RuntimeError("boom")
+        histogram = metrics.histogram("t")
+        assert histogram.count == 2 and histogram.total >= timed.duration >= 0.0
+
+    def test_a_traced_timed_stage_shares_the_span_clock(self):
+        metrics = RuntimeMetrics()
+        tracer = Tracer()
+        with activate_tracer(tracer):
+            with stage("t", metrics=metrics, metric="t", kind="x") as timed:
+                time.sleep(0.001)
+        timed.annotate(after=True)
+        (span,) = tracer.spans()
+        assert timed
+        assert span.tags == {"kind": "x", "after": True}
+        assert timed.duration == span.duration == metrics.histogram("t").total
+
+    def test_explicit_tracer_and_parent_cross_threads(self):
+        """The executor pattern: a pool thread has no ambient tracer, so it
+        passes the dispatching thread's tracer and span context."""
+        tracer = Tracer()
+        with activate_tracer(tracer):
+            with stage("access-batch") as batch:
+                parent = batch.context
+        recorded = []
+
+        def worker():
+            with stage("source-call", tracer=tracer, parent=parent) as span:
+                pass
+            recorded.append(span)
+            with stage("untraced", tracer=NO_TRACER) as quiet:
+                recorded.append(quiet)
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join()
+        call, quiet = recorded
+        assert call.parent_id == batch.span_id and not quiet
+        assert [span.name for span in tracer.spans()] == ["access-batch", "source-call"]
+
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "repro.chase.crayfish",
+            "repro.datalog.engine",
+            "repro.sources.service",
+            "repro.runtime",
+        ],
+    )
+    def test_each_layer_imports_first_in_a_fresh_interpreter(self, module):
+        """The primitive's module imports nothing from ``repro``, so even the
+        lowest layers import it at module top without a cycle."""
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            path for path in (src, env.get("PYTHONPATH")) if path
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", f"import {module}"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
 
 
 # ------------------------------------------------------------------ #
@@ -241,19 +356,14 @@ class TestAmbientTracer:
 class TestCrossThread:
     def test_worker_threads_record_under_an_explicit_parent(self):
         """The executor pattern: the dispatching thread captures its span
-        context once, worker threads record timed spans against it."""
+        context once, worker threads open their spans under it."""
         tracer = Tracer()
         with tracer.span("access-batch") as batch:
             parent = batch.context
 
             def worker(index):
-                tracer.record_span(
-                    "source-call",
-                    start=time.time(),
-                    duration=0.001,
-                    parent=parent,
-                    tags={"method": f"m{index}"},
-                )
+                with tracer.span("source-call", parent=parent, method=f"m{index}"):
+                    time.sleep(0.001)
 
             threads = [
                 threading.Thread(target=worker, args=(i,)) for i in range(4)
@@ -340,15 +450,15 @@ class TestLatencyHistogram:
 
 class TestMetricsSnapshot:
     def test_timer_means_are_elapsed_over_calls(self):
+        """A timed stage's histogram reports mean = sum / count."""
         metrics = RuntimeMetrics()
         for _ in range(4):
-            with metrics.timer("work"):
+            with stage("work", metrics=metrics, metric="work"):
                 pass
-        snapshot = metrics.snapshot()
-        assert snapshot["timer_calls"]["work"] == 4
-        assert snapshot["timer_means"]["work"] == pytest.approx(
-            snapshot["timers"]["work"] / 4
-        )
+        snapshot = metrics.snapshot()["histograms"]["work"]
+        assert snapshot["count"] == 4
+        assert snapshot["sum"] >= 0.0
+        assert snapshot["mean"] == pytest.approx(snapshot["sum"] / 4)
 
     def test_reset_zeroes_registered_cache_gauges(self):
         """Regression: reset() used to leave registered caches' hit/miss
@@ -393,7 +503,7 @@ class TestExporters:
     def _populated(self):
         metrics = RuntimeMetrics()
         metrics.incr("oracle.fresh_searches", 3)
-        with metrics.timer("oracle.long_term"):
+        with stage("fresh-search", metrics=metrics, metric="oracle.long_term"):
             pass
         metrics.observe("access.latency", 0.002)
         metrics.observe("access.latency", 0.050)
@@ -407,8 +517,10 @@ class TestExporters:
         metrics, _cache = self._populated()
         text = prometheus_text(metrics)
         assert "repro_oracle_fresh_searches_total 3" in text
-        assert "repro_oracle_long_term_seconds_total" in text
-        assert "repro_oracle_long_term_calls_total 1" in text
+        assert "# TYPE repro_oracle_long_term_seconds histogram" in text
+        assert "repro_oracle_long_term_seconds_count 1" in text
+        assert "repro_oracle_long_term_seconds_sum" in text
+        assert "_seconds_total" not in text and "_calls_total" not in text
         assert "# TYPE repro_access_latency_seconds histogram" in text
         assert 'repro_access_latency_seconds_bucket{le="+Inf"} 2' in text
         assert "repro_access_latency_seconds_count 2" in text
@@ -422,6 +534,8 @@ class TestExporters:
         document = json.loads(json_snapshot(metrics, tracer))
         assert document["metrics"]["counters"]["oracle.fresh_searches"] == 3
         assert document["metrics"]["histograms"]["access.latency"]["count"] == 2
+        assert document["metrics"]["histograms"]["oracle.long_term"]["count"] == 1
+        assert "timers" not in document["metrics"]
         assert len(document["spans"]) == 1
         assert document["spans"][0][2] == "answer"
 
@@ -471,9 +585,8 @@ class TestStrategyTracing:
     def test_guided_strategy_records_the_hierarchy(self):
         scenario = fanout_scenario(3, satisfiable=False)
         tracer = Tracer()
-        result = relevance_guided_strategy(
-            scenario.mediator(), scenario.query, tracer=tracer
-        )
+        with activate_tracer(tracer):
+            result = relevance_guided_strategy(scenario.mediator(), scenario.query)
         assert result.boolean_answer is False
         spans = tracer.spans()
         assert_well_formed(spans)
@@ -509,12 +622,10 @@ class TestStrategyTracing:
 
         def run(parallelism):
             tracer = Tracer()
-            result = relevance_guided_strategy(
-                scenario.mediator(),
-                scenario.query,
-                parallelism=parallelism,
-                tracer=tracer,
-            )
+            with activate_tracer(tracer):
+                result = relevance_guided_strategy(
+                    scenario.mediator(), scenario.query, parallelism=parallelism
+                )
             return result, tracer.spans()
 
         sequential_result, sequential_spans = run(1)
@@ -541,7 +652,9 @@ class TestServerTracing:
         round and whose verdict spans nest in their query's span."""
         scenario = _bank_scenario()
         tracer = Tracer()
-        with QueryServer(scenario.mediator(), parallelism=8, tracer=tracer) as server:
+        with activate_tracer(tracer), QueryServer(
+            scenario.mediator(), parallelism=8
+        ) as server:
             result = server.answer(scenario.queries)
         assert result.rounds >= 1 and result.accesses_made > 0
         spans = tracer.spans()
@@ -580,8 +693,8 @@ class TestServerTracing:
 
         def run(parallelism):
             tracer = Tracer()
-            with QueryServer(
-                scenario.mediator(), parallelism=parallelism, tracer=tracer
+            with activate_tracer(tracer), QueryServer(
+                scenario.mediator(), parallelism=parallelism
             ) as server:
                 result = server.answer(scenario.queries)
             return result, tracer.spans()
@@ -605,7 +718,7 @@ class TestServerTracing:
     def test_explain_report_names_the_accesses(self):
         scenario = _bank_scenario()
         tracer = Tracer()
-        with QueryServer(scenario.mediator(), tracer=tracer) as server:
+        with activate_tracer(tracer), QueryServer(scenario.mediator()) as server:
             server.answer(scenario.queries)
         report = explain_trace(tracer)
         assert "answer" in report
@@ -622,3 +735,68 @@ class TestServerTracing:
         assert snapshot["server.round_latency"]["count"] >= 1
         assert snapshot["access.latency"]["count"] >= 1
         assert snapshot["server.query_latency"]["p99"] > 0.0
+
+
+class TestOneInstrumentationPrimitive:
+    """A stage feeds the trace and the histograms from one measurement, so
+    on a traced run the span counts equal the counters and sample counts."""
+
+    def _traced(self, scenario, **server_kwargs):
+        metrics = RuntimeMetrics()
+        tracer = Tracer()
+        with activate_tracer(tracer), QueryServer(
+            scenario.mediator(), metrics=metrics, **server_kwargs
+        ) as server:
+            server.answer(scenario.queries)
+        return metrics, tracer.spans()
+
+    def _check(self, metrics, spans):
+        counters = metrics.snapshot()["counters"]
+        outcomes = Counter(span.tags["outcome"] for span in spans if span.name == "oracle")
+        for outcome, counter in (
+            ("fresh", "oracle.fresh_searches"),
+            ("sibling", "oracle.sibling_hits"),
+            ("delta-inherited", "oracle.delta_hits"),
+            ("adopted", "oracle.adopted"),
+        ):
+            assert outcomes[outcome] == counters.get(counter, 0), outcome
+        assert outcomes["revalidated"] == (
+            counters.get("witness.revalidated", 0) - counters.get("oracle.sibling_hits", 0)
+        )
+        names = Counter(span.name for span in spans)
+        for name, metric in (
+            ("witness-revalidate", "witness.revalidate"),
+            ("fresh-search", "oracle.long_term"),
+            ("round", "server.round_latency"),
+            ("answer", "server.query_latency"),
+        ):
+            histogram = metrics.histogram(metric)
+            assert names[name] == histogram.count, name
+            assert sum(s.duration for s in spans if s.name == name) == pytest.approx(
+                histogram.total
+            )
+        assert names["round"] == counters["server.rounds"]
+        return outcomes, names
+
+    def test_the_six_employee_bank(self, tmp_path):
+        scenario = bank_multi_query_scenario(8, employees=6, offices=3, states=4)
+        metrics, spans = self._traced(
+            scenario, cache_path=os.fspath(tmp_path / "store.sqlite")
+        )
+        outcomes, names = self._check(metrics, spans)
+        assert (outcomes["fresh"], outcomes["sibling"], outcomes["adopted"]) == (24, 48, 48)
+        assert outcomes["revalidated"] == 72
+        assert (names["witness-revalidate"], names["fresh-search"], names["round"]) == (
+            140,
+            24,
+            4,
+        )
+        # The round's store write is part of the round.
+        by_id = {span.span_id: span for span in spans}
+        flushes = [span for span in spans if span.name == "persist.flush"]
+        assert flushes and all(by_id[s.parent_id].name == "round" for s in flushes)
+
+    def test_multi_query_scenario(self):
+        metrics, spans = self._traced(multi_query_scenario(16, 8, 8))
+        outcomes, _names = self._check(metrics, spans)
+        assert outcomes["delta-inherited"] > 0 and outcomes["fresh"] > 0
