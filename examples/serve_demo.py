@@ -36,9 +36,11 @@ Two service modes ride along (see docs/operations.md):
   scenario; that the bank's sibling queries shared witnesses
   (``oracle.sibling_hits`` > 0, exported as
   ``repro_oracle_sibling_hits_total``); that the same batch posted again
-  answers the same with no new access and no fresh search; and that a
-  request declaring an oversized body and one with a bad Content-Length
-  answer 413 and 400, not 500.
+  answers the same with no new access and no fresh search; that
+  ``/metrics`` exports timed stages as histograms, no ``repro_cache``
+  family, and no sample label but ``le``; and that a request declaring an
+  oversized body and one with a bad Content-Length answer 413 and 400, not
+  500.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ import argparse
 import json
 import multiprocessing
 import os
+import re
 import socket
 import tempfile
 import time
@@ -380,7 +383,17 @@ def service_smoke() -> None:
         # Timed stages export as histograms: no cumulative-timer families.
         assert "repro_oracle_long_term_seconds_count" in text, "no fresh-search histogram"
         assert "_calls_total" not in text, "a cumulative-timer family is exported"
-        print(f"/metrics exposition OK ({len(families)} families)")
+        # The sink holds no caches, and only histogram buckets carry a
+        # label: the exposition does not grow with the queries served.
+        assert "repro_cache" not in text, "a cache-gauge family is exported"
+        labels = {
+            label
+            for line in text.splitlines()
+            if not line.startswith("#")
+            for label in re.findall(r'([A-Za-z_][A-Za-z0-9_]*)="', line)
+        }
+        assert labels == {"le"}, f"sample labels other than le: {labels}"
+        print(f"/metrics exposition OK ({len(families)} families, no labels but le)")
 
         # Malformed requests are the client's errors, never handler crashes.
         # The first declares a body one byte over the default bound.

@@ -26,10 +26,6 @@ class FreshConstants:
         self._prefix = prefix
         self._counter = itertools.count()
 
-    def reserve(self, values: Iterable[object]) -> None:
-        """Mark additional values as unavailable for freshness."""
-        self._reserved.update(values)
-
     def new(self, domain: AbstractDomain) -> Optional[object]:
         """A fresh value of ``domain``, or ``None`` if the domain is exhausted.
 

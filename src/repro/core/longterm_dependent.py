@@ -10,7 +10,8 @@ Three procedures are provided, all for Boolean queries:
 * :func:`is_ltr_via_containment_cq` — the nondeterministic polynomial-time
   Turing reduction of Proposition 3.5 for conjunctive queries: loop over the
   proper subsets of the access-compatible subgoals and call the containment
-  oracle.
+  oracle.  Its verdicts are memoized process-wide in one
+  :class:`~repro.lru.LRUCache` (:func:`containment_cq_memo`).
 * :func:`is_ltr_via_containment_pq` — the many-one reduction of
   Proposition 3.4 for positive queries and Boolean accesses: rewrite the
   query with an ``IsBind`` relation and test non-containment.
@@ -24,9 +25,7 @@ cross-checked against the direct search in the test suite.
 from __future__ import annotations
 
 import itertools
-import threading
-from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.data import (
     AccessPath,
@@ -51,10 +50,10 @@ from repro.core.assignments import (
 )
 from repro.core.containment import ContainmentOptions, SearchDeadline, decide_containment
 from repro.core.reductions import ltr_to_containment
+from repro.lru import LRUCache
 from repro.schema import Access, Schema
 
 __all__ = [
-    "ContainmentMemo",
     "containment_cq_memo",
     "is_ltr_direct",
     "find_ltr_witness_steps",
@@ -291,77 +290,22 @@ def _compatible_with_access(atom, access: Access) -> bool:
     return True
 
 
-class ContainmentMemo:
-    """Bounded LRU memo of Proposition 3.5 verdicts, shared across calls.
+#: Proposition 3.5 verdicts, shared across calls.  Each verdict of
+#: :func:`is_ltr_via_containment_cq` is a pure function of the query's
+#: canonical form, the probed access (method name and binding), the
+#: configuration's fingerprint, the schema's relations and access methods
+#: (value tuples of frozen objects, so a rebuilt-but-equal schema shares
+#: entries), and the containment options.  One subset loop can issue dozens
+#: of containment-oracle calls, so repeated probes pay for the search once.
+_CONTAINMENT_CQ_MEMO = LRUCache(4096)
 
-    Every :func:`is_ltr_via_containment_cq` verdict is a pure function of the
-    query's canonical form, the probed access (method name and binding), the
-    configuration's fingerprint, the schema's relations and access methods
-    (value tuples of frozen objects, so a rebuilt-but-equal schema shares
-    entries), and the containment options.  One subset loop can issue dozens
-    of containment-oracle calls, so repeated probes — the same access screened
-    at an unchanged configuration across rounds, or structurally identical
-    bindings — pay for the search once.
 
-    Thread-safe and process-local.  :meth:`stats` follows the
-    :meth:`~repro.runtime.metrics.RuntimeMetrics.register_cache` protocol so
-    the hit/miss counters surface in metrics snapshots.
+def containment_cq_memo() -> LRUCache:
+    """The process-wide memo behind :func:`is_ltr_via_containment_cq`.
+
+    Its ``hits`` and ``misses`` count the probes; ``clear()`` drops the
+    verdicts (benchmarks call it so every run starts cold).
     """
-
-    def __init__(self, max_entries: int = 4096) -> None:
-        self._entries: "OrderedDict[Tuple[object, ...], bool]" = OrderedDict()
-        self._lock = threading.Lock()
-        self._max_entries = max_entries
-        self._hits = 0
-        self._misses = 0
-
-    def lookup(self, key: Tuple[object, ...]) -> Optional[bool]:
-        """The memoized verdict, or ``None`` on a miss (counted)."""
-        with self._lock:
-            try:
-                verdict = self._entries[key]
-            except KeyError:
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return verdict
-
-    def store(self, key: Tuple[object, ...], verdict: bool) -> None:
-        """Record a verdict, evicting least-recently-used entries if full."""
-        with self._lock:
-            self._entries[key] = verdict
-            self._entries.move_to_end(key)
-            while len(self._entries) > self._max_entries:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop every entry (counters are kept; see :meth:`reset_stats`)."""
-        with self._lock:
-            self._entries.clear()
-
-    def stats(self) -> Dict[str, object]:
-        with self._lock:
-            total = self._hits + self._misses
-            return {
-                "hits": self._hits,
-                "misses": self._misses,
-                "entries": len(self._entries),
-                "max_entries": self._max_entries,
-                "hit_rate": self._hits / total if total else 0.0,
-            }
-
-    def reset_stats(self) -> None:
-        with self._lock:
-            self._hits = 0
-            self._misses = 0
-
-
-_CONTAINMENT_CQ_MEMO = ContainmentMemo()
-
-
-def containment_cq_memo() -> ContainmentMemo:
-    """The process-wide memo behind :func:`is_ltr_via_containment_cq`."""
     return _CONTAINMENT_CQ_MEMO
 
 
@@ -409,13 +353,13 @@ def is_ltr_via_containment_cq(
         tuple(schema.access_methods),
         options,
     )
-    cached = memo.lookup(key)
+    cached = memo.get(key)
     if cached is not None:
         return cached
     verdict = _ltr_via_containment_cq_search(
         query, access, configuration, schema, options
     )
-    memo.store(key, verdict)
+    memo.put(key, verdict)
     return verdict
 
 

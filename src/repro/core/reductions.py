@@ -46,16 +46,16 @@ def _as_pq(query) -> PositiveQuery:
 
 @dataclass(frozen=True)
 class ContainmentToLTR:
-    """The output of the Proposition 3.3 reduction."""
+    """The output of the Proposition 3.3 reduction.
+
+    ``access`` is long-term relevant for ``query`` at ``configuration`` iff
+    ``query1`` ⋢ ``query2``, the queries it was reduced from.
+    """
 
     schema: Schema
     configuration: Configuration
     query: PositiveQuery
     access: Access
-
-    def ltr_answer_means_non_containment(self) -> bool:
-        """Documentation helper: ``True`` — LTR of the access ⇔ non-containment."""
-        return True
 
 
 def containment_to_ltr(
@@ -118,16 +118,16 @@ def containment_to_ltr(
 
 @dataclass(frozen=True)
 class LTRToContainment:
-    """The output of the Proposition 3.4 reduction."""
+    """The output of the Proposition 3.4 reduction.
+
+    ``contained_query`` ⋢ ``containing_query`` from ``configuration`` iff
+    the original access is long-term relevant for the original query.
+    """
 
     schema: Schema
     configuration: Configuration
     contained_query: PositiveQuery
     containing_query: PositiveQuery
-
-    def non_containment_means_ltr(self) -> bool:
-        """Documentation helper: ``True`` — non-containment ⇔ LTR of the access."""
-        return True
 
 
 def _rewrite_with_isbind(

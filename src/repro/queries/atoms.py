@@ -101,10 +101,6 @@ class Atom:
         """A process-stable structural encoding (relation name + terms)."""
         return (self.relation.name, tuple(canonical_term(term) for term in self.terms))
 
-    def rename(self, renaming: Mapping[Variable, Variable]) -> "Atom":
-        """Rename variables according to ``renaming`` (missing keys unchanged)."""
-        return self.substitute(dict(renaming))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         rendered = ", ".join(
             term.name if is_variable(term) else repr(term) for term in self.terms

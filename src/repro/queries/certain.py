@@ -23,7 +23,7 @@ constants because certainty depends only on the facts.
 from __future__ import annotations
 
 import threading
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import FrozenSet, Iterable, Optional, Tuple
 
 from repro.data import Configuration, Fact
 from repro.data.indexing import fact_hash
@@ -97,9 +97,10 @@ class CertaintyFixpoint:
     Because the goal is monotone, a derived goal is final: subsequent absorbs
     cost one hash insert per fact with no rule application at all.  The
     materialized state is bounded by ``max_facts``; exceeding it drops the
-    state, and later checks soundly restart.  Instances expose
-    :meth:`stats`/:meth:`reset_stats` so they can be registered as cache
-    gauges with :meth:`repro.runtime.RuntimeMetrics.register_cache`.
+    state, and later checks soundly restart.  The owning
+    :class:`~repro.runtime.cache.RelevanceOracle` counts the outcomes
+    (``certainty.advanced``, ``certainty.restarted``, ...);
+    :meth:`fact_count` reports the materialized state's size.
     """
 
     def __init__(self, query: Query, *, max_facts: int = 1_000_000) -> None:
@@ -113,9 +114,6 @@ class CertaintyFixpoint:
         self._evaluation: Optional[SemiNaiveEvaluation] = None
         self._size = 0
         self._content = 0
-        self._advanced = 0
-        self._restarted = 0
-        self._absorbed = 0
 
     @property
     def supported(self) -> bool:
@@ -151,7 +149,6 @@ class CertaintyFixpoint:
             for predicate, row in fresh:
                 self._content ^= fact_hash(predicate, row)
             self._size += len(fresh)
-            self._absorbed += len(fresh)
             if evaluation.fact_count() > self._max_facts:
                 self._drop_locked()
             return len(fresh)
@@ -170,9 +167,7 @@ class CertaintyFixpoint:
         with self._lock:
             evaluation = self._evaluation
             if evaluation is not None and (size, content) == (self._size, self._content):
-                self._advanced += 1
                 return evaluation.goal_derived, "advanced"
-            self._restarted += 1
             evaluation = SemiNaiveEvaluation(
                 self._program,
                 {
@@ -203,7 +198,6 @@ class CertaintyFixpoint:
         with self._lock:
             evaluation = self._evaluation
             if evaluation is not None and (size, content) == (self._size, self._content):
-                self._advanced += 1
                 return evaluation.goal_derived
         return None
 
@@ -217,27 +211,6 @@ class CertaintyFixpoint:
         with self._lock:
             evaluation = self._evaluation
             return evaluation.fact_count() if evaluation is not None else 0
-
-    def stats(self) -> Dict[str, object]:
-        """Cache-gauge snapshot: advances as hits, restarts as misses."""
-        with self._lock:
-            evaluation = self._evaluation
-            entries = evaluation.fact_count() if evaluation is not None else 0
-            total = self._advanced + self._restarted
-            return {
-                "hits": self._advanced,
-                "misses": self._restarted,
-                "entries": entries,
-                "absorbed": self._absorbed,
-                "hit_rate": (self._advanced / total) if total else 0.0,
-            }
-
-    def reset_stats(self) -> None:
-        """Zero the advance/restart/absorb counters (state is kept)."""
-        with self._lock:
-            self._advanced = 0
-            self._restarted = 0
-            self._absorbed = 0
 
     def _drop_locked(self) -> None:
         self._evaluation = None

@@ -143,12 +143,6 @@ class ConjunctiveQuery:
         return tuple(seen)
 
     @property
-    def existential_variables(self) -> Tuple[Variable, ...]:
-        """Variables that are not free."""
-        free = set(self.free_variables)
-        return tuple(variable for variable in self.variables if variable not in free)
-
-    @property
     def constants(self) -> Tuple[object, ...]:
         """All constants, deduplicated, in first-occurrence order."""
         seen: List[object] = []
@@ -314,23 +308,6 @@ class ConjunctiveQuery:
             tuple(atom.canonical_form() for atom in self.atoms),
             tuple(variable.name for variable in self.free_variables),
         )
-
-    # ------------------------------------------------------------------ #
-    # Canonical instance (freezing)
-    # ------------------------------------------------------------------ #
-    def frozen_facts(self, prefix: str = "_frozen_") -> Tuple[Tuple[str, Tuple[object, ...]], ...]:
-        """The canonical-database facts of the query.
-
-        Every variable ``x`` is replaced by the fresh constant ``prefix + x``.
-        Used by the classical containment test and by several reductions.
-        """
-        assignment = {
-            variable: f"{prefix}{variable.name}" for variable in self.variables
-        }
-        facts = []
-        for atom in self.atoms:
-            facts.append((atom.relation.name, atom.ground_values(assignment)))
-        return tuple(facts)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         head = (

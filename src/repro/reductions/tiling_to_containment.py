@@ -38,17 +38,17 @@ __all__ = ["TilingContainmentInstance", "tiling_to_containment"]
 
 @dataclass(frozen=True)
 class TilingContainmentInstance:
-    """The output of the Proposition 6.2 reduction."""
+    """The output of the Proposition 6.2 reduction.
+
+    A tiling of ``problem`` exists iff ``final_row_query`` ⋢
+    ``violation_query`` under the access limitations, from ``configuration``.
+    """
 
     schema: Schema
     configuration: Configuration
     final_row_query: ConjunctiveQuery
     violation_query: PositiveQuery
     problem: TilingProblem
-
-    def tiling_exists_iff_not_contained(self) -> bool:
-        """Documentation helper: tiling exists ⇔ final-row ⋢ violation."""
-        return True
 
 
 def _relation_name(tile: str, column: int) -> str:

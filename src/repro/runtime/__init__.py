@@ -5,7 +5,7 @@ needs around the paper's decision procedures:
 
 * :class:`~repro.runtime.cache.RelevanceOracle` — one per query, kept
   across requests: memoizes long-term relevance and certainty verdicts in
-  lock-protected :class:`~repro.runtime.cache.LRUCache` maps, keyed by the
+  lock-protected :class:`~repro.lru.LRUCache` maps, keyed by the
   access and the configuration's content fingerprint, and reuses long-term
   verdicts *incrementally* across configuration growth (delta inheritance,
   witness-path revalidation);
@@ -32,8 +32,9 @@ needs around the paper's decision procedures:
   queries' oracles (the single-query strategies of
   :mod:`repro.planner.dynamic` run it with one query);
 * :class:`~repro.runtime.metrics.RuntimeMetrics` — thread-safe counters,
-  gauges, latency histograms (count, sum, p50/p95/p99), and cache gauges the
-  other components record into;
+  gauges and latency histograms (count, sum, p50/p95/p99) the other
+  components record into: the one accounting path, read by ``/metrics``
+  and the benchmark ledger alike;
 * the tracing names re-exported from :mod:`repro.tracing` — hierarchical
   spans over the whole answering path (``answer → round → query → verdicts
   → oracle``, ``access-batch → source-call``), switched on per thread by
@@ -61,7 +62,8 @@ from repro.runtime.admission import (
     AdmissionDecision,
     TokenBucket,
 )
-from repro.runtime.cache import LRUCache, RelevanceOracle, access_key
+from repro.lru import LRUCache
+from repro.runtime.cache import RelevanceOracle, access_key
 from repro.runtime.executor import AccessExecutor, BatchResult
 from repro.runtime.export import (
     chrome_trace_events,

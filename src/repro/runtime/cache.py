@@ -38,6 +38,12 @@ search: long-term relevance goes through the incremental engine of
 Entries are evicted least-recently-used beyond ``max_entries`` so a
 long-running mediator cannot grow the cache without bound.
 
+The oracle accounts for itself in :class:`~repro.runtime.metrics.RuntimeMetrics`
+counters only: one per rung above (``oracle.hits``, ``oracle.delta_hits``,
+``witness.revalidated``, ``oracle.sibling_hits``, ``oracle.fresh_searches``)
+and one per certainty outcome (``certainty.*``).  The metrics sink holds
+none of its caches.
+
 An oracle is long-lived: the query server keeps one per distinct Boolean
 query between :meth:`~repro.runtime.server.QueryServer.answer` calls, and a
 caller reuses one across strategy runs by passing it as ``oracle=``.  The
@@ -54,7 +60,7 @@ captured path.  The caller owns the cache: it flushes the buffer (the
 server and the guided strategy do so after every round) and closes it.
 
 Concurrency: every cache the oracle reads or writes is a lock-protected
-:class:`LRUCache`.  All oracle calls of an answering run stay on its
+:class:`~repro.lru.LRUCache`.  All oracle calls of an answering run stay on its
 dispatching thread (the executor runs only source round trips on pool
 threads), so the locks are safety code for a caller that probes one oracle
 from several threads, where they prevent corruption.  Verdicts are
@@ -64,14 +70,12 @@ same miss compute the same value, so no compute-level lock is needed.
 
 from __future__ import annotations
 
-import threading
 import weakref
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core import ContainmentOptions, long_term_relevance_with_witness
-from repro.core.longterm_dependent import containment_cq_memo
 from repro.data import Configuration
+from repro.lru import LRUCache
 from repro.queries import is_certain
 from repro.queries.certain import CertaintyFixpoint
 from repro.runtime.metrics import RuntimeMetrics
@@ -88,7 +92,7 @@ from repro.tracing import stage
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.persist import PersistentWitnessCache
 
-__all__ = ["LRUCache", "RelevanceOracle", "SiblingGroup", "access_key"]
+__all__ = ["RelevanceOracle", "SiblingGroup", "access_key"]
 
 #: Failed sibling hints a miss tries before the fresh search decides.
 _MAX_SIBLING_FAILURES = 2
@@ -100,88 +104,6 @@ def access_key(access: Access) -> Tuple[str, Tuple[object, ...]]:
 
 
 _MISSING = object()
-
-
-class LRUCache:
-    """A small LRU map with hit/miss accounting, safe under concurrent use.
-
-    A single internal lock serialises structural mutation (lookup refreshes
-    recency, so even ``get`` mutates).
-    """
-
-    def __init__(self, max_entries: Optional[int] = None) -> None:
-        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
-        self._max_entries = max_entries
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: Hashable, default: object = None) -> object:
-        """Look up ``key``, refreshing its recency on a hit."""
-        with self._lock:
-            try:
-                value = self._entries[key]
-            except KeyError:
-                self.misses += 1
-                return default
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return value
-
-    def put(self, key: Hashable, value: object) -> None:
-        """Store ``key`` and evict the least-recently-used overflow."""
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            if self._max_entries is not None:
-                while len(self._entries) > self._max_entries:
-                    self._entries.popitem(last=False)
-
-    def peek(self, key: Hashable) -> object:
-        """``key``'s value or ``None``, without refreshing recency or
-        counting a probe."""
-        with self._lock:
-            return self._entries.get(key)
-
-    def discard(self, key: Hashable) -> None:
-        """Drop ``key`` if present (no recency or hit/miss accounting)."""
-        with self._lock:
-            self._entries.pop(key, None)
-
-    def reset_stats(self) -> None:
-        """Zero the hit/miss gauges (entries are kept).
-
-        :meth:`RuntimeMetrics.reset` calls this on registered caches so a
-        post-reset snapshot starts from zero instead of carrying the
-        pre-reset probe history.
-        """
-        with self._lock:
-            self.hits = 0
-            self.misses = 0
-
-    def stats(self) -> dict:
-        """Hit/miss gauges: ``{hits, misses, entries, hit_rate}``.
-
-        ``hit_rate`` is ``None`` until the cache has been probed at least
-        once (0/0 is unknown, not zero).
-        """
-        with self._lock:
-            hits, misses, entries = self.hits, self.misses, len(self._entries)
-        probes = hits + misses
-        return {
-            "hits": hits,
-            "misses": misses,
-            "entries": entries,
-            "hit_rate": (hits / probes) if probes else None,
-        }
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: Hashable) -> bool:
-        with self._lock:
-            return key in self._entries
 
 
 class SiblingGroup:
@@ -301,17 +223,6 @@ class RelevanceOracle:
             else None
         )
         self._screen = CandidateScreen(self._query, schema, metrics=self._metrics)
-        self._metrics.register_cache("oracle.cache", self._cache)
-        self._metrics.register_cache("oracle.witnesses", self._witnesses)
-        self._metrics.register_cache("oracle.ltr_history", self._ltr_history)
-        if self._fixpoint is not None:
-            self._metrics.register_cache("oracle.certainty_fixpoint", self._fixpoint)
-        # The Proposition 3.5 memo is process-wide (module-level in
-        # repro.core.longterm_dependent); registering it here surfaces its
-        # hit/miss counters in this runtime's metrics snapshots.
-        self._metrics.register_cache(
-            "ltr.containment_cq_memo", containment_cq_memo()
-        )
         # Provenance for trace annotations: which witness keys came off disk
         # (vs captured live this process).  LtrWitness is frozen, so
         # provenance lives here, not on the witness objects.
@@ -383,14 +294,6 @@ class RelevanceOracle:
     def cache_misses(self) -> int:
         """Number of verdicts computed by the underlying procedures."""
         return self._cache.misses
-
-    def stats(self) -> Dict[str, int]:
-        """Cache statistics as a plain dictionary."""
-        return {
-            "hits": self._cache.hits,
-            "misses": self._cache.misses,
-            "entries": len(self._cache),
-        }
 
     # ------------------------------------------------------------------ #
     # Memoized decisions
@@ -583,7 +486,7 @@ class RelevanceOracle:
         accepted by the full :meth:`LtrWitness.revalidate`, the check a
         witness loaded from the store passes, so it is sound whatever the
         sibling holds.  Reading a sibling's witness leaves its LRU recency
-        and gauges alone.
+        and hit/miss counts alone.
         """
         group = self.sibling_group
         if group is None:

@@ -130,13 +130,9 @@ class AccessExecutor:
         """The metrics sink the executor records into."""
         return self._metrics
 
-    def key(self, access: Access) -> Tuple[str, Tuple[object, ...]]:
-        """The deduplication key of an access (shared with the oracle)."""
-        return access_key(access)
-
     def already_performed(self, access: Access) -> bool:
         """Whether the executor has already performed this access."""
-        return self.key(access) in self._performed
+        return access_key(access) in self._performed
 
     def has_performed_key(self, key: Tuple[str, Tuple[object, ...]]) -> bool:
         """Key-based variant of :meth:`already_performed` (no Access needed)."""

@@ -10,8 +10,9 @@ consumer:
   counters, runtime gauges (queue depth, in-flight queries, admission
   state) become plain gauges, latency histograms (the timed stages, such
   as ``oracle.long_term``) become classic ``le``-bucketed ``_seconds``
-  families with ``_sum`` and ``_count``, and registered cache gauges become
-  labelled ``cache_hits`` / ``cache_misses`` / ``cache_entries``.
+  families with ``_sum`` and ``_count``.  ``le`` is the only label, so the
+  number of lines grows with the metric names, never with the number of
+  queries a server holds.
 * :func:`json_snapshot` — the :meth:`RuntimeMetrics.snapshot` dict (plus,
   optionally, the encoded span list) as a JSON document, for ad-hoc
   scripting and the bench artifacts.
@@ -64,10 +65,9 @@ def _format_value(value: float) -> str:
 def prometheus_text(metrics: RuntimeMetrics) -> str:
     """Render ``metrics`` in the Prometheus text exposition format.
 
-    One family per counter/gauge/histogram, plus three labelled families for
-    the registered caches.  The output is what a ``/metrics`` HTTP endpoint
-    would return verbatim, and what CI uploads as the bench observability
-    artifact.
+    One family per counter/gauge/histogram.  The output is what a
+    ``/metrics`` HTTP endpoint would return verbatim, and what CI uploads as
+    the bench observability artifact.
     """
     snap = metrics.snapshot()
     lines: List[str] = []
@@ -78,7 +78,7 @@ def prometheus_text(metrics: RuntimeMetrics) -> str:
         lines.append(f"# TYPE {metric} counter")
         lines.append(f"{metric} {_format_value(value)}")
 
-    for name, value in sorted(snap.get("gauges", {}).items()):
+    for name, value in sorted(snap["gauges"].items()):
         metric = _metric_name(name)
         lines.append(f"# HELP {metric} Runtime gauge {name!r}.")
         lines.append(f"# TYPE {metric} gauge")
@@ -96,18 +96,6 @@ def prometheus_text(metrics: RuntimeMetrics) -> str:
         lines.append(f'{metric}_bucket{{le="+Inf"}} {histogram.count}')
         lines.append(f"{metric}_sum {_format_value(histogram.total)}")
         lines.append(f"{metric}_count {histogram.count}")
-
-    caches: Dict[str, Dict[str, object]] = snap["caches"]
-    if caches:
-        for family, key in (
-            ("repro_cache_hits", "hits"),
-            ("repro_cache_misses", "misses"),
-            ("repro_cache_entries", "entries"),
-        ):
-            lines.append(f"# HELP {family} Registered cache gauge ({key}).")
-            lines.append(f"# TYPE {family} gauge")
-            for name, stats in sorted(caches.items()):
-                lines.append(f'{family}{{cache="{name}"}} {stats[key]}')
 
     return "\n".join(lines) + "\n"
 

@@ -1,11 +1,18 @@
-"""Lightweight runtime metrics: counters, gauges, latency histograms, cache gauges.
+"""Lightweight runtime metrics: counters, gauges, latency histograms.
 
 The runtime layer (oracle, executor, mediator, query server) records how much
-work it does — accesses performed, facts retrieved, cache hits and misses,
-time spent in relevance procedures — so benchmark runs and production
-deployments can observe the effect of memoization without attaching a
-profiler.  The implementation is deliberately dependency-free: plain
-dictionaries, explicit snapshots, one lock.
+work it does — accesses performed, facts retrieved, how each verdict was
+resolved, time spent in relevance procedures — so benchmark runs and
+production deployments can observe the effect of memoization without
+attaching a profiler.  The implementation is deliberately dependency-free:
+plain dictionaries, explicit snapshots, one lock.
+
+The sink is the one accounting path: it holds counters, gauges and
+histograms, and no caches.  Memoization shows as the oracle's ladder
+counters (``oracle.hits``, ``oracle.delta_hits``, ``witness.revalidated``,
+``oracle.sibling_hits``, ``oracle.fresh_searches``, ...) and the certainty
+outcomes (``certainty.exact`` / ``advanced`` / ``restarted`` /
+``unsupported``), which the benchmark ledger and ``/metrics`` both read.
 
 The lock matters because a single metrics sink is shared by every component
 of an answering run, including the worker threads of the parallel executor:
@@ -29,10 +36,8 @@ merged accesses' latency (``access.latency`` plus
 
 from __future__ import annotations
 
-import heapq
 import math
 import threading
-import weakref
 from bisect import bisect_left
 from typing import Dict, List, Optional, Tuple
 
@@ -164,20 +169,6 @@ class RuntimeMetrics:
         self._counters: Dict[str, int] = {}
         self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, LatencyHistogram] = {}
-        # name -> weakref to the cache, and cache -> name.  Weak on purpose:
-        # oracles register their caches at construction, and a server's
-        # registry evicts oracles — a strong registry would pin every
-        # evicted oracle's LRUs forever.
-        self._caches: Dict[str, "weakref.ref"] = {}
-        self._cache_names: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-        # Suffix bookkeeping per requested name: the next suffix never
-        # handed out (1 is the bare name), and a heap of the suffixes whose
-        # cache died.  A dying cache's weakref callback only appends its
-        # (name, suffix) to ``_dead`` (it may run while the lock is held);
-        # the next registration or snapshot moves it to the heap.
-        self._next_suffix: Dict[str, int] = {}
-        self._free_suffixes: Dict[str, List[int]] = {}
-        self._dead: List[Tuple[str, int]] = []
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
@@ -232,107 +223,34 @@ class RuntimeMetrics:
         return histogram.quantile(q) if histogram is not None else None
 
     # ------------------------------------------------------------------ #
-    # Cache gauges
-    # ------------------------------------------------------------------ #
-    def register_cache(self, name: str, cache: object) -> str:
-        """Expose a cache's hit/miss gauges in :meth:`snapshot`.
-
-        ``cache`` must provide a ``stats()`` method (the
-        :class:`~repro.runtime.cache.LRUCache` does).  Registering an
-        already-used name uniquifies it (``name#2``, ``name#3``, ...), so
-        several oracles can share one sink — the server's registry does —
-        without clobbering each other's gauges.  The lowest free suffix is
-        handed out without scanning the registrations.  Only a weak
-        reference is kept: a cache that dies with its oracle (say, one the
-        server's registry evicted) disappears from the snapshot instead of
-        being pinned, and its name becomes reusable.  Registering the *same
-        object* again is idempotent (it keeps its original name): every
-        oracle registers the process-wide ``ltr.containment_cq_memo``.
-        Returns the name actually registered.
-        """
-        with self._lock:
-            known = self._cache_names.get(cache)
-            if known is not None:
-                return known
-            self._reap_dead_caches()
-            while True:
-                free = self._free_suffixes.get(name)
-                if free:
-                    suffix = heapq.heappop(free)
-                else:
-                    suffix = self._next_suffix.get(name, 1)
-                    self._next_suffix[name] = suffix + 1
-                final = name if suffix == 1 else f"{name}#{suffix}"
-                # Only a requested name that itself ends in ``#k`` can
-                # collide with a live one.
-                held = self._caches.get(final)
-                if held is None or held() is None:
-                    break
-            dead = self._dead
-            self._caches[final] = weakref.ref(
-                cache, lambda _ref, slot=(name, suffix): dead.append(slot)
-            )
-            self._cache_names[cache] = final
-            return final
-
-    def _reap_dead_caches(self) -> None:
-        """Free the names of caches that died since the last call (lock held)."""
-        while self._dead:
-            name, suffix = self._dead.pop()
-            final = name if suffix == 1 else f"{name}#{suffix}"
-            held = self._caches.get(final)
-            if held is not None and held() is None:
-                del self._caches[final]
-            heapq.heappush(self._free_suffixes.setdefault(name, []), suffix)
-
-    # ------------------------------------------------------------------ #
     # Reporting
     # ------------------------------------------------------------------ #
     def snapshot(self) -> Dict[str, object]:
-        """A plain-dict snapshot: counters, gauges, histograms, caches.
+        """A plain-dict snapshot: ``counters``, ``gauges`` and ``histograms``.
 
         Each histogram reports its ``count``, ``sum`` and ``mean`` (the mean
         per-call cost, meaningful even when parallel runs make the summed
         total exceed wall-clock) with min/max and p50/p95/p99.
         """
         with self._lock:
-            self._reap_dead_caches()
-            caches = {name: ref() for name, ref in self._caches.items()}
             histograms = dict(self._histograms)
             snap: Dict[str, object] = {
                 "counters": dict(self._counters),
                 "gauges": dict(self._gauges),
             }
-        # Cache and histogram stats take per-object locks; collect them
+        # Histogram snapshots take per-histogram locks; collect them
         # outside our own.
         snap["histograms"] = {
             name: histogram.snapshot() for name, histogram in histograms.items()
         }
-        snap["caches"] = {
-            name: cache.stats() for name, cache in caches.items() if cache is not None
-        }
         return snap
 
     def reset(self) -> None:
-        """Drop all recorded values and zero registered caches' gauges.
-
-        Registered caches stay registered, but their hit/miss counters are
-        reset (via ``reset_stats()`` where the cache provides it) so a
-        post-reset snapshot genuinely starts from zero — previously the
-        cache gauges kept counting across resets, which made before/after
-        bench comparisons silently wrong.
-        """
+        """Drop every counter, gauge and histogram."""
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
-            self._reap_dead_caches()
-            caches = [ref() for ref in self._caches.values()]
-        # Cache stat resets take per-cache locks; run them outside ours.
-        for cache in caches:
-            reset_stats = getattr(cache, "reset_stats", None)
-            if cache is not None and reset_stats is not None:
-                reset_stats()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RuntimeMetrics(counters={self._counters!r})"

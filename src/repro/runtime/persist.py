@@ -53,6 +53,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, Hashable, List, Optional, Tuple
 
+from repro.runtime.cache import access_key
 from repro.runtime.serialize import (
     UnencodableValueError,
     configuration_digest,
@@ -198,7 +199,7 @@ class PersistentWitnessCache:
                 probed = steps[0].access if steps else None
                 # Revalidation checks the path, not which access it
                 # certifies: a record must key its own probed access.
-                if probed is None or (probed.method.name, tuple(probed.binding)) != akey:
+                if probed is None or access_key(probed) != akey:
                     self._stats["skipped_undecodable"] += 1
                     continue
                 decoded[akey] = LtrWitness(steps)
@@ -217,7 +218,7 @@ class PersistentWitnessCache:
         seeding oracle.  Only keys the cache does not already hold are
         written (a live witness captured this run is fresher than a
         persisted one), and a record equal to the one ``discarded`` (an
-        :class:`~repro.runtime.cache.LRUCache` by access key) holds for its
+        :class:`~repro.lru.LRUCache` by access key) holds for its
         key is skipped: the oracle already saw it fail.  Returns the list of
         seeded access keys — the oracle keeps them for witness *provenance*
         (a trace can then say whether a revalidation ran against a persisted

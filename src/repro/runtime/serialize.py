@@ -36,7 +36,6 @@ from repro.schema import Access, Schema
 __all__ = [
     "RECORD_VERSION",
     "UnencodableValueError",
-    "access_spec",
     "access_token",
     "configuration_digest",
     "decode_json_steps",
@@ -106,15 +105,9 @@ def query_token(query) -> str:
     return _digest(query.canonical_form())
 
 
-def access_spec(access: Access) -> Tuple[str, Tuple[object, ...]]:
-    """The wire identity of an access: its method name and binding."""
-    return (access.method.name, tuple(access.binding))
-
-
 def access_token(access: Access) -> str:
     """A process-stable digest of an access (method name + binding reprs)."""
-    method, binding = access_spec(access)
-    return _digest((method, tuple(repr(value) for value in binding)))
+    return _digest((access.method.name, tuple(repr(value) for value in access.binding)))
 
 
 def configuration_digest(configuration: Configuration) -> str:

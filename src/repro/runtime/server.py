@@ -223,8 +223,10 @@ class QueryServer:
         A shared sink; per-query oracles, their screens, and the executor
         all record into it.
     max_entries:
-        Bound on each of an oracle's three LRU caches (verdicts, LTR
-        history, witnesses).
+        Bound on each of an oracle's LRU caches: verdicts, LTR history and
+        witnesses, plus the witnesses lost to a failed revalidation when a
+        witness store is attached (so at most ``max_stores × 4 ×
+        max_entries`` cached entries).
     max_stores:
         Bound on the per-query oracle registry (least-recently-used oracles
         are evicted; an evicted query merely loses cross-request reuse).
@@ -793,7 +795,7 @@ class QueryServer:
         # nothing progresses, the wanting queries retire with the keys in
         # ``failed_accesses``.
         for access, _error, _attempts in batch.failed:
-            key = executor.key(access)
+            key = access_key(access)
             for state in wanted.get(key, ()):
                 if key not in state.failed_keys:
                     state.failed_keys.add(key)

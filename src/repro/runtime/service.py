@@ -73,7 +73,9 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
+    414: "URI Too Long",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -85,9 +87,12 @@ _REASONS = {
 _QUEUED, _ANSWERING, _DONE, _FAILED = "queued", "answering", "done", "failed"
 _DEGRADED = "degraded"
 
+#: Header lines a request may carry before it is refused with 431.
+_MAX_HEADER_LINES = 100
+
 
 class _BadRequest(Exception):
-    """Malformed HTTP or JSON; rendered as a 400/413 response."""
+    """Malformed HTTP or JSON; rendered as a 4xx response."""
 
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
@@ -405,7 +410,13 @@ class AnsweringService:
                 pass
 
     async def _read_request(self, reader):
-        request_line = await reader.readline()
+        # ``readline`` raises ValueError on a line longer than the stream
+        # reader's limit (64 KiB).
+        try:
+            request_line = await reader.readline()
+        except ValueError:
+            self._metrics.incr("service.http_requests")
+            raise _BadRequest(414, "request line too long") from None
         if not request_line:
             return None
         self._metrics.incr("service.http_requests")
@@ -414,12 +425,17 @@ class AnsweringService:
             raise _BadRequest(400, "malformed request line")
         method, target, _version = parts
         headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
+        for _ in range(_MAX_HEADER_LINES + 1):
+            try:
+                line = await reader.readline()
+            except ValueError:
+                raise _BadRequest(431, "header line too long") from None
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        else:
+            raise _BadRequest(431, f"more than {_MAX_HEADER_LINES} header lines")
         length_text = headers.get("content-length", "0")
         try:
             length = int(length_text)

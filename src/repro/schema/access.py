@@ -90,11 +90,6 @@ class AccessMethod:
         """Convenience negation of :attr:`dependent`."""
         return not self.dependent
 
-    @property
-    def input_domains(self) -> Tuple[AbstractDomain, ...]:
-        """Abstract domains of the input places, in place order."""
-        return tuple(self.relation.domain_of(place) for place in self.input_places)
-
     def binding_from_mapping(self, mapping: Mapping[int, object]) -> Tuple[object, ...]:
         """Build a binding tuple from a ``{place: value}`` mapping."""
         try:

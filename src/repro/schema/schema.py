@@ -238,8 +238,3 @@ class SchemaBuilder:
     def build(self) -> Schema:
         """Assemble the declared relations and methods into a :class:`Schema`."""
         return Schema(self._relations.values(), self._methods)
-
-    @property
-    def domains_registry(self) -> DomainRegistry:
-        """The underlying domain registry (useful for sharing across builders)."""
-        return self._domains

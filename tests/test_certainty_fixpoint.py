@@ -40,7 +40,7 @@ from repro.core.longterm_dependent import (
 )
 from repro.queries import is_certain
 from repro.queries.certain import CertaintyFixpoint
-from repro.runtime import QueryServer, RelevanceOracle, RuntimeMetrics
+from repro.runtime import QueryServer
 from repro.runtime.witness import LtrWitness
 from repro.workloads import (
     bank_multi_query_scenario,
@@ -162,7 +162,6 @@ def test_max_facts_bound_drops_state_but_keeps_verdicts():
     verdict, outcome = bounded.check(configuration)
     assert (verdict, outcome) == (expected, "restarted")
     assert bounded.peek(configuration) is None
-    assert bounded.stats()["entries"] == 0
 
 
 def test_store_eviction_drops_fixpoint_state():
@@ -257,19 +256,16 @@ def test_truncation_view_restores_configuration_on_exception():
 def test_containment_cq_memo_hits_and_invalidates():
     memo = containment_cq_memo()
     memo.clear()
-    memo.reset_stats()
+    hits, misses = memo.hits, memo.misses
     scenario = dependent_chain_scenario(2)
     args = (scenario.query, scenario.access, scenario.configuration, scenario.schema)
 
     first = is_ltr_via_containment_cq(*args)
-    stats = memo.stats()
-    assert stats["misses"] == 1
-    assert stats["hits"] == 0
+    assert (memo.hits - hits, memo.misses - misses) == (0, 1)
 
     assert is_ltr_via_containment_cq(*args) == first
-    stats = memo.stats()
-    assert stats["hits"] == 1
-    assert stats["entries"] == 1
+    assert (memo.hits - hits, memo.misses - misses) == (1, 1)
+    assert len(memo) == 1
 
     # Any configuration change is a different key: the memo must not serve
     # a verdict computed at another configuration.
@@ -279,13 +275,5 @@ def test_containment_cq_memo_hits_and_invalidates():
     is_ltr_via_containment_cq(
         scenario.query, scenario.access, grown, scenario.schema
     )
-    assert memo.stats()["misses"] == 2
-
-
-def test_containment_cq_memo_surfaces_in_oracle_metrics():
-    metrics = RuntimeMetrics()
-    scenario = dependent_chain_scenario(2)
-    RelevanceOracle(_boolean(scenario.query), scenario.schema, metrics=metrics)
-    caches = metrics.snapshot()["caches"]
-    assert "ltr.containment_cq_memo" in caches
-    assert set(caches["ltr.containment_cq_memo"]) >= {"hits", "misses", "entries"}
+    assert (memo.hits - hits, memo.misses - misses) == (1, 2)
+    assert len(memo) == 2

@@ -253,13 +253,13 @@ def test_lru_cache_evicts_oldest():
     assert cache.get("c") == 3
     assert len(cache) == 2
     assert cache.get("b") is None
-    stats = cache.stats()
-    assert (stats["hits"], stats["misses"], stats["entries"]) == (3, 1, 2)
-    assert stats["hit_rate"] == 0.75
-    # An unprobed cache reports an unknown (None) rate, not zero.
-    assert LRUCache().stats()["hit_rate"] is None
+    assert (cache.hits, cache.misses, len(cache)) == (3, 1, 2)
     cache.discard("a")
     assert "a" not in cache and len(cache) == 1
+    # clear() drops the entries and keeps counting probes.
+    cache.clear()
+    assert len(cache) == 0 and cache.get("c") is None
+    assert (cache.hits, cache.misses) == (3, 2)
 
 
 def test_metrics_counters_and_timers():
@@ -282,8 +282,7 @@ def test_oracle_requires_nothing_but_query_and_schema():
     query = random_cq(SCHEMA, atoms=2, variables=2, seed=1)
     oracle = RelevanceOracle(query, SCHEMA)
     assert oracle.query.is_boolean
-    stats = oracle.stats()
-    assert stats == {"hits": 0, "misses": 0, "entries": 0}
+    assert oracle.cache_hits == oracle.cache_misses == 0
 
 
 # --------------------------------------------------------------------------- #

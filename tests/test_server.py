@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import gc
 import os
+import re
 import sqlite3
 import weakref
 
@@ -25,7 +26,6 @@ from repro.planner import exhaustive_strategy, relevance_guided_strategy
 from repro.queries import parse_cq
 from repro.runtime import (
     CandidateScreen,
-    LRUCache,
     LtrWitness,
     PersistentWitnessCache,
     QueryServer,
@@ -33,6 +33,7 @@ from repro.runtime import (
     RuntimeMetrics,
     Tracer,
     activate_tracer,
+    prometheus_text,
 )
 from repro.runtime.executor import candidate_accesses
 from repro.runtime.serialize import query_token, schema_token
@@ -474,8 +475,8 @@ class TestStoreRegistry:
 
     def test_second_answer_call_builds_nothing(self, scenario, monkeypatch):
         """A repeated batch reuses the registry's oracles and their screens:
-        nothing is constructed or registered, and every verdict the oracles
-        then serve equals the unmemoized procedure's."""
+        nothing is constructed, and every verdict the oracles then serve
+        equals the unmemoized procedure's."""
         built = []
 
         def counting(cls):
@@ -489,13 +490,6 @@ class TestStoreRegistry:
 
         counting(RelevanceOracle)
         counting(CandidateScreen)
-        register = RuntimeMetrics.register_cache
-
-        def counting_register(self, name, cache):
-            built.append(name)
-            return register(self, name, cache)
-
-        monkeypatch.setattr(RuntimeMetrics, "register_cache", counting_register)
         mediator = scenario.mediator()
         with QueryServer(mediator) as server:
             first = server.answer(scenario.queries)
@@ -638,11 +632,22 @@ class TestSiblingHints:
     def test_reading_a_sibling_leaves_its_cache_alone(self):
         metrics = RuntimeMetrics()
         scenario, server, first, second = self._oracles(metrics)
+        configuration = scenario.configuration
         free = Access(scenario.schema.access_method("mS"), ())
-        first.long_term_relevant(free, scenario.configuration)
-        before = first._witnesses.stats()
-        assert second.long_term_relevant(free, scenario.configuration)
-        assert first._witnesses.stats() == before
+        keyed = Access(scenario.schema.access_method("mR"), ("a",))
+        assert first.long_term_relevant(free, configuration)
+        assert first.long_term_relevant(keyed, configuration)
+        witnesses = first._witnesses
+
+        def state():
+            return witnesses.hits, witnesses.misses, list(witnesses._entries)
+
+        before = state()
+        # The hint reads the older key: a recency refresh would reorder them.
+        assert before[2] == [("mS", ()), ("mR", ("a",))]
+        assert second.long_term_relevant(free, configuration)
+        assert metrics.count("oracle.sibling_hits") == 1
+        assert state() == before
 
     def test_a_standalone_oracle_takes_no_hints(self):
         metrics = RuntimeMetrics()
@@ -710,7 +715,7 @@ class TestSiblingHints:
 
 
 # --------------------------------------------------------------------------- #
-# Metrics surfaces: timed-stage sample counts and cache gauges
+# Metrics surfaces: timed-stage sample counts and the ladder counters
 # --------------------------------------------------------------------------- #
 class TestMetricsSurfaces:
     def test_timer_calls_are_counted(self):
@@ -726,67 +731,45 @@ class TestMetricsSurfaces:
         metrics.reset()
         assert metrics.histogram("t") is None
 
-    def test_server_metrics_include_cache_gauges(self, scenario):
+    def test_server_metrics_count_the_ladder_rungs(self, scenario):
+        """Counters and histograms account for every oracle decision: each
+        miss is resolved by exactly one rung or one timed certainty check."""
         metrics = RuntimeMetrics()
         with QueryServer(scenario.mediator(), metrics=metrics) as server:
             server.answer(scenario.queries)
-            snap = metrics.snapshot()
-        # The registry's oracles outlive the answer call, so their caches
-        # stay visible with their hit/miss gauges.
-        stores = [
-            stats
-            for name, stats in snap["caches"].items()
-            if name.startswith("oracle.witnesses")
-            or name.startswith("oracle.ltr_history")
-        ]
-        assert stores and all(
-            {"hits", "misses", "entries", "hit_rate"} <= set(stats)
-            for stats in stores
+        count = metrics.count
+        samples = metrics.histogram
+        assert count("oracle.misses") == (
+            count("oracle.delta_hits")
+            + count("witness.revalidated")
+            + count("oracle.fresh_searches")
+            + samples("oracle.certain").count
         )
-        assert any(stats["entries"] for stats in stores)
-        assert snap["histograms"]["oracle.certain"]["count"] > 0
+        assert count("oracle.fresh_searches") == samples("oracle.long_term").count > 0
+        assert samples("oracle.certain").count > 0
+        assert count("oracle.hits") > 0
 
-    def test_cache_registry_stays_bounded_across_answer_calls(self, scenario):
-        """Repeated answer calls reuse the registry's oracles, so they must
-        not accumulate cache registrations in the shared sink (the
-        long-lived-server memory-leak regression)."""
+    def test_metrics_cardinality_ignores_the_registry(self, scenario):
+        """A server answering more distinct queries than its registry holds
+        evicts and rebuilds oracles, but the metrics it exports name no
+        oracle: the snapshot holds counters, gauges and histograms only, and
+        no exposition sample carries a label other than ``le``."""
         metrics = RuntimeMetrics()
-        with QueryServer(scenario.mediator(), metrics=metrics) as server:
-            server.answer(scenario.queries)
-            first = len(metrics.snapshot()["caches"])
-            for _ in range(3):
-                server.answer(scenario.queries)
-            after = len(metrics.snapshot()["caches"])
-        assert after <= first
-
-    def test_registration_reuses_the_lowest_dead_suffix(self):
-        metrics = RuntimeMetrics()
-        caches = [LRUCache() for _ in range(100)]
-        names = [metrics.register_cache("probe", cache) for cache in caches]
-        assert names[:3] == ["probe", "probe#2", "probe#3"]
-        assert names[-1] == "probe#100"
-        del caches[6], caches[2]  # probe#7 and probe#3
-        gc.collect()
-        refill = [LRUCache() for _ in range(3)]
-        assert [metrics.register_cache("probe", cache) for cache in refill] == [
-            "probe#3",
-            "probe#7",
-            "probe#101",
-        ]
-        # The same object keeps its name.
-        assert metrics.register_cache("other", refill[2]) == "probe#101"
-        assert metrics.register_cache("probe", caches[0]) == "probe"
-
-    def test_dead_cache_registrations_are_pruned(self):
-        metrics = RuntimeMetrics()
-        cache = LRUCache()
-        name = metrics.register_cache("probe", cache)
-        assert name in metrics.snapshot()["caches"]
-        del cache
-        import gc
-
-        gc.collect()
-        assert "probe" not in metrics.snapshot()["caches"]
-        # The name is reusable once the old cache is gone.
-        keep = LRUCache()
-        assert metrics.register_cache("probe", keep) == "probe"
+        queries = scenario.queries
+        assert len(queries) > 2
+        with QueryServer(scenario.mediator(), metrics=metrics, max_stores=2) as server:
+            for _ in range(2):
+                for query in queries:
+                    server.answer([query])
+            assert len(server._stores) == 2
+            snap = metrics.snapshot()
+            text = prometheus_text(metrics)
+        assert set(snap) == {"counters", "gauges", "histograms"}
+        assert "repro_cache" not in text
+        labels = {
+            label
+            for line in text.splitlines()
+            if not line.startswith("#")
+            for label in re.findall(r'([A-Za-z_][A-Za-z0-9_]*)="', line)
+        }
+        assert labels == {"le"}

@@ -210,6 +210,10 @@ class TestMetricsEndpoint:
                 seen_types[name] = kind
                 continue
             assert self._SAMPLE.match(line), f"unparseable sample line: {line!r}"
+            # Only histogram buckets are labelled: the line count follows
+            # the metric names, not the number of queries served.
+            labels = re.findall(r'([A-Za-z_][A-Za-z0-9_]*)="', line)
+            assert set(labels) <= {"le"}, f"sample line with a label: {line!r}"
         # The families this PR is about are present with the right types.
         assert seen_types.get("repro_service_http_requests_total") == "counter"
         assert seen_types.get("repro_admission_accepted_total") == "counter"
@@ -387,9 +391,10 @@ class TestErrorPaths:
         assert status == 400
 
     def test_request_parse_errors_answer_4xx_not_500(self):
-        """A body over the bound, a bad or negative Content-Length and a
-        malformed request line are the client's errors, not handler
-        crashes."""
+        """A body over the bound, a bad or negative Content-Length, a
+        malformed request line, a request or header line over the stream
+        reader's 64 KiB limit and too many header lines are the client's
+        errors, not handler crashes."""
         scenario = bank_multi_query_scenario(2, employees=3, offices=2, states=2)
         server = QueryServer(scenario.mediator())
         handle = serve_in_background(server, max_body_bytes=64)
@@ -405,12 +410,23 @@ class TestErrorPaths:
                 _raw_status(handle, post(b"ten")),
                 _raw_status(handle, b"NONSENSE\r\n\r\n"),
                 _raw_status(handle, post(b"-5")),
+                _raw_status(handle, b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n"),
+                _raw_status(
+                    handle,
+                    b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n",
+                ),
+                _raw_status(
+                    handle,
+                    b"GET /healthz HTTP/1.1\r\n"
+                    + b"".join(b"X-%d: 1\r\n" % i for i in range(101))
+                    + b"\r\n",
+                ),
             ]
         finally:
             handle.shutdown()
-        assert statuses == [413, 400, 400, 400]
+        assert statuses == [413, 400, 400, 400, 414, 431, 431]
         assert server.metrics.count("service.http_errors") == 0
-        assert server.metrics.count("service.http_requests") == 4
+        assert server.metrics.count("service.http_requests") == 7
 
     def test_unknown_record_404(self, bank_service):
         _, handle = bank_service

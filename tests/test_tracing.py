@@ -9,8 +9,7 @@ Covers, roughly in order:
   plain-tuple format of the JSON snapshot;
 * latency histograms — bounded quantile estimates and their surfacing
   through :meth:`RuntimeMetrics.snapshot`;
-* the :meth:`RuntimeMetrics.reset` cache-gauge regression (registered
-  caches' hit/miss counters must reset too);
+* :meth:`RuntimeMetrics.reset` clearing histograms;
 * exporters — Prometheus text, JSON snapshot, Chrome-trace file, and the
   ``explain`` report;
 * end-to-end span trees — a traced guided strategy run and a traced
@@ -35,7 +34,6 @@ from repro.planner import relevance_guided_strategy
 from repro.runtime import (
     NO_TRACER,
     LatencyHistogram,
-    LRUCache,
     QueryServer,
     RuntimeMetrics,
     Tracer,
@@ -460,33 +458,6 @@ class TestMetricsSnapshot:
         assert snapshot["sum"] >= 0.0
         assert snapshot["mean"] == pytest.approx(snapshot["sum"] / 4)
 
-    def test_reset_zeroes_registered_cache_gauges(self):
-        """Regression: reset() used to leave registered caches' hit/miss
-        counters untouched, so post-reset snapshots kept counting."""
-        metrics = RuntimeMetrics()
-        plain = LRUCache(max_entries=8)
-        other = LRUCache(max_entries=64)
-        metrics.register_cache("plain", plain)
-        metrics.register_cache("other", other)
-        plain.put("a", 1)
-        plain.get("a")
-        plain.get("missing")
-        other.put("b", 2)
-        other.get("b")
-        other.get("missing")
-        before = metrics.snapshot()["caches"]
-        assert before["plain"]["hits"] == 1 and before["plain"]["misses"] == 1
-        assert before["other"]["hits"] == 1 and before["other"]["misses"] == 1
-
-        metrics.reset()
-        after = metrics.snapshot()["caches"]
-        assert after["plain"]["hits"] == 0 and after["plain"]["misses"] == 0
-        assert after["other"]["hits"] == 0 and after["other"]["misses"] == 0
-        # Entries survive the gauge reset — reset() is about counters, not
-        # about evicting warm state.
-        assert after["plain"]["entries"] == 1
-        assert plain.get("a") == 1
-
     def test_reset_clears_histograms(self):
         metrics = RuntimeMetrics()
         metrics.observe("x", 0.001)
@@ -507,14 +478,10 @@ class TestExporters:
             pass
         metrics.observe("access.latency", 0.002)
         metrics.observe("access.latency", 0.050)
-        cache = LRUCache(max_entries=4)
-        cache.put("k", 1)
-        cache.get("k")
-        metrics.register_cache("ltr", cache)
-        return metrics, cache
+        return metrics
 
     def test_prometheus_text(self):
-        metrics, _cache = self._populated()
+        metrics = self._populated()
         text = prometheus_text(metrics)
         assert "repro_oracle_fresh_searches_total 3" in text
         assert "# TYPE repro_oracle_long_term_seconds histogram" in text
@@ -524,10 +491,10 @@ class TestExporters:
         assert "# TYPE repro_access_latency_seconds histogram" in text
         assert 'repro_access_latency_seconds_bucket{le="+Inf"} 2' in text
         assert "repro_access_latency_seconds_count 2" in text
-        assert 'repro_cache_hits{cache="ltr"} 1' in text
+        assert "repro_cache" not in text
 
     def test_json_snapshot_round_trips(self):
-        metrics, _cache = self._populated()
+        metrics = self._populated()
         tracer = Tracer()
         with tracer.span("answer"):
             pass
@@ -535,7 +502,7 @@ class TestExporters:
         assert document["metrics"]["counters"]["oracle.fresh_searches"] == 3
         assert document["metrics"]["histograms"]["access.latency"]["count"] == 2
         assert document["metrics"]["histograms"]["oracle.long_term"]["count"] == 1
-        assert "timers" not in document["metrics"]
+        assert set(document["metrics"]) == {"counters", "gauges", "histograms"}
         assert len(document["spans"]) == 1
         assert document["spans"][0][2] == "answer"
 
