@@ -38,18 +38,24 @@ Two service modes ride along (see docs/operations.md):
   ``repro_oracle_sibling_hits_total``); that the same batch posted again
   answers the same with no new access and no fresh search; that
   ``/metrics`` exports timed stages as histograms, no ``repro_cache``
-  family, and no sample label but ``le``; and that a request declaring an
+  family, and no sample label but ``le``; that a request declaring an
   oversized body and one with a bad Content-Length answer 413 and 400, not
-  500.
+  500; that a client which never finishes its headers gets 408 once the
+  read deadline passes (shortened for the smoke); and that shutdown with an
+  idle connection open closes it and leaves no handler task pending.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import io
 import json
+import logging
 import multiprocessing
 import os
 import re
+import select
 import socket
 import tempfile
 import time
@@ -69,6 +75,7 @@ from repro.runtime import (
     serve_in_background,
     write_chrome_trace,
 )
+from repro.runtime import service as service_module
 from repro.workloads import bank_multi_query_scenario, flaky_scenario
 
 
@@ -275,6 +282,25 @@ def _raw_status(port: int, head: bytes) -> int:
     return int(reply.split(b" ", 2)[1])
 
 
+def _slow_header_reply(port: int) -> bytes:
+    """Send a request line, then a header line every 0.1 s and never the
+    blank line; the reply, read until the service closes."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(b"GET /healthz HTTP/1.1\r\n")
+        reply = b""
+        started = time.monotonic()
+        while time.monotonic() - started < 30:
+            readable, _, _ = select.select([sock], [], [], 0.1)
+            if not readable:
+                sock.sendall(b"X-Slow: 1\r\n")
+                continue
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            reply += chunk
+    return reply
+
+
 def serve(port: int, rate: float, round_budget: int) -> None:
     """Run the answering service in the foreground until interrupted."""
     scenario = bank_multi_query_scenario(8, employees=6, offices=3, states=4)
@@ -331,6 +357,14 @@ def service_smoke() -> None:
     ]
 
     server = QueryServer(scenario.mediator(), metrics=RuntimeMetrics())
+    # The read deadline is a module constant; shortened here so the slow
+    # client below sees its 408 quickly.  Every other request arrives whole
+    # at once.
+    read_deadline = service_module._READ_DEADLINE_S
+    service_module._READ_DEADLINE_S = 0.5
+    asyncio_log = io.StringIO()
+    log_handler = logging.StreamHandler(asyncio_log)
+    logging.getLogger("asyncio").addHandler(log_handler)
     handle = serve_in_background(server)
     batch = {"queries": [str(q) for q in scenario.queries], "client": "smoke"}
     try:
@@ -406,12 +440,40 @@ def service_smoke() -> None:
             handle.port, b"POST /queries HTTP/1.1\r\nContent-Length: ten\r\n\r\n"
         )
         assert (oversized, bad_length) == (413, 400), (oversized, bad_length)
+        # A client that never finishes its headers times out with 408.
+        started = time.monotonic()
+        slow = _slow_header_reply(handle.port)
+        waited = time.monotonic() - started
+        assert slow.startswith(b"HTTP/1.1 408 "), slow[:40]
+        assert waited < 10.0, f"408 after {waited:.1f} s"
         http_errors = server.metrics.count("service.http_errors")
         assert http_errors == 0, f"service.http_errors = {http_errors}"
-        print("oversized body 413, bad Content-Length 400, 0 handler errors")
+        print(
+            "oversized body 413, bad Content-Length 400, "
+            f"slow headers 408 after {waited:.1f} s, 0 handler errors"
+        )
+
+        # Shutdown with an idle connection open (request line sent, no
+        # headers) closes it, and no handler task is left pending.
+        with socket.create_connection(("127.0.0.1", handle.port), timeout=30) as idle:
+            requests = server.metrics.count("service.http_requests")
+            idle.sendall(b"GET /healthz HTTP/1.1\r\n")
+            read_by = time.monotonic() + 10
+            while server.metrics.count("service.http_requests") == requests:
+                assert time.monotonic() < read_by, "request line never read"
+                time.sleep(0.01)
+            handle.shutdown()
+            assert idle.recv(4096) == b"", "idle connection left open"
+        handle = None
+        gc.collect()
+        assert "Task was destroyed" not in asyncio_log.getvalue(), asyncio_log.getvalue()
+        print("shutdown closed an idle connection, no handler task pending")
     finally:
-        handle.shutdown()
+        if handle is not None:
+            handle.shutdown()
         server.close()
+        service_module._READ_DEADLINE_S = read_deadline
+        logging.getLogger("asyncio").removeHandler(log_handler)
     print("service smoke PASSED")
 
 

@@ -337,14 +337,6 @@ class Instance:
             self._adom_cache = cached
         return cached
 
-    def active_values(self, domain: Optional[AbstractDomain] = None) -> FrozenSet[object]:
-        """Values of the active domain, optionally restricted to one domain."""
-        if domain is None:
-            return frozenset(value for value, _ in self.active_domain())
-        return frozenset(
-            value for value, dom in self.active_domain() if dom == domain
-        )
-
     def active_values_by_domain(self) -> Dict[AbstractDomain, Tuple[object, ...]]:
         """Active-domain values grouped by domain, each group sorted by ``repr``.
 

@@ -237,18 +237,6 @@ class AccessPath:
                     return False
         return True
 
-    def added_facts(self) -> Tuple[Fact, ...]:
-        """All facts returned along the path (with duplicates removed)."""
-        seen = []
-        seen_set = set()
-        for response in self.steps:
-            for fact in response.as_facts():
-                key = (fact.relation, fact.values)
-                if key not in seen_set:
-                    seen_set.add(key)
-                    seen.append(fact)
-        return tuple(seen)
-
     # ------------------------------------------------------------------ #
     # Truncation (Section 2, "Long-term impact")
     # ------------------------------------------------------------------ #

@@ -145,18 +145,6 @@ class Program:
         """Predicates that occur in some rule head (intensional predicates)."""
         return frozenset(rule.head.predicate for rule in self._rules)
 
-    def edb_predicates(self) -> FrozenSet[str]:
-        """Predicates that occur only in rule bodies (extensional predicates)."""
-        heads = self.idb_predicates()
-        body_predicates = {
-            literal.predicate for rule in self._rules for literal in rule.body
-        }
-        return frozenset(body_predicates - heads)
-
-    def rules_for(self, predicate: str) -> Tuple[Rule, ...]:
-        """Rules whose head predicate is ``predicate``."""
-        return tuple(rule for rule in self._rules if rule.head.predicate == predicate)
-
     def is_monadic(self) -> bool:
         """Whether every intensional predicate has arity at most 1."""
         for rule in self._rules:

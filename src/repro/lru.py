@@ -2,8 +2,8 @@
 
 Imports nothing from :mod:`repro`, so the lowest layers use it at module
 top: :mod:`repro.core.longterm_dependent` keeps the Proposition 3.5 memo in
-one, and :class:`~repro.runtime.cache.RelevanceOracle` its verdicts,
-witnesses and LTR history.
+one, and :class:`~repro.runtime.cache.RelevanceOracle` two, its verdicts
+and its per-access records.
 """
 
 from __future__ import annotations
@@ -56,6 +56,11 @@ class LRUCache:
         counting a probe."""
         with self._lock:
             return self._entries.get(key)
+
+    def full(self) -> bool:
+        """Whether a :meth:`put` of a new key would evict one."""
+        with self._lock:
+            return self._max_entries is not None and len(self._entries) >= self._max_entries
 
     def discard(self, key: Hashable) -> None:
         """Drop ``key`` if present (no recency or hit/miss accounting)."""

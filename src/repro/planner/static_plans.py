@@ -45,10 +45,6 @@ class ExecutablePlan:
     query: ConjunctiveQuery
     steps: Tuple[PlanStep, ...]
 
-    def methods_used(self) -> Tuple[str, ...]:
-        """Names of the access methods used, in plan order."""
-        return tuple(step.method.name for step in self.steps)
-
 
 def _atom_answerable(
     atom: Atom, method: AccessMethod, bound_variables: Set[Variable]

@@ -62,12 +62,6 @@ class Atom:
                 domains.setdefault(term, self.relation.domain_of(place))
         return domains
 
-    def places_of(self, variable: Variable) -> Tuple[int, ...]:
-        """All places at which ``variable`` occurs in this atom."""
-        return tuple(
-            place for place, term in enumerate(self.terms) if term == variable
-        )
-
     # ------------------------------------------------------------------ #
     # Substitution
     # ------------------------------------------------------------------ #

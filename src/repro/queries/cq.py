@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import QueryError
 from repro.queries.atoms import Atom
@@ -276,19 +276,6 @@ class ConjunctiveQuery:
         return ConjunctiveQuery(
             self.atoms + other.atoms, tuple(free), name or self.name
         )
-
-    def without_atoms(self, atoms: Iterable[Atom]) -> "ConjunctiveQuery":
-        """The query with the given subgoals removed (must stay non-empty)."""
-        dropped = list(atoms)
-        kept = [atom for atom in self.atoms if atom not in dropped]
-        if not kept:
-            raise QueryError("cannot remove every subgoal of a conjunctive query")
-        free = tuple(
-            variable
-            for variable in self.free_variables
-            if any(variable in atom.variables for atom in kept)
-        )
-        return ConjunctiveQuery(tuple(kept), free, self.name)
 
     def boolean_closure(self) -> "ConjunctiveQuery":
         """The Boolean query obtained by dropping all free variables."""

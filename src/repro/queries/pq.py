@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.exceptions import QueryError
 from repro.queries.atoms import Atom
@@ -192,22 +192,6 @@ class PositiveQuery:
         else:
             node = AndNode(tuple(AtomNode(atom) for atom in query.atoms))
         return PositiveQuery(node, query.free_variables, query.name)
-
-    @staticmethod
-    def union_of(queries: Sequence[ConjunctiveQuery], name: str = "Q") -> "PositiveQuery":
-        """A union of conjunctive queries (UCQ) as a positive query.
-
-        All disjuncts must have the same free-variable tuple.
-        """
-        if not queries:
-            raise QueryError("a union needs at least one disjunct")
-        free = queries[0].free_variables
-        for query in queries[1:]:
-            if query.free_variables != free:
-                raise QueryError("all disjuncts of a union must share free variables")
-        children = tuple(PositiveQuery.from_cq(query).root for query in queries)
-        root: PQNode = children[0] if len(children) == 1 else OrNode(children)
-        return PositiveQuery(root, free, name)
 
     # ------------------------------------------------------------------ #
     # Structure

@@ -205,12 +205,6 @@ class AdmissionController:
         with self._lock:
             return self._draining
 
-    def client_inflight(self, client: str) -> int:
-        """One client's share of :attr:`inflight`."""
-        with self._lock:
-            state = self._clients.get(client)
-            return state.inflight if state is not None else 0
-
     # ------------------------------------------------------------------ #
     # Decisions
     # ------------------------------------------------------------------ #

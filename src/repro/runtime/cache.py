@@ -35,8 +35,16 @@ search: long-term relevance goes through the incremental engine of
    witness path is captured for the next round.  It is the only rung that
    decides a negative verdict anew.
 
-Entries are evicted least-recently-used beyond ``max_entries`` so a
-long-running mediator cannot grow the cache without bound.
+The oracle holds two :class:`~repro.lru.LRUCache` maps of ``max_entries``
+each, so a long-running mediator cannot grow it without bound: the verdict
+cache above (certainty verdicts too) and one record per access.  A record
+carries the access's last LTR verdict with the snapshot it was decided at,
+its witness, whether that witness came from the store and has not been
+replaced since (``persisted``; a trace then tags its revalidation
+``provenance=persisted``, and ``captured`` otherwise), whether this oracle
+accepted it by revalidation at the snapshot (the condition for the
+truncation-only check), and, with a store attached, the witness it last
+discarded.
 
 The oracle accounts for itself in :class:`~repro.runtime.metrics.RuntimeMetrics`
 counters only: one per rung above (``oracle.hits``, ``oracle.delta_hits``,
@@ -47,17 +55,19 @@ none of its caches.
 An oracle is long-lived: the query server keeps one per distinct Boolean
 query between :meth:`~repro.runtime.server.QueryServer.answer` calls, and a
 caller reuses one across strategy runs by passing it as ``oracle=``.  The
-oracle owns everything that carries over: the verdict cache, the LTR
-history, the witnesses, the certainty fixpoint, and the query's
+oracle owns everything that carries over: the verdict cache, the
+per-access records, the certainty fixpoint, and the query's
 :class:`~repro.runtime.screening.CandidateScreen`.
 
 An optional :class:`~repro.runtime.persist.PersistentWitnessCache`
 (``persist=``; one SQLite store, see :mod:`repro.runtime.storage`) extends
 the oracle beyond one process: it seeds stored witness paths at
-construction and on every :meth:`RelevanceOracle.seed_witnesses` call — a
-warm restart revalidates instead of searching — and buffers every newly
-captured path.  The caller owns the cache: it flushes the buffer (the
-server and the guided strategy do so after every round) and closes it.
+construction and on every :meth:`RelevanceOracle.seed_witnesses` call, into
+the records that hold no witness and, while the record LRU has room, into
+new ones — a warm restart revalidates instead of searching — and buffers
+every newly captured path.  The caller owns the cache: it flushes the
+buffer (the server and the guided strategy do so after every round) and
+closes it.
 
 Concurrency: every cache the oracle reads or writes is a lock-protected
 :class:`~repro.lru.LRUCache`.  All oracle calls of an answering run stay on its
@@ -71,7 +81,7 @@ same miss compute the same value, so no compute-level lock is needed.
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core import ContainmentOptions, long_term_relevance_with_witness
 from repro.data import Configuration
@@ -149,25 +159,31 @@ def _constant_renaming(
     return {source: target for source, target in renaming.items() if source != target}
 
 
-class _LtrHistory:
-    """The last LTR verdict for one access, with its dependency snapshot.
+class _AccessRecord(NamedTuple):
+    """What the oracle carries forward for one access.
 
-    ``revalidated_witness`` is the witness whose path the oracle accepted
-    by revalidation at the snapshot (``None`` after a fresh search or an
-    adoption): only that witness may skip to the truncation-only check.
+    ``verdict`` and ``snapshot`` are the last LTR verdict and the snapshot
+    of the configuration it was decided at (``None`` in a record seeded
+    from the store before any decision).  ``witness`` is the path that
+    certifies relevance, if any: ``persisted`` when it came from the store
+    and has not been replaced since, ``revalidated`` when this oracle
+    accepted it by revalidation at ``snapshot`` — only then may it skip to
+    the truncation-only check.  ``discarded`` is the witness last lost to a
+    failed revalidation, kept only with a store attached, so seeding does
+    not hand it back.  Records are replaced, never mutated, so each one the
+    LRU hands out is consistent; the hot paths build them positionally
+    (``_replace`` costs about four times as much).
     """
 
-    __slots__ = ("verdict", "snapshot", "revalidated_witness")
+    verdict: Optional[bool] = None
+    snapshot: Optional[ConfigurationSnapshot] = None
+    witness: Optional[LtrWitness] = None
+    persisted: bool = False
+    revalidated: bool = False
+    discarded: Optional[LtrWitness] = None
 
-    def __init__(
-        self,
-        verdict: bool,
-        snapshot: ConfigurationSnapshot,
-        revalidated_witness: Optional[LtrWitness] = None,
-    ) -> None:
-        self.verdict = verdict
-        self.snapshot = snapshot
-        self.revalidated_witness = revalidated_witness
+
+_NO_RECORD = _AccessRecord()
 
 
 class RelevanceOracle:
@@ -207,12 +223,8 @@ class RelevanceOracle:
             persist.attach_metrics(self._metrics)
             self._persist_tokens = (query_token(self._query), schema_token(schema))
         self._cache = LRUCache(max_entries)
-        self._witnesses = LRUCache(max_entries)
-        self._ltr_history = LRUCache(max_entries)
-        # The witness each access key last lost to a failed revalidation
-        # (kept only with a persistent cache): re-seeding it from the store
-        # would only fail again.
-        self._discarded = LRUCache(max_entries)
+        # One _AccessRecord per access key.
+        self._records = LRUCache(max_entries)
         # A weak reference to the registry's SiblingGroup, if any.
         self._group_ref: Optional["weakref.ref[SiblingGroup]"] = None
         self._query_relations = frozenset(self._query.relation_names())
@@ -223,10 +235,6 @@ class RelevanceOracle:
             else None
         )
         self._screen = CandidateScreen(self._query, schema, metrics=self._metrics)
-        # Provenance for trace annotations: which witness keys came off disk
-        # (vs captured live this process).  LtrWitness is frozen, so
-        # provenance lives here, not on the witness objects.
-        self._persist_seeded = set()
         self.seed_witnesses()
 
     # ------------------------------------------------------------------ #
@@ -268,22 +276,39 @@ class RelevanceOracle:
         return self._group_ref() if self._group_ref is not None else None
 
     def seed_witnesses(self) -> None:
-        """Copy the persistent cache's witnesses this oracle does not hold.
+        """Take the persistent cache's witnesses for accesses that hold none.
 
         The constructor seeds once; the query server calls this again each
         time it reuses the oracle, so records another process wrote since
         arrive.  A stored record equal to the witness this oracle last
-        discarded for its access is skipped.  No-op without a persistent
-        cache.
+        discarded for its access is skipped, and one for an access without
+        a record is taken only while the record LRU has room.  No-op
+        without a persistent cache.
         """
         if self._persist is None:
             return
-        seeded = self._persist.seed(
-            self._witnesses, self._persist_tokens, self._schema, self._discarded
-        )
+        seeded = self._persist.seed(self._persist_tokens, self._schema, self._take_stored)
         if seeded:
-            self._persist_seeded.update(seeded)
-            self._metrics.incr("persist.seeded", len(seeded))
+            self._metrics.incr("persist.seeded", seeded)
+
+    def _take_stored(self, akey: Hashable, witness: LtrWitness) -> bool:
+        """Put a stored witness into ``akey``'s record; whether it was taken.
+
+        Seeding fills free capacity only: a stored path never evicts a
+        record, which may hold a verdict the last answer decided.
+        """
+        record = self._records.peek(akey)
+        if record is None:
+            if self._records.full():
+                return False
+            record = _NO_RECORD
+        if record.witness is not None or record.discarded == witness:
+            return False
+        self._records.put(
+            akey,
+            _AccessRecord(record.verdict, record.snapshot, witness, True, False, record.discarded),
+        )
+        return True
 
     @property
     def cache_hits(self) -> int:
@@ -377,23 +402,21 @@ class RelevanceOracle:
 
     def _resolve_ltr_miss(self, access, akey, key, configuration) -> Tuple[bool, str]:
         """The miss path of :meth:`long_term_relevant`: ``(verdict, outcome)``."""
-        history = self._ltr_history.get(akey)
-        if history is not None and history.snapshot.delta_safe(
+        record = self._records.get(akey, _NO_RECORD)
+        if record.snapshot is not None and record.snapshot.delta_safe(
             configuration, self._unsafe_domains
         ):
             self._metrics.incr("oracle.delta_hits")
-            self._cache.put(key, history.verdict)
-            return history.verdict, "delta-inherited"
+            self._cache.put(key, record.verdict)
+            return record.verdict, "delta-inherited"
 
-        witness = self._witnesses.get(akey)
+        witness = record.witness
         if witness is not None:
             # A path this oracle accepted at a configuration the current
             # one contains can only break in its truncation (monotone
             # queries; well-formedness reads only the active domain).
-            truncation_only = (
-                history is not None
-                and history.revalidated_witness is witness
-                and history.snapshot.contained_in(configuration)
+            truncation_only = record.revalidated and record.snapshot.contained_in(
+                configuration
             )
             with stage(
                 "witness-revalidate", metrics=self._metrics, metric="witness.revalidate"
@@ -406,20 +429,13 @@ class RelevanceOracle:
                 span.annotate(
                     ok=revalidated,
                     check="truncation" if truncation_only else "full",
-                    provenance="persisted" if akey in self._persist_seeded else "captured",
+                    provenance="persisted" if record.persisted else "captured",
                 )
             if truncation_only:
                 self._metrics.incr("witness.truncation_only")
             if revalidated:
                 self._metrics.incr("witness.revalidated")
-                self._record_ltr(
-                    akey,
-                    key,
-                    True,
-                    configuration,
-                    witness=None,
-                    revalidated_witness=witness,
-                )
+                self._record_ltr(record, akey, key, True, configuration, revalidated=True)
                 return True, "revalidated"
             self._metrics.incr("witness.revalidation_failed")
             # On a growing configuration a failed revalidation means the
@@ -429,22 +445,23 @@ class RelevanceOracle:
             # search below re-captures a live witness.  (An oracle reused
             # on another run may see a configuration below this one;
             # dropping then merely costs reuse, never soundness.)
-            self._witnesses.discard(akey)
-            if self._persist is not None:
-                self._discarded.put(akey, witness)
+            discarded = witness if self._persist is not None else None
+            record = _AccessRecord(record.verdict, record.snapshot, None, False, False, discarded)
+            self._records.put(akey, record)
 
         hint = self._sibling_hint(access, akey, configuration)
         if hint is not None:
             # Recorded like a fresh positive, and revalidated right here, so
             # the truncation-only rung applies to it next time.
             self._record_ltr(
+                record,
                 akey,
                 key,
                 True,
                 configuration,
                 witness=hint,
                 access=access,
-                revalidated_witness=hint,
+                revalidated=True,
             )
             return True, "sibling"
 
@@ -471,7 +488,9 @@ class RelevanceOracle:
                 on_budget_trip=budget_tripped,
             )
         witness = LtrWitness(tuple(steps)) if steps else None
-        self._record_ltr(akey, key, verdict, configuration, witness=witness, access=access)
+        self._record_ltr(
+            record, akey, key, verdict, configuration, witness=witness, access=access
+        )
         return verdict, "fresh"
 
     def _sibling_hint(self, access, akey, configuration) -> Optional[LtrWitness]:
@@ -496,7 +515,8 @@ class RelevanceOracle:
         for sibling in group.oracles:
             if sibling is self:
                 continue
-            witness = sibling._witnesses.peek(akey)
+            record = sibling._records.peek(akey)
+            witness = record.witness if record is not None else None
             if witness is None:
                 continue
             renaming = _constant_renaming(sibling._query.template[1], ours)
@@ -530,34 +550,41 @@ class RelevanceOracle:
 
     def _record_ltr(
         self,
+        record: _AccessRecord,
         akey: Hashable,
         key: Hashable,
         verdict: bool,
         configuration: Configuration,
         *,
-        witness: Optional[LtrWitness],
+        witness: Optional[LtrWitness] = None,
         access: Optional[Access] = None,
-        revalidated_witness: Optional[LtrWitness] = None,
+        revalidated: bool = False,
     ) -> None:
+        """Cache ``verdict`` and store ``record`` with it as the last one.
+
+        A new ``witness`` replaces the record's (and is buffered for the
+        store); without one, the record keeps the witness it holds.
+        ``revalidated`` says the record's witness was accepted by
+        revalidation at ``configuration``.
+        """
         self._cache.put(key, verdict)
-        self._ltr_history.put(
-            akey,
-            _LtrHistory(
-                verdict,
-                ConfigurationSnapshot.capture(configuration, self._query_relations),
-                revalidated_witness,
-            ),
-        )
-        if witness is not None:
-            self._witnesses.put(akey, witness)
+        persisted = record.persisted
+        if witness is None:
+            witness = record.witness
+        else:
+            persisted = False
             if self._persist is not None and access is not None:
-                self._persist.record(
-                    self._persist_tokens, access, witness, configuration
-                )
+                self._persist.record(self._persist_tokens, access, witness, configuration)
+        snapshot = ConfigurationSnapshot.capture(configuration, self._query_relations)
+        self._records.put(
+            akey,
+            _AccessRecord(verdict, snapshot, witness, persisted, revalidated, record.discarded),
+        )
 
     def witness_for(self, access: Access) -> Optional[LtrWitness]:
         """The stored LTR witness for ``access``, if one was captured."""
-        return self._witnesses.get(access_key(access))
+        record = self._records.get(access_key(access))
+        return record.witness if record is not None else None
 
     # ------------------------------------------------------------------ #
     # Externally computed verdicts
@@ -626,6 +653,7 @@ class RelevanceOracle:
             if span:
                 span.annotate(outcome="adopted", relevant=verdict)
         self._record_ltr(
+            self._records.peek(akey) or _NO_RECORD,
             akey,
             ("ltr", akey, configuration.fingerprint()),
             verdict,

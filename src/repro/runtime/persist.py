@@ -51,7 +51,7 @@ server processes may share.  Design notes:
 from __future__ import annotations
 
 import threading
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.runtime.cache import access_key
 from repro.runtime.serialize import (
@@ -158,7 +158,7 @@ class PersistentWitnessCache:
         """Decode the stored witnesses for one (query, schema) pair.
 
         Returns a mapping from the in-memory access key (``(method name,
-        binding)`` — the key the oracle's witness cache uses) to the decoded
+        binding)`` — the key of the oracle's per-access records) to the decoded
         :class:`LtrWitness`.  Records whose payload no longer decodes
         against ``schema``, or whose path is empty or does not start with
         the keyed access, are skipped and counted.  Buffered records are
@@ -211,31 +211,31 @@ class PersistentWitnessCache:
             self._decoded[key] = (generation, decoded)
             return dict(decoded)
 
-    def seed(self, witness_cache, tokens: Tuple[str, str], schema: Schema, discarded):
-        """Copy stored witnesses into an in-memory witness cache.
+    def seed(
+        self,
+        tokens: Tuple[str, str],
+        schema: Schema,
+        take: Callable[[Hashable, LtrWitness], bool],
+    ) -> int:
+        """Offer an oracle every stored witness of its (query, schema) pair.
 
         ``tokens`` is the ``(query token, schema token)`` pair of the
-        seeding oracle.  Only keys the cache does not already hold are
-        written (a live witness captured this run is fresher than a
-        persisted one), and a record equal to the one ``discarded`` (an
-        :class:`~repro.lru.LRUCache` by access key) holds for its
-        key is skipped: the oracle already saw it fail.  Returns the list of
-        seeded access keys — the oracle keeps them for witness *provenance*
-        (a trace can then say whether a revalidation ran against a persisted
-        path or one captured live this process).
+        seeding oracle, and ``take(access key, witness)`` its hook, which
+        returns whether it took the witness.  The oracle takes one only
+        into a per-access record that holds no witness (a live witness
+        captured this run is fresher than a persisted one), or into a new
+        record while its record LRU has room (seeding evicts nothing).  It
+        marks the witness *persisted* there for the trace's provenance, and
+        skips the witness that record last discarded: it already saw it
+        fail.  Returns the number taken.
         """
         with stage("persist.seed") as span:
-            seeded = []
+            seeded = 0
             for akey, witness in self._witnesses_for(tokens, schema).items():
-                if akey in witness_cache:
-                    continue
-                if discarded.peek(akey) == witness:
-                    continue
-                witness_cache.put(akey, witness)
-                seeded.append(akey)
-            span.annotate(seeded=len(seeded))
+                seeded += take(akey, witness)
+            span.annotate(seeded=seeded)
         with self._lock:
-            self._stats["seeded"] += len(seeded)
+            self._stats["seeded"] += seeded
             self._sync_metrics()
         return seeded
 

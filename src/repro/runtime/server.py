@@ -223,10 +223,10 @@ class QueryServer:
         A shared sink; per-query oracles, their screens, and the executor
         all record into it.
     max_entries:
-        Bound on each of an oracle's LRU caches: verdicts, LTR history and
-        witnesses, plus the witnesses lost to a failed revalidation when a
-        witness store is attached (so at most ``max_stores × 4 ×
-        max_entries`` cached entries).
+        Bound on each of an oracle's two LRU caches: the verdicts, and one
+        record per access (its last LTR verdict, its witness and that
+        witness's provenance), so at most ``max_stores × 2 × max_entries``
+        cached entries.
     max_stores:
         Bound on the per-query oracle registry (least-recently-used oracles
         are evicted; an evicted query merely loses cross-request reuse).

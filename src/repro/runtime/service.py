@@ -53,7 +53,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 from urllib.parse import parse_qs
 
 from repro.exceptions import QueryError, SchemaError
@@ -72,6 +72,7 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     414: "URI Too Long",
     429: "Too Many Requests",
@@ -90,6 +91,10 @@ _DEGRADED = "degraded"
 #: Header lines a request may carry before it is refused with 431.
 _MAX_HEADER_LINES = 100
 
+#: Seconds a connection has to deliver its request line, headers and body;
+#: past it the service answers 408 and closes.  Answering is not under it.
+_READ_DEADLINE_S = 10.0
+
 
 class _BadRequest(Exception):
     """Malformed HTTP or JSON; rendered as a 4xx response."""
@@ -98,6 +103,10 @@ class _BadRequest(Exception):
         super().__init__(message)
         self.status = status
         self.message = message
+
+
+class _ReadTimeout(Exception):
+    """The request did not arrive within :data:`_READ_DEADLINE_S`."""
 
 
 class _Record:
@@ -206,6 +215,9 @@ class AnsweringService:
         self._queue: Optional["asyncio.Queue[Optional[_Submission]]"] = None
         self._http: Optional[asyncio.AbstractServer] = None
         self._dispatcher: Optional[asyncio.Task] = None
+        # Open connection handlers, and those still reading their request.
+        self._handlers: Set[asyncio.Task] = set()
+        self._reading: Set[asyncio.Task] = set()
         # One worker thread: answer() calls share the mediator configuration
         # and the server-lifetime executor, so batches must be serialized.
         self._answering = ThreadPoolExecutor(
@@ -247,15 +259,16 @@ class AnsweringService:
         to rejecting new submissions with 503, then the service waits — up
         to ``timeout`` seconds — for every admitted query to resolve, so
         no accepted work is dropped.  Without it, queued submissions are
-        failed immediately.
+        failed immediately.  Connections still reading a request are then
+        cut; those delivering a reply get what is left of ``timeout``.
         """
         if self._closed or self._queue is None:
             self._closed = True
             return
         self._closed = True
         self._admission.begin_drain()
+        deadline = time.monotonic() + timeout
         if drain:
-            deadline = time.monotonic() + timeout
             while self._admission.inflight > 0 and time.monotonic() < deadline:
                 await asyncio.sleep(0.01)
         await self._queue.put(None)
@@ -263,6 +276,16 @@ class AnsweringService:
             await self._dispatcher
         if self._http is not None:
             self._http.close()
+        for handler in self._reading:
+            handler.cancel()
+        if self._handlers:
+            _done, late = await asyncio.wait(
+                set(self._handlers), timeout=max(0.0, deadline - time.monotonic())
+            )
+            for handler in late:
+                handler.cancel()
+            await asyncio.gather(*late, return_exceptions=True)
+        if self._http is not None:
             await self._http.wait_closed()
         self._answering.shutdown(wait=True)
 
@@ -378,6 +401,9 @@ class AnsweringService:
     # HTTP handling
     # ------------------------------------------------------------------ #
     async def _handle_connection(self, reader, writer) -> None:
+        handler = asyncio.current_task()
+        self._handlers.add(handler)
+        handler.add_done_callback(self._handlers.discard)
         try:
             try:
                 request = await self._read_request(reader)
@@ -392,6 +418,9 @@ class AnsweringService:
             asyncio.IncompleteReadError,
             ConnectionResetError,
             BrokenPipeError,
+            # The writer's drain() re-raises the reader's exception: the 408
+            # is written by then, and close() below flushes it.
+            _ReadTimeout,
         ):
             pass
         except Exception as exc:  # last-ditch: never kill the loop
@@ -410,42 +439,70 @@ class AnsweringService:
                 pass
 
     async def _read_request(self, reader):
-        # ``readline`` raises ValueError on a line longer than the stream
-        # reader's limit (64 KiB).
+        """``(method, path, params, headers, body)``, or ``None`` when the
+        client closed before a request line; 408 past :data:`_READ_DEADLINE_S`.
+
+        Every request line read, or timed out waiting for, counts in
+        ``service.http_requests``.
+        """
+        handler = asyncio.current_task()
+        self._reading.add(handler)
+        # Past the deadline every read, pending or to come, raises.
+        timer = asyncio.get_running_loop().call_later(
+            _READ_DEADLINE_S, reader.set_exception, _ReadTimeout()
+        )
+        request_line = None
         try:
-            request_line = await reader.readline()
-        except ValueError:
-            self._metrics.incr("service.http_requests")
-            raise _BadRequest(414, "request line too long") from None
-        if not request_line:
-            return None
-        self._metrics.incr("service.http_requests")
-        parts = request_line.decode("latin-1").strip().split()
-        if len(parts) != 3:
-            raise _BadRequest(400, "malformed request line")
-        method, target, _version = parts
-        headers: Dict[str, str] = {}
-        for _ in range(_MAX_HEADER_LINES + 1):
+            # ``readline`` raises ValueError on a line longer than the
+            # stream reader's limit (64 KiB).
             try:
-                line = await reader.readline()
+                request_line = await reader.readline()
             except ValueError:
-                raise _BadRequest(431, "header line too long") from None
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        else:
-            raise _BadRequest(431, f"more than {_MAX_HEADER_LINES} header lines")
-        length_text = headers.get("content-length", "0")
-        try:
-            length = int(length_text)
-        except ValueError:
-            length = -1
-        if length < 0:
-            raise _BadRequest(400, f"bad Content-Length: {length_text!r}")
-        if length > self._max_body:
-            raise _BadRequest(413, f"body exceeds {self._max_body} bytes")
-        body = await reader.readexactly(length) if length else b""
+                self._metrics.incr("service.http_requests")
+                raise _BadRequest(414, "request line too long") from None
+            if not request_line:
+                return None
+            self._metrics.incr("service.http_requests")
+            parts = request_line.decode("latin-1").strip().split()
+            if len(parts) != 3:
+                raise _BadRequest(400, "malformed request line")
+            method, target, _version = parts
+            headers: Dict[str, str] = {}
+            for _ in range(_MAX_HEADER_LINES + 1):
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    raise _BadRequest(431, "header line too long") from None
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+            else:
+                raise _BadRequest(431, f"more than {_MAX_HEADER_LINES} header lines")
+            length_text = headers.get("content-length", "0")
+            try:
+                length = int(length_text)
+            except ValueError:
+                length = -1
+            if length < 0:
+                raise _BadRequest(400, f"bad Content-Length: {length_text!r}")
+            if length > self._max_body:
+                raise _BadRequest(413, f"body exceeds {self._max_body} bytes")
+            body = await reader.readexactly(length) if length else b""
+            # The deadline may fire in the loop iteration that delivered the
+            # last bytes: the reads returned, but the reader now holds the
+            # timeout, and the reply's drain() would raise it mid-answer.
+            if reader.exception() is not None:
+                raise reader.exception()
+        except _ReadTimeout:
+            if request_line is None:
+                self._metrics.incr("service.http_requests")
+            raise _BadRequest(
+                408, f"request not received within {_READ_DEADLINE_S} s"
+            ) from None
+        finally:
+            timer.cancel()
+            self._reading.discard(handler)
         path, _, query_string = target.partition("?")
         params = {k: v[-1] for k, v in parse_qs(query_string).items()}
         return method.upper(), path, params, headers, body

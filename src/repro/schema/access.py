@@ -21,7 +21,7 @@ access method** has no input places at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from repro.exceptions import AccessError, SchemaError
 from repro.schema.domains import AbstractDomain
@@ -81,23 +81,9 @@ class AccessMethod:
         return len(self.input_places) == self.relation.arity
 
     @property
-    def is_free(self) -> bool:
-        """Whether no place is an input (any tuple of the relation may be returned)."""
-        return not self.input_places
-
-    @property
     def independent(self) -> bool:
         """Convenience negation of :attr:`dependent`."""
         return not self.dependent
-
-    def binding_from_mapping(self, mapping: Mapping[int, object]) -> Tuple[object, ...]:
-        """Build a binding tuple from a ``{place: value}`` mapping."""
-        try:
-            return tuple(mapping[place] for place in self.input_places)
-        except KeyError as missing:
-            raise AccessError(
-                f"binding for method {self.name!r} is missing place {missing}"
-            ) from None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = "dependent" if self.dependent else "independent"

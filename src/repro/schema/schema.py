@@ -102,18 +102,6 @@ class Schema:
         """Whether the relation has at least one access method."""
         return bool(self.methods_for(relation))
 
-    def accessible_relations(self) -> Tuple[Relation, ...]:
-        """Relations that have at least one access method."""
-        return tuple(
-            relation for relation in self.relations if self.has_access(relation)
-        )
-
-    def fixed_relations(self) -> Tuple[Relation, ...]:
-        """Relations without any access method (their content never grows)."""
-        return tuple(
-            relation for relation in self.relations if not self.has_access(relation)
-        )
-
     # ------------------------------------------------------------------ #
     # Derived properties used by the decision procedures
     # ------------------------------------------------------------------ #

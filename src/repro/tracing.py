@@ -275,13 +275,6 @@ class Tracer:
         with self._lock:
             return list(self._spans)
 
-    def trace_ids(self) -> List[int]:
-        """Distinct trace ids, in first-completion order."""
-        seen: Dict[int, None] = {}
-        for span in self.spans():
-            seen.setdefault(span.trace_id, None)
-        return list(seen)
-
     def reset(self) -> None:
         """Drop every recorded span (open spans on other threads unaffected)."""
         with self._lock:

@@ -88,13 +88,11 @@ class TestAdmissionController:
         assert decision.admitted
         assert controller.queued == 3
         assert controller.inflight == 3
-        assert controller.client_inflight("alice") == 3
         controller.started(3)
         assert controller.queued == 0
         assert controller.inflight == 3
         controller.resolved("alice", 3)
         assert controller.inflight == 0
-        assert controller.client_inflight("alice") == 0
 
     def test_rate_limit_rejects_429_with_honest_retry_after(self):
         clock = FakeClock()

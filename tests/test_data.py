@@ -68,7 +68,7 @@ class TestInstance:
     def test_active_values_by_domain(self, mixed_schema):
         instance = Instance(mixed_schema, {"A": [("d1", "e1")], "C": [("d2",)]})
         domain_d = mixed_schema.relation("C").domain_of(0)
-        assert instance.active_values(domain_d) == frozenset({"d1", "d2"})
+        assert instance.active_values_by_domain()[domain_d] == ("d1", "d2")
 
     def test_instances_unhashable(self, binary_schema):
         with pytest.raises(TypeError):
@@ -220,18 +220,6 @@ class TestResponsesAndPaths:
         unsound = AccessPath(configuration, [AccessResponse(access, ((9, 2),))])
         assert sound.is_sound_for(binary_instance)
         assert not unsound.is_sound_for(binary_instance)
-
-    def test_added_facts_deduplicated(self, binary_schema):
-        configuration = Configuration.empty(binary_schema)
-        access = Access(binary_schema.access_method("mR"), (2,))
-        path = AccessPath(
-            configuration,
-            [
-                AccessResponse(access, ((1, 2),)),
-                AccessResponse(access, ((1, 2),)),
-            ],
-        )
-        assert path.added_facts() == (Fact("R", (1, 2)),)
 
 
 class TestEnumerateAccesses:

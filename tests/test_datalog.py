@@ -44,8 +44,6 @@ class TestProgram:
             ]
         )
         assert program.idb_predicates() == frozenset({"t"})
-        assert program.edb_predicates() == frozenset({"e"})
-        assert len(program.rules_for("t")) == 2
         assert not program.is_monadic()
 
 

@@ -38,7 +38,7 @@ class TestStaticPlans:
         query = parse_cq(schema, "L1('start', y), L2(y, z)")
         plan = find_executable_order(query, schema)
         assert plan is not None
-        assert plan.methods_used() == ("accL1", "accL2")
+        assert [step.method.name for step in plan.steps] == ["accL1", "accL2"]
 
     def test_independent_methods_are_always_feasible(self, binary_schema):
         query = parse_cq(binary_schema, "R(x, y), S(y, z)")

@@ -63,11 +63,6 @@ class TestTermsAndAtoms:
         with pytest.raises(QueryError):
             atom.ground_values({})
 
-    def test_atom_places_of(self, binary_schema):
-        relation = binary_schema.relation("R")
-        atom = Atom(relation, (Variable("x"), Variable("x")))
-        assert atom.places_of(Variable("x")) == (0, 1)
-
 
 class TestConjunctiveQuery:
     def test_structure_accessors(self, binary_schema):
@@ -102,13 +97,6 @@ class TestConjunctiveQuery:
         assert grounded.is_boolean
         assert grounded.atoms[0].terms[0] == 7
 
-    def test_without_atoms(self, binary_schema):
-        query = parse_cq(binary_schema, "R(x, y), S(y, z)")
-        smaller = query.without_atoms([query.atoms[0]])
-        assert len(smaller.atoms) == 1
-        with pytest.raises(QueryError):
-            smaller.without_atoms(list(smaller.atoms))
-
     def test_conjoin_and_rename_apart(self, binary_schema):
         left = parse_cq(binary_schema, "R(x, y)")
         right = parse_cq(binary_schema, "S(x, y)").rename_apart("_2")
@@ -127,19 +115,6 @@ class TestPositiveQuery:
         disjuncts = query.to_ucq()
         assert len(disjuncts) == 2
         assert all(len(d.atoms) == 2 for d in disjuncts)
-
-    def test_union_of_requires_same_free_variables(self, binary_schema):
-        left = parse_cq(binary_schema, "Q(x) :- R(x, y)")
-        right = parse_cq(binary_schema, "Q(z) :- S(z, y)")
-        with pytest.raises(QueryError):
-            PositiveQuery.union_of([left, right])
-
-    def test_union_of_boolean(self, binary_schema):
-        left = parse_cq(binary_schema, "R(x, y)")
-        right = parse_cq(binary_schema, "S(x, y)")
-        union = PositiveQuery.union_of([left, right])
-        assert union.is_boolean
-        assert len(union.to_ucq()) == 2
 
     def test_dnf_blowup_guard(self, binary_schema):
         text = " & ".join(f"(R(a{i}, b{i}) | S(a{i}, b{i}))" for i in range(6))

@@ -309,24 +309,11 @@ def test_witness_revalidation_reuses_positive_verdicts():
     )
 
 
-def test_revalidate_truncation_matches_fresh_search_exactly():
-    """Regression for the truncation semantics of ``LtrWitness.revalidate``.
-
-    The fresh search truncates a candidate path by dropping the probed access
-    and keeping the longest *well-formed prefix* of the rest: a middle step
-    that is only well-formed given the probed access's outputs ends the
-    truncation there, and every later step is dropped with it — even one
-    that does not depend on the probed access.  ``revalidate`` must apply the
-    identical rule (it shares the truncation loop of
-    ``AccessPath.truncation_view``, ``merge_well_formed_prefix``); a
-    skip-the-ill-formed-step variant would keep the later step and flip the
-    verdict on this path.
-    """
-    from repro import AccessResponse, parse_cq
-    from repro.core import find_ltr_witness_steps
-    from repro.data import AccessPath
-    from repro.runtime import LtrWitness
-
+def _chain():
+    """``Hub(src, mid)`` read by ``accHub(src)``, ``Next(mid, leaf)`` by
+    ``accNext(mid)`` and by the input-free ``accNextAll``, all dependent;
+    the query ``Next(m, l)``, a configuration holding only the constant
+    ``start``, and the probed access ``accHub('start')``."""
     builder = SchemaBuilder()
     builder.domain("S")
     builder.domain("M")
@@ -345,6 +332,28 @@ def test_revalidate_truncation_matches_fresh_search_exactly():
     configuration.add_constant("start", schema.relation("Hub").domain_of(0))
 
     probed = Access(schema.access_method("accHub"), ("start",))
+    return schema, query, configuration, probed
+
+
+def test_revalidate_truncation_matches_fresh_search_exactly():
+    """Regression for the truncation semantics of ``LtrWitness.revalidate``.
+
+    The fresh search truncates a candidate path by dropping the probed access
+    and keeping the longest *well-formed prefix* of the rest: a middle step
+    that is only well-formed given the probed access's outputs ends the
+    truncation there, and every later step is dropped with it — even one
+    that does not depend on the probed access.  ``revalidate`` must apply the
+    identical rule (it shares the truncation loop of
+    ``AccessPath.truncation_view``, ``merge_well_formed_prefix``); a
+    skip-the-ill-formed-step variant would keep the later step and flip the
+    verdict on this path.
+    """
+    from repro import AccessResponse
+    from repro.core import find_ltr_witness_steps
+    from repro.data import AccessPath
+    from repro.runtime import LtrWitness
+
+    schema, query, configuration, probed = _chain()
     steps = (
         AccessResponse.trusted(probed, (("start", "m0"),)),
         # Middle step: well-formed only once the probed access exposed m0.
@@ -375,6 +384,38 @@ def test_revalidate_truncation_matches_fresh_search_exactly():
     certain.add("Next", ("m9", "leaf9"))
     assert not witness.revalidate(query, certain)
     assert find_ltr_witness_steps(query, probed, certain, schema) is None
+
+
+def test_a_recaptured_witness_is_traced_as_captured(tmp_path):
+    """A stored witness that fails revalidation and is replaced by a fresh
+    search's is no longer the store's: the next revalidation is traced
+    ``provenance=captured``."""
+    from repro import AccessResponse
+    from repro.runtime import LtrWitness, PersistentWitnessCache
+    from repro.runtime.serialize import query_token, schema_token
+
+    schema, query, configuration, probed = _chain()
+    path = str(tmp_path / "w.sqlite")
+    # Hub(start, m0) alone reaches no Next fact: the path cannot revalidate.
+    stale = LtrWitness((AccessResponse.trusted(probed, (("start", "m0"),)),))
+    with PersistentWitnessCache(path) as writer:
+        writer.record((query_token(query), schema_token(schema)), probed, stale)
+    metrics = RuntimeMetrics()
+    tracer = Tracer()
+    with PersistentWitnessCache(path) as persist, activate_tracer(tracer):
+        oracle = RelevanceOracle(query, schema, metrics=metrics, persist=persist)
+        assert metrics.count("persist.seeded") == 1
+        assert oracle.long_term_relevant(probed, configuration)
+        assert oracle.witness_for(probed) != stale
+        configuration.add("Hub", ("start", "m5"))
+        assert oracle.long_term_relevant(probed, configuration)
+    revalidations = [
+        (span.tags["provenance"], span.tags["ok"])
+        for span in tracer.spans()
+        if span.name == "witness-revalidate"
+    ]
+    assert revalidations == [("persisted", False), ("captured", True)]
+    assert metrics.count("oracle.fresh_searches") == 1
 
 
 def test_captured_witness_is_a_valid_path():

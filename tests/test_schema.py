@@ -110,24 +110,17 @@ class TestAccessMethod:
         assert method.input_places == (0, 2)
         assert method.output_places == (1,)
         assert not method.is_boolean
-        assert not method.is_free
 
     def test_boolean_and_free(self):
         relation = self._relation()
         boolean = AccessMethod("mb", relation, (0, 1, 2))
         free = AccessMethod("mf", relation, ())
         assert boolean.is_boolean
-        assert free.is_free
+        assert not free.is_boolean and free.output_places == (0, 1, 2)
 
     def test_out_of_range_place_rejected(self):
         with pytest.raises(SchemaError):
             AccessMethod("m", self._relation(), (5,))
-
-    def test_binding_from_mapping(self):
-        method = AccessMethod("m", self._relation(), (0, 2))
-        assert method.binding_from_mapping({0: "x", 2: "y"}) == ("x", "y")
-        with pytest.raises(AccessError):
-            method.binding_from_mapping({0: "x"})
 
 
 class TestAccess:
@@ -182,8 +175,7 @@ class TestSchema:
         builder.relation("Fixed", [("a", "D")])
         builder.access("m", "R", inputs=[], dependent=False)
         schema = builder.build()
-        assert [r.name for r in schema.accessible_relations()] == ["R"]
-        assert [r.name for r in schema.fixed_relations()] == ["Fixed"]
+        assert schema.has_access("R")
         assert not schema.has_access("Fixed")
 
     def test_all_independent_and_dependent(self, binary_schema, dependent_schema):

@@ -22,6 +22,7 @@ from repro import Access, Configuration, Instance, SchemaBuilder
 from repro.core import is_long_term_relevant
 from repro.data import AccessResponse
 from repro.exceptions import QueryError
+from repro.lru import LRUCache
 from repro.planner import exhaustive_strategy, relevance_guided_strategy
 from repro.queries import parse_cq
 from repro.runtime import (
@@ -422,13 +423,17 @@ class TestPersistentCache:
             server.answer(scenario.queries)
             assert metrics.count("persist.seeded") == seeded
             # Another writer replaces one discarded record with a new path.
+            def discarded(oracle, akey):
+                record = oracle._records.peek(akey)
+                return record.discarded if record is not None else None
+
             oracle, access, witness = next(
                 (oracle, witness.access, witness)
                 for oracle in server._stores.values()
                 for akey, witness in server.persist.witnesses_for(
                     oracle.query, scenario.schema
                 ).items()
-                if oracle._discarded.peek(akey) == witness
+                if discarded(oracle, akey) == witness
             )
             writer = PersistentWitnessCache(path)
             tokens = (query_token(oracle.query), schema_token(scenario.schema))
@@ -436,6 +441,42 @@ class TestPersistentCache:
             writer.close()
             server.answer(scenario.queries)
             assert metrics.count("persist.seeded") == seeded + 1
+
+    def test_seeding_keeps_each_oracle_within_max_entries(self, tmp_path):
+        """An oracle offered more stored records than ``max_entries`` answers
+        the same, holds at most ``max_entries`` entries in every map or set
+        it keeps, and re-seeding evicts none of the records it decided."""
+        scenario = multi_query_scenario(16, 8, 8)
+        path = os.fspath(tmp_path / "w.sqlite")
+        with QueryServer(scenario.mediator(), cache_path=path) as cold:
+            expected = cold.answer(scenario.queries).answers
+        with QueryServer(scenario.mediator(), cache_path=path, max_entries=4) as server:
+            for _ in range(2):
+                assert server.answer(scenario.queries).answers == expected
+            oracles = list(server._stores.values())
+            stored = max(
+                len(server.persist.witnesses_for(oracle.query, scenario.schema))
+                for oracle in oracles
+            )
+            kept = 0
+            for oracle in oracles:
+                decided = {
+                    akey: record
+                    for akey, record in oracle._records._entries.items()
+                    if record.snapshot is not None
+                }
+                oracle.seed_witnesses()
+                for akey, record in decided.items():
+                    assert oracle._records.peek(akey) is record
+                kept += len(decided)
+        assert stored > 4 and kept > 0
+        for oracle in oracles:
+            sizes = [
+                len(value)
+                for value in vars(oracle).values()
+                if isinstance(value, (set, dict, LRUCache))
+            ]
+            assert max(sizes) <= 4
 
     def test_cache_path_and_persist_are_exclusive(self, tmp_path, scenario):
         cache = PersistentWitnessCache(os.fspath(tmp_path / "w.sqlite"))
@@ -618,7 +659,7 @@ class TestSiblingHints:
         probe = Access(scenario.schema.access_method("mU"), ())
         # A path with the constant 'a' at U's enumerated place: renamed to
         # 'b' it does not type.
-        first._witnesses.put(
+        assert first._take_stored(
             ("mU", ()), LtrWitness((AccessResponse(probe, (("a",),)),))
         )
         verdict = second.long_term_relevant(probe, configuration)
@@ -637,10 +678,10 @@ class TestSiblingHints:
         keyed = Access(scenario.schema.access_method("mR"), ("a",))
         assert first.long_term_relevant(free, configuration)
         assert first.long_term_relevant(keyed, configuration)
-        witnesses = first._witnesses
+        records = first._records
 
         def state():
-            return witnesses.hits, witnesses.misses, list(witnesses._entries)
+            return records.hits, records.misses, list(records._entries)
 
         before = state()
         # The hint reads the older key: a recency refresh would reorder them.

@@ -11,9 +11,13 @@ the error paths.
 
 from __future__ import annotations
 
+import asyncio
+import gc
 import http.client
 import json
+import logging
 import re
+import select
 import socket
 import threading
 import time
@@ -24,9 +28,11 @@ import pytest
 
 from repro.runtime import (
     AdmissionController,
+    AnsweringService,
     QueryServer,
     serve_in_background,
 )
+from repro.runtime import service as service_module
 from repro.workloads import bank_multi_query_scenario
 
 
@@ -434,3 +440,95 @@ class TestErrorPaths:
         assert status == 404
         status, _, _ = _request(f"{handle.base_url}/queries/q999999/trace")
         assert status == 404
+
+
+class TestReadDeadline:
+    """One deadline per connection covers the request line, headers and
+    body; an expired one answers 408, and shutdown cuts idle connections."""
+
+    def test_slow_header_client_gets_408_within_the_deadline(self, monkeypatch):
+        monkeypatch.setattr(service_module, "_READ_DEADLINE_S", 0.3)
+        scenario = bank_multi_query_scenario(2, employees=3, offices=2, states=2)
+        server = QueryServer(scenario.mediator())
+        handle = serve_in_background(server)
+        try:
+            with socket.create_connection(("127.0.0.1", handle.port), timeout=30) as sock:
+                started = time.monotonic()
+                sock.sendall(b"GET /healthz HTTP/1.1\r\n")
+                reply = b""
+                # A header line every 0.1 s, never the blank line: no single
+                # read waits long, so only a whole-request deadline fires.
+                while time.monotonic() - started < 10:
+                    readable, _, _ = select.select([sock], [], [], 0.1)
+                    if not readable:
+                        sock.sendall(b"X-Slow: 1\r\n")
+                        continue
+                    chunk = sock.recv(4096)
+                    if not chunk:
+                        break
+                    reply += chunk
+                elapsed = time.monotonic() - started
+        finally:
+            handle.shutdown()
+        assert reply.startswith(b"HTTP/1.1 408 Request Timeout\r\n"), reply
+        assert 0.3 <= elapsed < 5.0
+        assert server.metrics.count("service.http_requests") == 1
+        assert server.metrics.count("service.http_408") == 1
+        assert server.metrics.count("service.http_errors") == 0
+
+    def test_a_body_short_of_its_length_gets_408(self, monkeypatch):
+        monkeypatch.setattr(service_module, "_READ_DEADLINE_S", 0.3)
+        scenario = bank_multi_query_scenario(2, employees=3, offices=2, states=2)
+        server = QueryServer(scenario.mediator())
+        handle = serve_in_background(server)
+        try:
+            status = _raw_status(
+                handle, b"POST /queries HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}"
+            )
+        finally:
+            handle.shutdown()
+        assert status == 408
+        assert server.metrics.count("service.http_requests") == 1
+        assert server.metrics.count("service.http_errors") == 0
+
+    def test_a_request_completed_as_the_deadline_fires_gets_408(self):
+        """When the last bytes and the deadline land in one event-loop
+        iteration the reads still return; the request is answered 408, not
+        routed with a reader whose first drain() would raise."""
+        scenario = bank_multi_query_scenario(2, employees=3, offices=2, states=2)
+
+        async def read(service):
+            reader = asyncio.StreamReader()
+            reader.feed_data(b"POST /queries HTTP/1.1\r\nContent-Length: 2\r\n\r\n")
+            reading = asyncio.ensure_future(service._read_request(reader))
+            await asyncio.sleep(0)  # it now waits for the body
+            reader.feed_data(b"{}")
+            reader.set_exception(service_module._ReadTimeout())
+            with pytest.raises(service_module._BadRequest) as caught:
+                await reading
+            return caught.value.status
+
+        with QueryServer(scenario.mediator()) as server:
+            assert asyncio.run(read(AnsweringService(server))) == 408
+        assert server.metrics.count("service.http_requests") == 1
+
+    def test_shutdown_cuts_an_idle_connection(self, caplog):
+        scenario = bank_multi_query_scenario(2, employees=3, offices=2, states=2)
+        server = QueryServer(scenario.mediator())
+        handle = serve_in_background(server)
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        with socket.create_connection(("127.0.0.1", handle.port), timeout=30) as idle:
+            idle.sendall(b"GET /healthz HTTP/1.1\r\n")
+            deadline = time.monotonic() + 10
+            while server.metrics.count("service.http_requests") == 0:
+                assert time.monotonic() < deadline, "request line never read"
+                time.sleep(0.01)
+            started = time.monotonic()
+            handle.shutdown()
+            assert time.monotonic() - started < 5.0
+            # The handler closed the connection without a reply.
+            assert idle.recv(4096) == b""
+        del handle
+        gc.collect()
+        assert "Task was destroyed but it is pending" not in caplog.text
+        assert server.metrics.count("service.http_errors") == 0

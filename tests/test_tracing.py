@@ -153,7 +153,6 @@ class TestSpanBasics:
             pass
         first, second = tracer.spans()
         assert first.trace_id != second.trace_id
-        assert tracer.trace_ids() == [first.trace_id, second.trace_id]
 
     def test_explicit_parent_overrides_the_stack(self):
         tracer = Tracer()
