@@ -166,7 +166,8 @@ def test_tracing_overhead_guided_batch():
 
 @pytest.mark.experiment("SERVER-warm-restart")
 def test_persistent_cache_warm_restart(benchmark, tmp_path):
-    """Warm restart: revalidations fire, fresh searches strictly drop."""
+    """Warm restart: revalidations fire, fresh searches strictly drop, and
+    no record is buffered."""
     scenario = _cpu_scenario()
     path = os.fspath(tmp_path / "witness.sqlite")
 
@@ -196,6 +197,11 @@ def test_persistent_cache_warm_restart(benchmark, tmp_path):
     assert warm_counters.get("oracle.fresh_searches", 0) < cold_counters.get(
         "oracle.fresh_searches", 0
     )
+    # A warm run re-derives only stored paths, and the oracle does not
+    # buffer a path equal to the stored one its record holds: nothing is
+    # written, and nothing reaches the store's dedup check either.
+    assert warm_counters.get("persist.recorded", 0) == 0
+    assert warm_counters.get("persist.sqlite.dedup_skips", 0) == 0
     benchmark.extra_info.update(
         {
             "cold_fresh_searches": cold_counters.get("oracle.fresh_searches", 0),

@@ -24,8 +24,11 @@ search: long-term relevance goes through the incremental engine of
    re-checking only its truncation
    (:meth:`~repro.runtime.witness.LtrWitness.recheck_truncation`): the
    queries are monotone and well-formedness reads only the active domain,
-   so nothing else can have broken.  A seeded, fresh or adopted witness
-   always gets one full revalidation first;
+   so nothing else can have broken.  A seeded or fresh witness always
+   gets one full revalidation first, and so does an adopted one, unless
+   the screening representative it was translated from was accepted by
+   revalidation at the configuration it was adopted at
+   (:meth:`RelevanceOracle.adopt_group_verdict` gives the argument);
 3. a *sibling* oracle's witness for the same access is tried: the query
    server groups the oracles of conjunctive queries that differ only in
    their constants (:class:`SiblingGroup`), and a sibling's witness,
@@ -40,11 +43,10 @@ each, so a long-running mediator cannot grow it without bound: the verdict
 cache above (certainty verdicts too) and one record per access.  A record
 carries the access's last LTR verdict with the snapshot it was decided at,
 its witness, whether that witness came from the store and has not been
-replaced since (``persisted``; a trace then tags its revalidation
-``provenance=persisted``, and ``captured`` otherwise), whether this oracle
-accepted it by revalidation at the snapshot (the condition for the
-truncation-only check), and, with a store attached, the witness it last
-discarded.
+replaced since by a different path (``persisted``; a trace then tags its
+revalidation ``provenance=persisted``, and ``captured`` otherwise), whether
+it was accepted at the snapshot (the condition for the truncation-only
+check), and, with a store attached, the witness it last discarded.
 
 The oracle accounts for itself in :class:`~repro.runtime.metrics.RuntimeMetrics`
 counters only: one per rung above (``oracle.hits``, ``oracle.delta_hits``,
@@ -65,9 +67,12 @@ the oracle beyond one process: it seeds stored witness paths at
 construction and on every :meth:`RelevanceOracle.seed_witnesses` call, into
 the records that hold no witness and, while the record LRU has room, into
 new ones — a warm restart revalidates instead of searching — and buffers
-every newly captured path.  The caller owns the cache: it flushes the
-buffer (the server and the guided strategy do so after every round) and
-closes it.
+every newly captured path.  A seeding at the store generation the oracle
+last seeded at offers nothing, and a path equal to the stored one a record
+holds is not buffered again, so a warm restart reads and checks each
+stored witness once and writes nothing.  The caller owns the cache: it
+flushes the buffer (the server and the guided strategy do so after every
+round) and closes it.
 
 Concurrency: every cache the oracle reads or writes is a lock-protected
 :class:`~repro.lru.LRUCache`.  All oracle calls of an answering run stay on its
@@ -166,13 +171,15 @@ class _AccessRecord(NamedTuple):
     of the configuration it was decided at (``None`` in a record seeded
     from the store before any decision).  ``witness`` is the path that
     certifies relevance, if any: ``persisted`` when it came from the store
-    and has not been replaced since, ``revalidated`` when this oracle
-    accepted it by revalidation at ``snapshot`` — only then may it skip to
-    the truncation-only check.  ``discarded`` is the witness last lost to a
-    failed revalidation, kept only with a store attached, so seeding does
-    not hand it back.  Records are replaced, never mutated, so each one the
-    LRU hands out is consistent; the hot paths build them positionally
-    (``_replace`` costs about four times as much).
+    and has not been replaced since by a different path, ``revalidated``
+    when this oracle accepted it by revalidation at ``snapshot``, or
+    translated it from a screening representative it had so accepted there
+    — only then may it skip to the truncation-only check.  ``discarded`` is
+    the witness last lost to a failed revalidation, kept only with a store
+    attached, so seeding does not hand it back.  Records are replaced,
+    never mutated, so each one the LRU hands out is consistent; the hot
+    paths build them positionally (``_replace`` costs about four times as
+    much).
     """
 
     verdict: Optional[bool] = None
@@ -222,6 +229,8 @@ class RelevanceOracle:
             # The cache counts ``persist.recorded`` when it flushes.
             persist.attach_metrics(self._metrics)
             self._persist_tokens = (query_token(self._query), schema_token(schema))
+            # The store generation of the last seeding.
+            self._seeded_at: Optional[Hashable] = None
         self._cache = LRUCache(max_entries)
         # One _AccessRecord per access key.
         self._records = LRUCache(max_entries)
@@ -282,12 +291,17 @@ class RelevanceOracle:
         time it reuses the oracle, so records another process wrote since
         arrive.  A stored record equal to the witness this oracle last
         discarded for its access is skipped, and one for an access without
-        a record is taken only while the record LRU has room.  No-op
+        a record is taken only while the record LRU has room.  While the
+        store stands at the generation this oracle last seeded at, nothing
+        is offered: so a stored witness whose record the LRU evicted, or had
+        no room for, comes back only after the store changes.  No-op
         without a persistent cache.
         """
         if self._persist is None:
             return
-        seeded = self._persist.seed(self._persist_tokens, self._schema, self._take_stored)
+        seeded, self._seeded_at = self._persist.seed(
+            self._persist_tokens, self._schema, self._take_stored, since=self._seeded_at
+        )
         if seeded:
             self._metrics.incr("persist.seeded", seeded)
 
@@ -563,13 +577,15 @@ class RelevanceOracle:
         """Cache ``verdict`` and store ``record`` with it as the last one.
 
         A new ``witness`` replaces the record's (and is buffered for the
-        store); without one, the record keeps the witness it holds.
+        store); without one, the record keeps the witness it holds, and so
+        it does when the new one equals the persisted path it holds — the
+        store already has that path, so nothing is buffered.
         ``revalidated`` says the record's witness was accepted by
         revalidation at ``configuration``.
         """
         self._cache.put(key, verdict)
         persisted = record.persisted
-        if witness is None:
+        if witness is None or (persisted and witness == record.witness):
             witness = record.witness
         else:
             persisted = False
@@ -580,11 +596,6 @@ class RelevanceOracle:
             akey,
             _AccessRecord(verdict, snapshot, witness, persisted, revalidated, record.discarded),
         )
-
-    def witness_for(self, access: Access) -> Optional[LtrWitness]:
-        """The stored LTR witness for ``access``, if one was captured."""
-        record = self._records.get(access_key(access))
-        return record.witness if record is not None else None
 
     # ------------------------------------------------------------------ #
     # Externally computed verdicts
@@ -630,37 +641,66 @@ class RelevanceOracle:
                 return bool(verdict)
         return None
 
-    def adopt_long_term_verdict(
+    def adopt_group_verdict(
         self,
-        access: Access,
+        representative: Access,
+        members: Sequence[Tuple[Access, Dict[object, object]]],
         configuration: Configuration,
         verdict: bool,
-        *,
-        witness: Optional[LtrWitness] = None,
     ) -> None:
-        """Record an LTR verdict obtained outside the oracle's own search.
+        """Give each screening-group member the representative's LTR verdict.
 
-        Used by the batched screening layer: when two accesses' bindings are
-        related by an automorphism of the configuration, one search decides
-        both, and the second access adopts the verdict (and, positively, the
-        translated witness) so later rounds can revalidate instead of
-        searching.  The caller is responsible for the soundness of the
-        transfer.
+        Called by :func:`~repro.runtime.screening.resolve_group_verdict`
+        right after :meth:`long_term_relevant` decided ``representative`` at
+        ``configuration``.  Each member comes with the value renaming σ that
+        :meth:`~repro.runtime.screening.CandidateScreen.group` found: a
+        bijection that fixes the query constants, extends to an automorphism
+        of ``configuration`` (its facts and seed constants) and takes the
+        representative's binding to the member's; the caller is responsible
+        for σ.  A positive verdict comes with the representative's witness
+        translated by σ, so later rounds revalidate instead of searching.
+
+        When this oracle accepted the representative's witness W by
+        revalidation at this very configuration C (its record is
+        ``revalidated`` with a snapshot of ``configuration``'s fingerprint),
+        each σ(W) is recorded as accepted too, so the member's next miss
+        takes the truncation-only rung.  This is sound because σ(W) passes
+        :meth:`~repro.runtime.witness.LtrWitness.revalidate` at C exactly
+        when W does.  σ maps C onto itself, so it maps the active domain
+        (value and domain pairs) of C plus any prefix of W onto that of C
+        plus the same prefix of σ(W): each step of σ(W) is well-formed
+        exactly where W's is, and the longest well-formed prefix of σ(W)'s
+        truncation is σ of W's.  The query, whose constants σ fixes, holds
+        on σ(X) exactly when it holds on X: at the path's end and on the
+        truncation.  (A renaming that puts a value outside an enumerated
+        domain gives no translated witness.)  Any other representative —
+        decided by a fresh search or by delta inheritance, or accepted at
+        another configuration — hands its members witnesses that get one
+        full revalidation first.
         """
-        akey = access_key(access)
-        self._metrics.incr("oracle.adopted")
-        with stage("oracle", method=access.method.name) as span:
-            if span:
-                span.annotate(outcome="adopted", relevant=verdict)
-        self._record_ltr(
-            self._records.peek(akey) or _NO_RECORD,
-            akey,
-            ("ltr", akey, configuration.fingerprint()),
-            verdict,
-            configuration,
-            witness=witness,
-            access=access,
-        )
+        fingerprint = configuration.fingerprint()
+        record = _NO_RECORD
+        if verdict:
+            record = self._records.get(access_key(representative), _NO_RECORD)
+        witness = record.witness
+        accepted = record.revalidated and record.snapshot.fingerprint == fingerprint
+        for member, mapping in members:
+            akey = access_key(member)
+            self._metrics.incr("oracle.adopted")
+            with stage("oracle", method=member.method.name) as span:
+                if span:
+                    span.annotate(outcome="adopted", relevant=verdict)
+            translated = witness.translated(mapping) if witness is not None else None
+            self._record_ltr(
+                self._records.peek(akey) or _NO_RECORD,
+                akey,
+                ("ltr", akey, fingerprint),
+                verdict,
+                configuration,
+                witness=translated,
+                access=member,
+                revalidated=accepted and translated is not None,
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

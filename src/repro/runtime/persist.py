@@ -32,7 +32,9 @@ server processes may share.  Design notes:
 * **Cross-process invalidation.**  The per-(query, schema) decode memo is
   tagged with the store's generation token and re-pulled when the token
   moves — a record landed by worker process A seeds worker B's next
-  :meth:`witnesses_for` miss without B restarting.
+  :meth:`witnesses_for` miss without B restarting.  A load rebuilds each
+  distinct step of the pair's paths once, and a :meth:`seed` at the
+  generation the oracle last seeded at reads nothing.
 * **Soundness.**  A loaded witness is never *trusted*: seeding only hands
   the path to :meth:`~repro.runtime.witness.LtrWitness.revalidate`, which
   replays it step by step at the current configuration.  A corrupt, stale,
@@ -53,6 +55,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
+from repro.data import AccessResponse
 from repro.runtime.cache import access_key
 from repro.runtime.serialize import (
     UnencodableValueError,
@@ -125,8 +128,11 @@ class PersistentWitnessCache:
         #: The last (configuration fingerprint, configuration digest) pair:
         #: a round records many witnesses at one configuration.
         self._last_digest: Optional[Tuple[Hashable, str]] = None
-        #: Store counter values already mirrored into metrics.
+        #: Store counter values already mirrored into metrics, and the
+        #: store generation a seed mirrored them at (``None`` once a flush
+        #: or compaction mirrored them).
         self._mirrored: Dict[str, int] = {}
+        self._mirrored_at: Optional[Hashable] = None
         self._stats: Dict[str, int] = {
             "loaded": 0,
             "recorded": 0,
@@ -166,11 +172,17 @@ class PersistentWitnessCache:
         returned dict is a **copy** — callers may mutate it freely without
         corrupting the memo shared by every later oracle.
         """
-        return self._witnesses_for((query_token(query), schema_token(schema)), schema)
+        _generation, decoded = self._load((query_token(query), schema_token(schema)), schema)
+        return dict(decoded)
 
-    def _witnesses_for(
-        self, key: Tuple[str, str], schema: Schema
-    ) -> Dict[Hashable, LtrWitness]:
+    def _load(
+        self, key: Tuple[str, str], schema: Schema, since: Optional[Hashable] = None
+    ) -> Tuple[Hashable, Dict[Hashable, LtrWitness]]:
+        """``(store generation, decoded witnesses)`` for one pair.
+
+        The dict is the memo itself, which callers must not mutate.  It is
+        empty when the store still stands at generation ``since``.
+        """
         # Decode under the lock: the class promises safety when shared
         # across the oracles of one process, and an unlocked memo store
         # could both lose a concurrent flush()'s invalidation and race the
@@ -182,15 +194,20 @@ class PersistentWitnessCache:
             # the two makes the memo look stale next call (a harmless
             # re-decode), never current-but-incomplete (a lost update).
             generation = self._store.generation()
+            if generation == since:
+                return generation, {}
             cached = self._decoded.get(key)
             if cached is not None and cached[0] == generation:
-                return dict(cached[1])
+                return cached
             payloads = self._store.load_pair(*key)
             decoded: Dict[Hashable, LtrWitness] = {}
+            # Paths of one pair share most of their steps: each distinct
+            # step spec is rebuilt and validated once per load.
+            steps_memo: Dict[bytes, AccessResponse] = {}
             for _atoken, payload in payloads.items():
                 try:
                     _key, _atok, spec, step_specs = decode_witness_record(payload)
-                    steps = decode_witness_steps(step_specs, schema)
+                    steps = decode_witness_steps(step_specs, schema, steps_memo)
                 except Exception:
                     self._stats["skipped_undecodable"] += 1
                     continue
@@ -209,14 +226,15 @@ class PersistentWitnessCache:
             # value), so the memo is keyed by the structural tokens, not
             # object identity.
             self._decoded[key] = (generation, decoded)
-            return dict(decoded)
+            return generation, decoded
 
     def seed(
         self,
         tokens: Tuple[str, str],
         schema: Schema,
         take: Callable[[Hashable, LtrWitness], bool],
-    ) -> int:
+        since: Optional[Hashable] = None,
+    ) -> Tuple[int, Hashable]:
         """Offer an oracle every stored witness of its (query, schema) pair.
 
         ``tokens`` is the ``(query token, schema token)`` pair of the
@@ -227,17 +245,22 @@ class PersistentWitnessCache:
         record while its record LRU has room (seeding evicts nothing).  It
         marks the witness *persisted* there for the trace's provenance, and
         skips the witness that record last discarded: it already saw it
-        fail.  Returns the number taken.
+        fail.  ``since`` is the store generation the oracle last seeded at:
+        while the store still stands there, nothing is offered (the oracle
+        saw every record already).  Returns the number taken and the
+        generation seeded at.
         """
         with stage("persist.seed") as span:
+            generation, witnesses = self._load(tokens, schema, since)
             seeded = 0
-            for akey, witness in self._witnesses_for(tokens, schema).items():
+            for akey, witness in witnesses.items():
                 seeded += take(akey, witness)
             span.annotate(seeded=seeded)
         with self._lock:
             self._stats["seeded"] += seeded
-            self._sync_metrics()
-        return seeded
+            if generation != self._mirrored_at:
+                self._sync_metrics(generation)
+        return seeded, generation
 
     # ------------------------------------------------------------------ #
     # Recording
@@ -341,11 +364,15 @@ class PersistentWitnessCache:
         merged["store"] = store_stats
         return merged
 
-    def _sync_metrics(self) -> None:
+    def _sync_metrics(self, generation: Optional[Hashable] = None) -> None:
         """Mirror the store's counters/gauges into the attached metrics sink.
 
-        Called with the lock held, once per seed, flush and compaction: the
+        Called with the lock held, at each flush and compaction, and at a
+        seed when the store ``generation`` moved since the last mirror: the
         store's ``stats()`` costs a ``COUNT(*)`` and a ``stat`` call.
+        Writes and dedup skips mirror at their own flush, and other
+        writers' records move the generation, so a seed at the mirrored
+        generation has nothing new to mirror.
         """
         metrics = self._metrics
         if metrics is None:
@@ -358,6 +385,7 @@ class PersistentWitnessCache:
                 self._mirrored[name] = snapshot[name]
         metrics.set_gauge("persist.sqlite.records", snapshot["records"])
         metrics.set_gauge("persist.sqlite.bytes", snapshot["bytes"])
+        self._mirrored_at = generation
 
     def close(self) -> None:
         """Flush the buffered records, then close the store (idempotent)."""

@@ -22,7 +22,12 @@ work before any witness search runs:
   other.  Each round's candidates are grouped by that relation, one
   representative per group is sent to the oracle, and the other members adopt
   the verdict — positively, together with the translated witness path, so the
-  incremental engine can revalidate it later.
+  incremental engine can revalidate it later.  When the oracle accepted the
+  representative's witness by revalidation at this configuration, the
+  translated paths count as accepted there too (the renaming preserves
+  well-formedness, the query and the truncation), so a member's next check
+  is the truncation-only one; the oracle decides that, as it holds the
+  records.
 """
 
 from __future__ import annotations
@@ -62,20 +67,15 @@ def resolve_group_verdict(
     """Resolve one screening group's verdict through ``oracle``.
 
     Decides the representative's long-term relevance, has every member
-    adopt the verdict — positively together with the representative's
-    witness translated through the member's automorphism mapping, so later
-    rounds revalidate instead of searching — and returns whether the
-    group's accesses are relevant.
+    adopt the verdict (:meth:`~repro.runtime.cache.RelevanceOracle.adopt_group_verdict`:
+    positively together with the representative's witness translated
+    through the member's automorphism mapping, so later rounds revalidate
+    instead of searching) and returns whether the group's accesses are
+    relevant.
     """
     verdict = oracle.long_term_relevant(representative, configuration)
-    witness = oracle.witness_for(representative) if verdict and members else None
-    for member, mapping in members:
-        oracle.adopt_long_term_verdict(
-            member,
-            configuration,
-            verdict,
-            witness=(witness.translated(mapping) if witness else None),
-        )
+    if members:
+        oracle.adopt_group_verdict(representative, members, configuration, verdict)
     return verdict
 
 

@@ -27,7 +27,8 @@ module adds what pickle cannot give:
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, List, Optional, Sequence, Tuple
+import marshal
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.data import AccessResponse, Configuration
 from repro.exceptions import ReproError
@@ -140,7 +141,9 @@ def encode_witness_steps(
 
 
 def decode_witness_steps(
-    specs: Sequence[Sequence[object]], schema: Schema
+    specs: Sequence[Sequence[object]],
+    schema: Schema,
+    decoded: Optional[Dict[bytes, AccessResponse]] = None,
 ) -> Tuple[AccessResponse, ...]:
     """Rebuild a witness path against ``schema``.
 
@@ -148,13 +151,26 @@ def decode_witness_steps(
     constructor (binding arity and domain admission), so a spec recorded
     against a different schema fails loudly instead of producing a path the
     revalidator would misinterpret.  The facts are revalidated per tuple.
+    ``decoded`` maps each spec already rebuilt against ``schema`` to its
+    step: a caller rebuilding many paths passes one dict, so equal specs
+    are validated once and share one response.  It is keyed by the spec's
+    ``marshal`` bytes, which keep ``1``, ``True`` and ``1.0`` apart where
+    tuple equality does not (``repr`` would too, at about four times the
+    cost).
     """
+    decoded = {} if decoded is None else decoded
     steps: List[AccessResponse] = []
-    for method_name, binding, facts in specs:
-        access = Access(schema.access_method(method_name), tuple(binding))
-        steps.append(
-            AccessResponse(access, tuple(tuple(values) for values in facts))
-        )
+    for spec in specs:
+        # Format 0 writes no interning or back-reference flags: equal
+        # specs of equal types give equal bytes.
+        key = marshal.dumps(spec, 0)
+        step = decoded.get(key)
+        if step is None:
+            method_name, binding, facts = spec
+            access = Access(schema.access_method(method_name), tuple(binding))
+            step = AccessResponse(access, tuple(tuple(values) for values in facts))
+            decoded[key] = step
+        steps.append(step)
     return tuple(steps)
 
 

@@ -95,6 +95,12 @@ _MAX_HEADER_LINES = 100
 #: past it the service answers 408 and closes.  Answering is not under it.
 _READ_DEADLINE_S = 10.0
 
+#: Replies sent with the rest of an oversized request unread.
+_UNREAD_INPUT = frozenset({413, 414, 431})
+
+#: Bytes of that unread input read and dropped, at most, before closing.
+_DISCARD_LIMIT = 16 * 1024 * 1024
+
 
 class _BadRequest(Exception):
     """Malformed HTTP or JSON; rendered as a 4xx response."""
@@ -404,16 +410,27 @@ class AnsweringService:
         handler = asyncio.current_task()
         self._handlers.add(handler)
         handler.add_done_callback(self._handlers.discard)
+        # One read deadline covers the request and, after a 413, 414 or
+        # 431, the drain: past it every read, pending or to come, raises.
+        # Answering is not under it.
+        self._reading.add(handler)
+        timer = asyncio.get_running_loop().call_later(
+            _READ_DEADLINE_S, reader.set_exception, _ReadTimeout()
+        )
         try:
             try:
                 request = await self._read_request(reader)
                 if request is None:
                     return
+                timer.cancel()
+                self._reading.discard(handler)
                 await self._route(writer, *request)
             except _BadRequest as exc:
                 await self._send_json(
                     writer, exc.status, {"error": exc.message}
                 )
+                if exc.status in _UNREAD_INPUT:
+                    await self._discard_input(reader, writer)
         except (
             asyncio.IncompleteReadError,
             ConnectionResetError,
@@ -432,25 +449,43 @@ class AnsweringService:
             except Exception:
                 pass
         finally:
+            timer.cancel()
+            self._reading.discard(handler)
             try:
                 writer.close()
                 await writer.wait_closed()
             except Exception:
                 pass
 
+    async def _discard_input(self, reader, writer) -> None:
+        """Half-close, then read and drop what the client still sends.
+
+        Closing a socket with input unread makes the kernel reset the
+        connection, and a client still sending its oversized request would
+        lose the reply written before it.  The drain ends at the client's
+        EOF, after :data:`_DISCARD_LIMIT` bytes or at the connection's read
+        deadline (whose :class:`_ReadTimeout` the caller ignores); shutdown
+        cuts it as it cuts a pending read.
+        """
+        try:
+            writer.write_eof()
+        except OSError:  # the client is gone: nothing to drain
+            return
+        left = _DISCARD_LIMIT
+        while left > 0:
+            chunk = await reader.read(min(left, 1 << 16))
+            if not chunk:
+                return
+            left -= len(chunk)
+
     async def _read_request(self, reader):
         """``(method, path, params, headers, body)``, or ``None`` when the
-        client closed before a request line; 408 past :data:`_READ_DEADLINE_S`.
+        client closed before a request line; 408 past the read deadline
+        :meth:`_handle_connection` arms.
 
         Every request line read, or timed out waiting for, counts in
         ``service.http_requests``.
         """
-        handler = asyncio.current_task()
-        self._reading.add(handler)
-        # Past the deadline every read, pending or to come, raises.
-        timer = asyncio.get_running_loop().call_later(
-            _READ_DEADLINE_S, reader.set_exception, _ReadTimeout()
-        )
         request_line = None
         try:
             # ``readline`` raises ValueError on a line longer than the
@@ -500,9 +535,6 @@ class AnsweringService:
             raise _BadRequest(
                 408, f"request not received within {_READ_DEADLINE_S} s"
             ) from None
-        finally:
-            timer.cancel()
-            self._reading.discard(handler)
         path, _, query_string = target.partition("?")
         params = {k: v[-1] for k, v in parse_qs(query_string).items()}
         return method.upper(), path, params, headers, body

@@ -35,6 +35,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, Optional, Tuple
 
+from repro.exceptions import ReproError
 from repro.runtime.serialize import record_digest
 
 __all__ = ["CompactionResult", "SqliteWitnessStore"]
@@ -43,6 +44,8 @@ __all__ = ["CompactionResult", "SqliteWitnessStore"]
 _BUSY_TIMEOUT_S = 5.0
 #: Retries of a statement that failed on a lock, with exponential backoff.
 _MAX_RETRIES = 6
+#: The oldest SQLite library with the upsert clause every flush runs.
+_MIN_SQLITE = (3, 24, 0)
 
 
 @dataclass(frozen=True)
@@ -66,15 +69,19 @@ class SqliteWitnessStore:
       readers) with ``synchronous=NORMAL`` — a crash can lose the last
       transactions but never corrupts the store, and a lost witness record
       only costs a future fresh search.
-    * **Upsert per key** (``INSERT OR REPLACE``), so the store is always
-      compact: at most one row per ``(query, schema, access)``.
+    * **Upsert per key** (``INSERT ... ON CONFLICT DO UPDATE``, which
+      leaves a row whose digest is unchanged alone), so the store is always
+      compact: at most one row per ``(query, schema, access)``.  It needs
+      SQLite 3.24 or newer: construction raises on an older library rather
+      than let every flush fail as a skipped write.
     * **Busy-timeout + retry.**  Every statement runs under SQLite's busy
       timeout, and lock/busy errors are retried with exponential backoff, so
       N server processes hammering one store degrade to queueing, not
       exceptions.
-    * **One transaction per batch.**  :meth:`append_many` checks, upserts
-      and counts a whole batch in one transaction; :meth:`append` is a
-      one-record batch.  A crash loses at most the batch in flight.
+    * **One transaction per batch.**  :meth:`append_many` upserts a whole
+      batch with one statement in one transaction, rows in order, and
+      counts the rows it changed; :meth:`append` is a one-record batch.  A
+      crash loses at most the batch in flight.
     * **Generation counter.**  A ``meta`` row increments once per
       transaction that writes at least one row, *in that transaction*,
       giving readers in other processes a single-integer change detector.
@@ -101,6 +108,11 @@ class SqliteWitnessStore:
     """
 
     def __init__(self, path: str) -> None:
+        if sqlite3.sqlite_version_info < _MIN_SQLITE:
+            raise ReproError(
+                "the witness store needs SQLite 3.24 or newer;"
+                f" this Python links SQLite {sqlite3.sqlite_version}"
+            )
         self._path = os.fspath(path)
         self._lock = threading.RLock()
         self._conn: Optional[sqlite3.Connection] = None
@@ -245,23 +257,18 @@ class SqliteWitnessStore:
             return 0
 
         def action(conn):
-            written = 0
-            with conn:  # one transaction: per-row read-check and upsert, one bump
-                for row in rows:
-                    stored = conn.execute(
-                        "SELECT digest FROM witnesses"
-                        " WHERE query = ? AND schema = ? AND access = ?",
-                        row[:3],
-                    ).fetchone()
-                    if stored is not None and stored[0] == row[3]:
-                        continue
-                    conn.execute(
-                        "INSERT OR REPLACE INTO witnesses"
-                        " (query, schema, access, digest, payload)"
-                        " VALUES (?, ?, ?, ?, ?)",
-                        row,
-                    )
-                    written += 1
+            with conn:  # one transaction: one upsert statement, one bump
+                before = conn.total_changes
+                conn.executemany(
+                    "INSERT INTO witnesses (query, schema, access, digest, payload)"
+                    " VALUES (?, ?, ?, ?, ?)"
+                    " ON CONFLICT (query, schema, access) DO UPDATE"
+                    " SET digest = excluded.digest, payload = excluded.payload"
+                    " WHERE digest != excluded.digest",
+                    rows,
+                )
+                # A row whose digest equals the stored one's changes nothing.
+                written = conn.total_changes - before
                 if written:
                     conn.execute(
                         "UPDATE meta SET value = value + 1 WHERE key = 'generation'"

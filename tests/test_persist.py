@@ -49,7 +49,9 @@ from hypothesis import strategies as st
 
 from repro import Access
 from repro.core import is_long_term_relevant
+from repro.exceptions import ReproError
 from repro.runtime import (
+    LtrWitness,
     PersistentWitnessCache,
     QueryServer,
     RelevanceOracle,
@@ -107,6 +109,16 @@ def _buffer_witnesses(cache, scenario):
     for oracle in oracles:
         for access in candidates:
             oracle.long_term_relevant(access, configuration)
+
+
+def _counting(calls, name, method):
+    """``method``, appending ``name`` to ``calls`` on every call."""
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return method(*args, **kwargs)
+
+    return counted
 
 
 def _digests(store):
@@ -265,6 +277,15 @@ class TestSqliteStore:
         assert _generation(path) == g0 + 2
         stats = store.stats()
         assert (stats["appends"], stats["dedup_skips"]) == (5, 4)
+
+    def test_an_sqlite_library_without_upsert_is_refused(self, tmp_path, monkeypatch):
+        """Before SQLite 3.24 every flush would fail as a skipped write, so
+        a warm restart would silently never warm up: construction raises."""
+        monkeypatch.setattr(sqlite3, "sqlite_version_info", (3, 22, 0))
+        monkeypatch.setattr(sqlite3, "sqlite_version", "3.22.0")
+        with pytest.raises(ReproError, match=r"3\.24 or newer.*3\.22\.0"):
+            SqliteWitnessStore(os.fspath(tmp_path / "w.sqlite"))
+        assert not (tmp_path / "w.sqlite").exists()
 
     def test_garbage_file_degrades_without_raising(self, tmp_path):
         path = os.fspath(tmp_path / "w.sqlite")
@@ -446,6 +467,69 @@ class TestPersistentCacheLayer:
         # its memo is invalidated by the moved generation token.
         after = reader.witnesses_for(query, scenario.schema)
         assert len(after) == len(before) - 1
+
+    def test_steps_equal_across_types_decode_apart(self, tmp_path, dependent_schema):
+        """A load rebuilds each distinct step once, but ``1`` and ``True``
+        (equal as Python values) stay distinct steps: the second path keeps
+        its own value types through the JSON round-trip."""
+        stoken = schema_token(dependent_schema)
+
+        def record(name, value):
+            def step(tagged):
+                return ["accR", [tagged], [[tagged]]]
+
+            return {
+                "v": 1,
+                "query": "q",
+                "schema": stoken,
+                "access": name,
+                "method": "accR",
+                "binding": [["s", name]],
+                "steps": [step(["s", name]), step(value)],
+            }
+
+        path = os.fspath(tmp_path / "w.sqlite")
+        with SqliteWitnessStore(path) as store:
+            assert store.append_many([record("a", ["i", 1]), record("b", ["b", True])]) == 2
+        with PersistentWitnessCache(path) as cache:
+            _generation, witnesses = cache._load(("q", stoken), dependent_schema)
+        seconds = [witnesses[("accR", (name,))].steps[1] for name in "ab"]
+        assert [type(step.access.binding[0]) for step in seconds] == [int, bool]
+        assert [type(fact[0]) for step in seconds for fact in step.facts] == [int, bool]
+
+    def test_seeding_skips_an_unchanged_store_generation(self, tmp_path, scenario, monkeypatch):
+        """A repeat seeding at the generation the oracle last seeded at reads
+        no record and mirrors no store stats.  So a record the oracle
+        dropped comes back only once the store changes: another cache's
+        write moves the generation, and the next call seeds it."""
+        path = os.fspath(tmp_path / "w.sqlite")
+        with QueryServer(scenario.mediator(), cache_path=path) as cold:
+            cold.answer(scenario.queries)
+        metrics = RuntimeMetrics()
+        with PersistentWitnessCache(path) as cache:
+            query = next(q for q in scenario.queries if cache.witnesses_for(q, scenario.schema))
+            oracle = RelevanceOracle(query, scenario.schema, metrics=metrics, persist=cache)
+            stored = cache.witnesses_for(query, scenario.schema)
+            assert metrics.count("persist.seeded") == len(stored)
+            calls = []
+            for name in ("load_pair", "stats"):
+                monkeypatch.setattr(
+                    cache.store, name, _counting(calls, name, getattr(cache.store, name))
+                )
+            akey, witness = next(iter(stored.items()))
+            oracle._records.discard(akey)
+            oracle.seed_witnesses()
+            assert calls == []
+            assert metrics.count("persist.seeded") == len(stored)
+            with PersistentWitnessCache(path) as writer:
+                writer.record(
+                    (query_token(query), schema_token(scenario.schema)),
+                    witness.access,
+                    LtrWitness(witness.steps + witness.steps[-1:]),
+                )
+            oracle.seed_witnesses()
+            assert calls == ["load_pair", "stats"]
+            assert metrics.count("persist.seeded") == len(stored) + 1
 
     def test_oracle_persist_knob(self, tmp_path, scenario):
         cache = PersistentWitnessCache(os.fspath(tmp_path / "w.sqlite"))

@@ -27,6 +27,8 @@ from repro.runtime import (
     Tracer,
     activate_tracer,
 )
+from repro.runtime.cache import access_key
+from repro.runtime.screening import resolve_group_verdict
 from repro.sources import DataSource, Mediator
 from repro.tracing import stage
 from repro.workloads import fanout_scenario, random_cq
@@ -295,7 +297,7 @@ def test_witness_revalidation_reuses_positive_verdicts():
     configuration = scenario.configuration.copy()
 
     assert oracle.long_term_relevant(scenario.access, configuration)
-    assert oracle.witness_for(scenario.access) is not None
+    assert oracle._records.peek(access_key(scenario.access)).witness is not None
 
     # Growth that invalidates the fingerprint but not the witness path.
     configuration.add("Hub", ("start", "m9"))
@@ -406,7 +408,7 @@ def test_a_recaptured_witness_is_traced_as_captured(tmp_path):
         oracle = RelevanceOracle(query, schema, metrics=metrics, persist=persist)
         assert metrics.count("persist.seeded") == 1
         assert oracle.long_term_relevant(probed, configuration)
-        assert oracle.witness_for(probed) != stale
+        assert oracle._records.peek(access_key(probed)).witness != stale
         configuration.add("Hub", ("start", "m5"))
         assert oracle.long_term_relevant(probed, configuration)
     revalidations = [
@@ -423,7 +425,7 @@ def test_captured_witness_is_a_valid_path():
     oracle = RelevanceOracle(scenario.query, scenario.schema)
     configuration = scenario.configuration.copy()
     assert oracle.long_term_relevant(scenario.access, configuration)
-    witness = oracle.witness_for(scenario.access)
+    witness = oracle._records.peek(access_key(scenario.access)).witness
     assert witness.access.method.name == scenario.access.method.name
     assert witness.steps[0].access.binding == scenario.access.binding
     assert witness.revalidate(oracle.query, configuration)
@@ -506,6 +508,97 @@ def test_truncation_only_check_needs_a_prior_full_check_on_a_contained_snapshot(
     assert counters["witness.truncation_only"] == 1
     assert counters["witness.revalidated"] == 2
     assert counters["witness.revalidation_failed"] == 1
+
+
+def _interchangeable_hubs():
+    """``accHub('start')`` and ``accHub('start2')`` of ``fanout_scenario(2)``:
+    swapping the two constants is an automorphism of the configuration, so
+    the screen groups them with ``start`` representing.  ``Audit`` facts
+    keep the swap and add a dependent-input value, so no verdict is
+    inherited across them."""
+    scenario = fanout_scenario(2)
+    schema = scenario.schema
+    configuration = scenario.configuration.copy()
+    configuration.add_constant("start2", schema.relation("Hub").domain_of(0))
+    oracle = RelevanceOracle(scenario.query, schema)
+    member = Access(schema.access_method("accHub"), ("start2",))
+    return oracle, configuration, scenario.access, member
+
+
+def _traced(oracle, configuration, call):
+    """Run ``call()`` under a tracer: ``(result, [(outcome, relevant)] of the
+    oracle spans, [check] of the witness-revalidate spans)``."""
+    tracer = Tracer()
+    with activate_tracer(tracer):
+        result = call()
+    spans = tracer.spans()
+    outcomes = [(s.tags["outcome"], s.tags["relevant"]) for s in spans if s.name == "oracle"]
+    checks = [s.tags["check"] for s in spans if s.name == "witness-revalidate"]
+    return result, outcomes, checks
+
+
+def _resolve_group(oracle, configuration, accesses):
+    """Resolve the one screening group of ``accesses``, traced."""
+    ((representative, members),) = oracle.screen.group(accesses, configuration)
+    assert members
+    return _traced(
+        oracle,
+        configuration,
+        lambda: resolve_group_verdict(oracle, representative, members, configuration),
+    )
+
+
+def _next_check(oracle, configuration, access):
+    """Grow ``configuration``, probe ``access``: its witness checks."""
+    configuration.add("Audit", (f"m{len(configuration.tuples('Audit')) + 10}", "n"))
+    verdict, outcomes, checks = _traced(
+        oracle, configuration, lambda: oracle.long_term_relevant(access, configuration)
+    )
+    assert verdict == is_long_term_relevant(
+        oracle.query, access, configuration, oracle.schema
+    )
+    assert outcomes == [("revalidated", True)]
+    return checks
+
+
+def test_a_member_adopted_from_a_representative_accepted_here_checks_its_truncation():
+    """A screening member whose representative's witness the oracle accepted
+    by revalidation at this configuration holds the translated witness as
+    accepted there: its next miss takes the truncation-only rung."""
+    oracle, configuration, representative, member = _interchangeable_hubs()
+    assert _resolve_group(oracle, configuration, [representative, member])[1] == [
+        ("fresh", True),
+        ("adopted", True),
+    ]
+    configuration.add("Audit", ("m7", "n7"))
+    verdict, outcomes, checks = _resolve_group(oracle, configuration, [representative, member])
+    assert verdict and outcomes == [("revalidated", True), ("adopted", True)]
+    assert checks == ["full"]
+    assert _next_check(oracle, configuration, member) == ["truncation"]
+
+
+def test_a_member_adopted_from_a_fresh_search_gets_the_full_check():
+    """A representative decided by a fresh search hands its members a
+    witness nobody checked here: the member's next miss replays it fully."""
+    oracle, configuration, representative, member = _interchangeable_hubs()
+    verdict, outcomes, _checks = _resolve_group(oracle, configuration, [representative, member])
+    assert verdict and outcomes == [("fresh", True), ("adopted", True)]
+    assert _next_check(oracle, configuration, member) == ["full"]
+
+
+def test_an_exact_hit_accepted_at_another_configuration_does_not_qualify():
+    """A representative served by an exact hit whose record was accepted at
+    another configuration (here, a larger one it has since shrunk back
+    from) qualifies nothing: the member's next miss replays fully."""
+    oracle, configuration, representative, member = _interchangeable_hubs()
+    assert oracle.long_term_relevant(representative, configuration)
+    configuration.add("Audit", ("m7", "n7"))
+    assert oracle.long_term_relevant(representative, configuration)
+    configuration.remove("Audit", ("m7", "n7"))
+    verdict, outcomes, checks = _resolve_group(oracle, configuration, [representative, member])
+    assert verdict and outcomes == [("exact-hit", True), ("adopted", True)]
+    assert checks == []
+    assert _next_check(oracle, configuration, member) == ["full"]
 
 
 def test_screen_prefilter_drops_unfeedable_relations():

@@ -316,11 +316,24 @@ class TestPersistentCache:
         metrics = RuntimeMetrics()
         with QueryServer(scenario.mediator(), cache_path=path, metrics=metrics) as server:
             server.answer(scenario.queries)
-        # A warm run re-derives the same witnesses; identical paths are not
-        # written again (the store may still gain *new* paths, but a fully
-        # warmed run adds nothing).
+        # A warm run re-derives the same witnesses; a path equal to the
+        # stored one is not even buffered (every buffered record is either
+        # written or skipped at flush), and a fully warmed run adds nothing.
         assert metrics.count("persist.recorded") == 0
-        assert metrics.count("persist.sqlite.dedup_skips") > 0
+        assert metrics.count("persist.sqlite.dedup_skips") == 0
+        assert os.path.getsize(path) == first_size
+        # The store still deduplicates a writer that re-records every
+        # stored witness: it writes nothing and skips each record once.
+        with PersistentWitnessCache(path) as cache:
+            records = 0
+            for query in scenario.queries:
+                tokens = (query_token(query), schema_token(scenario.schema))
+                for witness in cache.witnesses_for(query, scenario.schema).values():
+                    assert cache.record(tokens, witness.access, witness)
+                    records += 1
+            assert records == cache.store.stats()["records"] > 0
+            assert cache.flush() == 0
+            assert cache.stats["store"]["dedup_skips"] == records
         assert os.path.getsize(path) == first_size
 
     def test_corrupt_lines_are_skipped_not_fatal(self, tmp_path, scenario):
@@ -629,8 +642,8 @@ class TestSiblingHints:
         assert metrics.count("oracle.fresh_searches") == 1
         assert metrics.count("oracle.sibling_hits") == 1
         assert metrics.count("witness.revalidated") == 1
-        hint = second.witness_for(free)
-        assert hint.access == free and hint != first.witness_for(free)
+        hint = second._records.peek(("mS", ())).witness
+        assert hint.access == free and hint != first._records.peek(("mS", ())).witness
         # The hint was revalidated here, so once the configuration grows
         # only its truncation is re-checked.
         configuration.add("R", ("a", "w"))

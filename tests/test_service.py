@@ -434,6 +434,28 @@ class TestErrorPaths:
         assert server.metrics.count("service.http_errors") == 0
         assert server.metrics.count("service.http_requests") == 7
 
+    def test_replies_reach_clients_far_past_a_limit(self):
+        """A client still sending megabytes past a limit reads its 413 or
+        414: the handler half-closes and drains before it closes, so the
+        kernel does not reset the connection under the reply."""
+        scenario = bank_multi_query_scenario(2, employees=3, offices=2, states=2)
+        server = QueryServer(scenario.mediator())
+        handle = serve_in_background(server)
+        megabytes = 4 * 1024 * 1024
+        try:
+            statuses = [
+                _raw_status(handle, b"GET /" + b"a" * megabytes + b" HTTP/1.1\r\n\r\n"),
+                _raw_status(
+                    handle,
+                    b"POST /queries HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % megabytes
+                    + b"x" * megabytes,
+                ),
+            ]
+        finally:
+            handle.shutdown()
+        assert statuses == [414, 413]
+        assert server.metrics.count("service.http_errors") == 0
+
     def test_unknown_record_404(self, bank_service):
         _, handle = bank_service
         status, _, _ = _request(f"{handle.base_url}/queries/q999999")
