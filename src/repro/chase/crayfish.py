@@ -58,6 +58,12 @@ __all__ = [
 class ProductionPlan:
     """A successful plan: a well-formed path producing the targets.
 
+    The path starts at the configuration the search was given, not at a
+    copy of it: the caller must not mutate that configuration while it holds
+    the plan.  The LTR search reads only ``path.steps`` and replays them over
+    a read-only :class:`~repro.data.paths.PathView`; containment reads
+    :meth:`final_configuration`, a new configuration, at once.
+
     Attributes
     ----------
     path:
@@ -373,7 +379,7 @@ def iter_production_plans(
                     break
 
             if not state.pending:
-                path = AccessPath(configuration.copy(), list(state.steps))
+                path = AccessPath(configuration, list(state.steps))
                 produced_count += 1
                 yield ProductionPlan(path, tuple(deduped), tuple(state.supports))
                 return

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.data import Configuration, Fact
+from repro.data import Configuration, Fact, PathView
 from repro.chase.fresh import FreshConstants
 from repro.queries.homomorphism import has_homomorphism
 from repro.queries.terms import Variable, is_variable
@@ -122,17 +122,14 @@ def holds_after_adding(
     :func:`~repro.queries.homomorphism.has_homomorphism`, from the plan the
     disjunct keeps for them (:meth:`~repro.queries.cq.ConjunctiveQuery.rest_plan`,
     compiled on its first join).  A disjunct with no remaining atom holds
-    without touching the configuration.  The joins run
-    over ``configuration`` itself, with the new facts added in place and
-    removed again on exit, the undo-log pattern (and the same single-thread
-    requirement) of :meth:`~repro.data.paths.AccessPath.truncation_view`:
-    content, fingerprint, active domain and indexes are restored even when a
-    join raises, and no copy is taken.
+    without touching the configuration.  The joins run over a read-only
+    :class:`~repro.data.paths.PathView` of ``configuration`` holding the new
+    facts, so nothing is written to the configuration and no copy is taken.
 
     Every fact is first validated with its relation's ``check_values``, as
-    :meth:`~repro.data.instance.Instance.add` does, so a malformed fact raises
-    :class:`~repro.exceptions.SchemaError` even when no join needs it.  Under
-    the precondition the answer equals evaluating the disjunction on
+    :meth:`~repro.data.instance.Instance.add` does, so a malformed fact
+    raises :class:`~repro.exceptions.SchemaError` even when no join needs it.
+    Under the precondition the answer equals evaluating the disjunction on
     ``configuration.extended_with(facts)``.
     """
     schema = configuration.schema
@@ -155,19 +152,14 @@ def holds_after_adding(
                 joins.append((disjunct, index, substitution))
     if not joins:
         return False
-    added: List[Tuple[str, Tuple[object, ...]]] = []
-    try:
-        for name, rows in new.items():
-            for row in rows:
-                configuration.add(name, row)
-                added.append((name, row))
-        return any(
-            has_homomorphism(disjunct.rest_plan(index), configuration, substitution)
-            for disjunct, index, substitution in joins
-        )
-    finally:
-        for name, row in reversed(added):
-            configuration.remove(name, row)
+    view = PathView(configuration)
+    for name, rows in new.items():
+        for row in rows:
+            view.add(name, row)
+    return any(
+        has_homomorphism(disjunct.rest_plan(index), view, substitution)
+        for disjunct, index, substitution in joins
+    )
 
 
 def iter_witness_assignments(

@@ -147,10 +147,9 @@ def find_ltr_witness_steps(
                 max_nodes=options.max_nodes,
             ):
                 steps = (first_response,) + tuple(plan.path.steps)
-                full_path = AccessPath(configuration, list(steps))
-                with full_path.truncation_view() as truncated:
-                    if not evaluate_boolean(query, truncated):
-                        return steps
+                truncated = AccessPath(configuration, list(steps)).truncation_view()
+                if not evaluate_boolean(query, truncated):
+                    return steps
 
     return _ltr_via_generic_response(
         query, access, configuration, schema, options, max_assignments
@@ -272,10 +271,9 @@ def _ltr_via_generic_response(
                 max_nodes=options.max_nodes,
             ):
                 steps = (first_response,) + tuple(plan.path.steps)
-                full_path = AccessPath(configuration, list(steps))
-                with full_path.truncation_view() as truncated:
-                    if not evaluate_boolean(query, truncated):
-                        return steps
+                truncated = AccessPath(configuration, list(steps)).truncation_view()
+                if not evaluate_boolean(query, truncated):
+                    return steps
     return None
 
 

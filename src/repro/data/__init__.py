@@ -5,6 +5,7 @@ from repro.data.instance import Fact, Instance
 from repro.data.paths import (
     AccessPath,
     AccessResponse,
+    PathView,
     apply_access,
     enumerate_well_formed_accesses,
     is_well_formed,
@@ -17,6 +18,7 @@ __all__ = [
     "Configuration",
     "AccessResponse",
     "AccessPath",
+    "PathView",
     "is_well_formed",
     "apply_access",
     "response_from_instance",

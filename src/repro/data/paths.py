@@ -17,18 +17,30 @@ This module implements the operational semantics of accesses:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.exceptions import AccessError
 from repro.data.configuration import Configuration
 from repro.data.instance import Fact, Instance
-from repro.schema import Access, AccessMethod, Schema
+from repro.schema import AbstractDomain, Access, Schema
 
 __all__ = [
     "AccessResponse",
     "AccessPath",
+    "PathView",
     "is_well_formed",
     "apply_access",
     "merge_well_formed_prefix",
@@ -145,19 +157,109 @@ def apply_access(
     return configuration.extended_with(response.as_facts())
 
 
-def merge_well_formed_prefix(
-    configuration: Configuration,
-    steps: Sequence[AccessResponse],
-    added: List[Fact],
-) -> int:
-    """Merge the longest well-formed prefix of ``steps`` into ``configuration``.
+class PathView:
+    """A configuration plus the facts of merged path steps, read-only.
 
-    Each step is checked at the configuration grown by the steps before it;
-    the first ill-formed step ends the prefix, and no later step is merged.
-    Every fact actually added is appended to ``added`` as it lands, so the
-    caller's undo log is complete even if a merge raises; removing those
-    facts in reverse order restores ``configuration`` exactly.  Returns how
-    many steps were merged.
+    The view never writes to ``configuration``: it keeps the rows merged
+    into it that the configuration lacks, and the (value, domain) pairs
+    those rows bring that the configuration's active domain lacks.  Every
+    such row is validated with its relation's ``check_values``, as
+    :meth:`~repro.data.instance.Instance.add` does; a row the configuration
+    already holds is not kept twice, so relation sizes, and with them the
+    join orders, are those of the configuration grown by the merged facts.
+
+    It answers :meth:`is_well_formed` from both active-domain parts, and it
+    serves the join kernel's store protocol (``tuples_matching``,
+    ``relation_size``, ``tuples``, by relation name) as the configuration's
+    rows plus its own, so query evaluation reads it like the grown
+    configuration.  The configuration's cached active domain and relation
+    views are read, never invalidated.  The caller must not mutate
+    ``configuration`` while it still reads the view.
+    """
+
+    __slots__ = ("configuration", "_adom", "_rows", "_pairs")
+
+    def __init__(self, configuration: Configuration) -> None:
+        self.configuration = configuration
+        self._adom = configuration.active_domain()
+        self._rows: Dict[str, Dict[Tuple[object, ...], None]] = {}
+        self._pairs: Set[Tuple[object, AbstractDomain]] = set()
+
+    def add(self, relation_name: str, values: Sequence[object]) -> bool:
+        """Merge one fact, returning ``True`` if the view lacked it."""
+        row = tuple(values)
+        configuration = self.configuration
+        if configuration.contains(relation_name, row):
+            return False
+        rows = self._rows.get(relation_name)
+        if rows is None:
+            rows = self._rows[relation_name] = {}
+        elif row in rows:
+            return False
+        relation = configuration.schema.relation(relation_name)
+        relation.check_values(row)
+        rows[row] = None
+        adom = self._adom
+        for attribute, value in zip(relation.attributes, row):
+            pair = (value, attribute.domain)
+            if pair not in adom:
+                self._pairs.add(pair)
+        return True
+
+    def merge(self, response: AccessResponse) -> None:
+        """Merge every tuple of one access response."""
+        name = response.access.relation.name
+        for values in response.facts:
+            self.add(name, values)
+
+    def is_well_formed(self, access: Access) -> bool:
+        """:func:`is_well_formed` at the configuration grown by the view."""
+        if not access.method.dependent:
+            return True
+        adom = self._adom
+        pairs = self._pairs
+        return all(
+            pair in adom or pair in pairs for pair in access.binding_with_domains()
+        )
+
+    def tuples_matching(
+        self, relation_name: str, bound: Mapping[int, object]
+    ) -> Iterable[Tuple[object, ...]]:
+        """The configuration's matching rows, then the view's own."""
+        rows = self.configuration.tuples_matching(relation_name, bound)
+        own = self._rows.get(relation_name)
+        if not own:
+            return rows
+        constraints = tuple(bound.items())
+        return itertools.chain(
+            rows,
+            [
+                row
+                for row in own
+                if all(row[place] == value for place, value in constraints)
+            ],
+        )
+
+    def relation_size(self, relation_name: str) -> int:
+        """Rows of ``relation_name`` in the configuration plus the view's own."""
+        return self.configuration.relation_size(relation_name) + len(
+            self._rows.get(relation_name, ())
+        )
+
+    def tuples(self, relation_name: str) -> FrozenSet[Tuple[object, ...]]:
+        """The configuration's rows of ``relation_name`` and the view's own."""
+        rows = self.configuration.tuples(relation_name)
+        own = self._rows.get(relation_name)
+        return rows.union(own) if own else rows
+
+
+def merge_well_formed_prefix(view: PathView, steps: Sequence[AccessResponse]) -> int:
+    """Merge the longest well-formed prefix of ``steps`` into ``view``.
+
+    Each step is checked at the view grown by the steps before it; the first
+    ill-formed step ends the prefix, and no later step is merged.  Returns
+    how many steps were merged.  Nothing is written to the view's
+    configuration, so there is nothing to restore, even if a merge raises.
 
     This is the one implementation of the truncation rule:
     :meth:`AccessPath.truncation_view` applies it to ``steps[1:]``, and
@@ -166,11 +268,9 @@ def merge_well_formed_prefix(
     """
     merged = 0
     for response in steps:
-        if not is_well_formed(response.access, configuration):
+        if not view.is_well_formed(response.access):
             break
-        for fact in response.as_facts():
-            if configuration.add_fact(fact):
-                added.append(fact)
+        view.merge(response)
         merged += 1
     return merged
 
@@ -259,55 +359,37 @@ class AccessPath:
             current = apply_access(current, response, check_well_formed=False)
         return truncated
 
-    @contextmanager
-    def truncation_view(self) -> Iterator[Configuration]:
-        """The truncated path's final configuration, as a zero-copy view.
+    def truncation_view(self) -> PathView:
+        """The truncated path's final configuration, as a read-only view.
 
-        Replays the truncation semantics *in place* on ``self.initial`` with
-        an undo log (the crayfish-chase pattern): facts actually added are
-        recorded and removed again, in reverse order, when the ``with`` block
-        exits — :meth:`~repro.data.instance.Instance.remove` exactly reverses
-        :meth:`~repro.data.instance.Instance.add`, so the configuration's
-        content, fingerprint, indexes, and cached views are restored even on
-        an exception.  O(|path|) in steps *and* allocations: no configuration
-        copy is taken.
-
-        The yielded object IS ``self.initial`` (temporarily grown); callers
-        must finish reading it inside the block and must not let it escape.
-        Mutating a live configuration view is safe on the strategy's
-        dispatching thread — merges and relevance checks are serialized there
-        (see the mediator's concurrency notes) — which is where every witness
-        search and revalidation runs.
-
-        The replay is :func:`merge_well_formed_prefix` over ``steps[1:]``,
-        the one loop behind the truncation rule: the fresh witness search
-        (through this view) and the incremental
+        A :class:`PathView` of ``self.initial`` with the truncation merged
+        by :func:`merge_well_formed_prefix` over ``steps[1:]``, the one loop
+        behind the truncation rule: the fresh witness search (through this
+        view) and the incremental
         :meth:`~repro.runtime.witness.LtrWitness.revalidate` and
         :meth:`~repro.runtime.witness.LtrWitness.recheck_truncation` all
         truncate through it, so the engines cannot drift on how an
         ill-formed step truncates the path (the longest well-formed prefix
         is kept; everything after the first ill-formed step is dropped, even
-        steps that do not depend on the probed access).
+        steps that do not depend on the probed access).  O(|path|) in steps
+        and allocations: ``self.initial`` is neither copied nor written.
         """
-        current = self.initial
-        added: List[Fact] = []
-        try:
-            merge_well_formed_prefix(current, self.steps[1:], added)
-            yield current
-        finally:
-            for fact in reversed(added):
-                current.remove(fact.relation, fact.values)
+        view = PathView(self.initial)
+        merge_well_formed_prefix(view, self.steps[1:])
+        return view
 
     def truncation_final_configuration(self) -> Configuration:
         """The configuration reached at the end of the truncated path.
 
         Semantically ``self.truncation().final_configuration()``, as a
-        standalone copy.  Callers that only *evaluate* at the truncated
-        configuration should use :meth:`truncation_view` instead and skip
-        the copy.
+        standalone copy built from :meth:`truncation_view`.  Callers that
+        only *evaluate* at the truncated configuration should read the view
+        instead and skip the copy.
         """
-        with self.truncation_view() as truncated:
-            return truncated.copy()
+        view = self.truncation_view()
+        return self.initial.extended_with(
+            Fact(name, row) for name, rows in view._rows.items() for row in rows
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"AccessPath(len={len(self.steps)})"

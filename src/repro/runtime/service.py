@@ -95,8 +95,8 @@ _MAX_HEADER_LINES = 100
 #: past it the service answers 408 and closes.  Answering is not under it.
 _READ_DEADLINE_S = 10.0
 
-#: Replies sent with the rest of an oversized request unread.
-_UNREAD_INPUT = frozenset({413, 414, 431})
+#: Replies sent with the rest of an oversized or late request unread.
+_UNREAD_INPUT = frozenset({408, 413, 414, 431})
 
 #: Bytes of that unread input read and dropped, at most, before closing.
 _DISCARD_LIMIT = 16 * 1024 * 1024
@@ -414,9 +414,8 @@ class AnsweringService:
         # 431, the drain: past it every read, pending or to come, raises.
         # Answering is not under it.
         self._reading.add(handler)
-        timer = asyncio.get_running_loop().call_later(
-            _READ_DEADLINE_S, reader.set_exception, _ReadTimeout()
-        )
+        loop = asyncio.get_running_loop()
+        timer = loop.call_later(_READ_DEADLINE_S, reader.set_exception, _ReadTimeout())
         try:
             try:
                 request = await self._read_request(reader)
@@ -426,6 +425,14 @@ class AnsweringService:
                 self._reading.discard(handler)
                 await self._route(writer, *request)
             except _BadRequest as exc:
+                if exc.status == 408:
+                    # The expired deadline left its exception in the reader:
+                    # clear it, so the reply and the drain run, under one
+                    # more deadline.
+                    reader.set_exception(None)
+                    timer = loop.call_later(
+                        _READ_DEADLINE_S, reader.set_exception, _ReadTimeout()
+                    )
                 await self._send_json(
                     writer, exc.status, {"error": exc.message}
                 )
@@ -435,7 +442,8 @@ class AnsweringService:
             asyncio.IncompleteReadError,
             ConnectionResetError,
             BrokenPipeError,
-            # The writer's drain() re-raises the reader's exception: the 408
+            # The deadline expired in a reply's drain(), which re-raises the
+            # reader's exception, or in the drain of unread input: the reply
             # is written by then, and close() below flushes it.
             _ReadTimeout,
         ):
@@ -461,11 +469,12 @@ class AnsweringService:
         """Half-close, then read and drop what the client still sends.
 
         Closing a socket with input unread makes the kernel reset the
-        connection, and a client still sending its oversized request would
-        lose the reply written before it.  The drain ends at the client's
-        EOF, after :data:`_DISCARD_LIMIT` bytes or at the connection's read
-        deadline (whose :class:`_ReadTimeout` the caller ignores); shutdown
-        cuts it as it cuts a pending read.
+        connection, and a client still sending its oversized or late request
+        would lose the reply written before it.  The drain ends at the
+        client's EOF, after :data:`_DISCARD_LIMIT` bytes or at the
+        connection's read deadline (a new one after a 408; the caller ignores
+        its :class:`_ReadTimeout`); shutdown cuts it as it cuts a pending
+        read.
         """
         try:
             writer.write_eof()

@@ -31,9 +31,9 @@ back to a fresh search) lives in :class:`repro.runtime.cache.RelevanceOracle`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import FrozenSet, Iterable, Mapping, Optional, Tuple
 
-from repro.data import AccessPath, AccessResponse, Configuration, Fact, is_well_formed
+from repro.data import AccessPath, AccessResponse, Configuration, PathView, is_well_formed
 from repro.data.paths import merge_well_formed_prefix
 from repro.exceptions import AccessError, SchemaError
 from repro.queries import evaluate_boolean
@@ -206,33 +206,30 @@ class LtrWitness:
         order.
 
         Cost: |path| well-formedness checks and fact merges, and at most two
-        query evaluations — with **zero configuration copies**.  The replay
-        mutates ``configuration`` in place behind one undo log and restores
-        it exactly (content, fingerprint, cached views) before returning, so
-        revalidation is O(|path|) in allocations as well as steps.  Like the
-        rest of the oracle's incremental machinery this runs on the
-        strategy's dispatching thread, where the live configuration view
-        only changes between callbacks.
+        query evaluations — with **zero configuration copies** and no write
+        to ``configuration``.  The replay merges into one
+        :class:`~repro.data.paths.PathView` of ``configuration``, which the
+        query is evaluated over, so revalidation is O(|path|) in
+        allocations as well as steps, and it leaves the configuration's
+        content, fingerprint and cached views exactly as they were, even
+        when a merge or an evaluation raises.  ``configuration`` must not
+        change during the call; on the strategy's dispatching thread, where
+        the oracle runs, the live configuration view only changes between
+        callbacks.
         """
         steps = self.steps
         probed = steps[0]
         if not is_well_formed(probed.access, configuration):
             return False
-        added: List[Fact] = []
-        try:
-            kept = merge_well_formed_prefix(configuration, steps[1:], added)
-            if evaluate_boolean(query, configuration):
-                return False
-            for fact in probed.as_facts():
-                if configuration.add_fact(fact):
-                    added.append(fact)
-            dropped = steps[1 + kept :]
-            if merge_well_formed_prefix(configuration, dropped, added) < len(dropped):
-                return False
-            return evaluate_boolean(query, configuration)
-        finally:
-            for fact in reversed(added):
-                configuration.remove(fact.relation, fact.values)
+        view = PathView(configuration)
+        kept = merge_well_formed_prefix(view, steps[1:])
+        if evaluate_boolean(query, view):
+            return False
+        view.merge(probed)
+        dropped = steps[1 + kept :]
+        if merge_well_formed_prefix(view, dropped) < len(dropped):
+            return False
+        return evaluate_boolean(query, view)
 
     def recheck_truncation(self, query, configuration: Configuration) -> bool:
         """Whether the truncation still fails the query at ``configuration``.
@@ -248,11 +245,11 @@ class LtrWitness:
         end of the path.  Only the truncation can change — it may keep more
         steps and see more facts — so this replays the truncation alone
         through :meth:`~repro.data.paths.AccessPath.truncation_view` and
-        evaluates once.  The result equals :meth:`revalidate`'s at
-        ``configuration``.
+        evaluates once, over that read-only view.  The result equals
+        :meth:`revalidate`'s at ``configuration``.
         """
-        with AccessPath(configuration, list(self.steps)).truncation_view() as truncated:
-            return not evaluate_boolean(query, truncated)
+        truncated = AccessPath(configuration, list(self.steps)).truncation_view()
+        return not evaluate_boolean(query, truncated)
 
     def translated(self, mapping: Mapping[object, object]) -> Optional["LtrWitness"]:
         """The witness under a value renaming, or ``None`` if it does not type.

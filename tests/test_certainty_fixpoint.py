@@ -1,4 +1,4 @@
-"""Delta-driven certainty maintenance and the zero-copy replay paths.
+"""Delta-driven certainty maintenance and the read-only replay paths.
 
 The load-bearing claims of the incremental certainty engine:
 
@@ -10,9 +10,10 @@ The load-bearing claims of the incremental certainty engine:
   eviction of the owning :class:`~repro.runtime.cache.RelevanceOracle` from
   the server's bounded registry — only costs a restart, never a wrong
   verdict;
-* the truncation replay and witness revalidation mutate the live
-  configuration behind an undo log: zero ``copy()`` calls on the hot path,
-  and the configuration is restored bit-for-bit (fingerprint included);
+* the truncation replay and witness revalidation read the live
+  configuration through a read-only path view: zero ``copy()``, ``add`` or
+  ``remove`` calls on the hot path, even when the caller or a merge raises,
+  so the configuration and its cached views stay as they were;
 * the Proposition 3.5 containment memo returns the cached verdict for
   repeated probes and misses when any verdict-relevant input changes.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -38,6 +40,7 @@ from repro.core.longterm_dependent import (
     containment_cq_memo,
     is_ltr_via_containment_cq,
 )
+from repro.exceptions import SchemaError
 from repro.queries import is_certain
 from repro.queries.certain import CertaintyFixpoint
 from repro.runtime import QueryServer
@@ -199,58 +202,89 @@ def _witness_fixture():
     return schema, query, configuration, steps
 
 
+def _count_configuration_writes(monkeypatch):
+    """Record every ``copy``, ``add`` and ``remove`` on any instance."""
+    calls = []
+    for cls, name in (
+        (Instance, "copy"),
+        (Configuration, "copy"),
+        (Instance, "add"),
+        (Instance, "remove"),
+    ):
+        original = getattr(cls, name)
+
+        def counting(self, *args, _name=name, _original=original):
+            calls.append((_name, self))
+            return _original(self, *args)
+
+        monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
 def test_revalidate_performs_zero_configuration_copies(monkeypatch):
-    """Regression: the revalidation hot path must never copy a configuration."""
+    """Regression: the revalidation hot path never copies a configuration,
+    and no replay writes to one: no ``Instance.add`` or ``Instance.remove``
+    runs while a witness is revalidated or its truncation rechecked."""
     _schema, query, configuration, steps = _witness_fixture()
     witness = LtrWitness(steps)
     before = configuration.fingerprint()
-
-    copies = []
-    instance_copy = Instance.copy
-    configuration_copy = Configuration.copy
-
-    def counting_instance_copy(self):
-        copies.append(self)
-        return instance_copy(self)
-
-    def counting_configuration_copy(self):
-        copies.append(self)
-        return configuration_copy(self)
-
-    monkeypatch.setattr(Instance, "copy", counting_instance_copy)
-    monkeypatch.setattr(Configuration, "copy", counting_configuration_copy)
+    calls = _count_configuration_writes(monkeypatch)
 
     # The second step is a dependent access whose input only enters the
     # active domain through the first step's output, so the truncation is
     # empty and the query fails on it: a genuine witness.
     assert witness.revalidate(query, configuration) is True
-    assert copies == []
-    # The undo log restored the configuration exactly.
+    assert witness.recheck_truncation(query, configuration) is True
+    assert calls == []
     assert configuration.fingerprint() == before
     assert configuration.size() == 0
 
 
-def test_truncation_view_restores_configuration_on_exception():
-    _schema, _query, configuration, steps = _witness_fixture()
+def test_truncation_view_restores_configuration_on_exception(monkeypatch):
+    """A replay reads a :class:`~repro.data.paths.PathView` and writes
+    nothing, so there is nothing to restore when the caller raises while
+    reading the view, or when a merge into it raises."""
+    import repro.runtime.witness as witness_module
+
+    schema, query, configuration, steps = _witness_fixture()
     path = AccessPath(configuration, list(steps))
     before = configuration.fingerprint()
+    adom = configuration.active_domain()
+    calls = _count_configuration_writes(monkeypatch)
 
     class Boom(Exception):
         pass
 
-    try:
-        with path.truncation_view():
-            raise Boom()
-    except Boom:
-        pass
-    assert configuration.fingerprint() == before
+    def raising_evaluation(_query, _data):
+        raise Boom()
 
-    with path.truncation_view() as truncated:
-        grown = truncated.fingerprint()
-    # The view IS the initial configuration, temporarily grown; the
-    # stand-alone copy agrees with what the view exposed.
-    assert path.truncation_final_configuration().fingerprint() == grown
+    with monkeypatch.context() as patch:
+        patch.setattr(witness_module, "evaluate_boolean", raising_evaluation)
+        with pytest.raises(Boom):
+            LtrWitness(steps).revalidate(query, configuration)
+        with pytest.raises(Boom):
+            LtrWitness(steps).recheck_truncation(query, configuration)
+    # A row its relation does not admit is refused as it enters the view,
+    # as Instance.add refuses it.
+    malformed = AccessResponse.trusted(
+        Access(schema.access_method("mR"), ("a",)), (("a", "b", "extra"),)
+    )
+    with pytest.raises(SchemaError):
+        LtrWitness((steps[0], malformed)).revalidate(query, configuration)
+    assert calls == []
     assert configuration.fingerprint() == before
+    assert configuration.active_domain() is adom
+
+    # The truncation keeps only the steps well-formed without the probed
+    # access (none here); the stand-alone copy agrees with the view and
+    # with the copy-based reference.
+    view = path.truncation_view()
+    truncated = path.truncation_final_configuration()
+    reference = path.truncation().final_configuration()
+    for relation in schema.relations:
+        assert view.tuples(relation.name) == truncated.tuples(relation.name)
+        assert truncated.tuples(relation.name) == reference.tuples(relation.name)
+    assert truncated.fingerprint() == reference.fingerprint()
 
 
 def test_containment_cq_memo_hits_and_invalidates():

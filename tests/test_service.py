@@ -474,8 +474,10 @@ class TestReadDeadline:
         server = QueryServer(scenario.mediator())
         handle = serve_in_background(server)
         try:
+            # The server's deadline starts when it accepts, which can be
+            # before connect returns: start the clock first.
+            started = time.monotonic()
             with socket.create_connection(("127.0.0.1", handle.port), timeout=30) as sock:
-                started = time.monotonic()
                 sock.sendall(b"GET /healthz HTTP/1.1\r\n")
                 reply = b""
                 # A header line every 0.1 s, never the blank line: no single
